@@ -99,13 +99,22 @@ int64_t LinExpr::coeffGcd() const {
 }
 
 int64_t LinExpr::eval(const std::map<VarId, int64_t> &Assign) const {
-  int64_t Sum = Const;
+  // Each product fits in 127 bits. A running sum that would leave 128
+  // bits is pinned at a bound far beyond int64 in its direction.
+  const __int128 Pin = static_cast<__int128>(1) << 126;
+  __int128 Sum = Const;
   for (const auto &[V, C] : Coeffs) {
     auto It = Assign.find(V);
     int64_t Val = It == Assign.end() ? 0 : It->second;
-    Sum += C * Val;
+    __int128 Term = static_cast<__int128>(C) * Val;
+    if (__builtin_add_overflow(Sum, Term, &Sum))
+      Sum = Term < 0 ? -Pin : Pin;
   }
-  return Sum;
+  if (Sum > INT64_MAX)
+    return INT64_MAX;
+  if (Sum < INT64_MIN)
+    return INT64_MIN;
+  return static_cast<int64_t>(Sum);
 }
 
 LinExpr tnt::substParallelExpr(const LinExpr &E,

@@ -72,6 +72,9 @@ public:
   int64_t coeffGcd() const;
 
   /// Evaluates under a total assignment; missing variables default to 0.
+  /// The sum is taken in 128 bits and clamped to the int64 range, so a
+  /// value too large for int64 keeps its sign (and every constraint over
+  /// it its truth value) instead of wrapping.
   int64_t eval(const std::map<VarId, int64_t> &Assign) const;
 
   /// Structural hash, consistent with operator== (used by the arith

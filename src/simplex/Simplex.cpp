@@ -2,8 +2,6 @@
 
 #include "simplex/Simplex.h"
 
-#include <cassert>
-
 using namespace tnt;
 
 LVar Simplex::addVar(const std::string &Name, bool NonNeg) {
@@ -24,30 +22,31 @@ Rational Simplex::value(LVar V) const {
   return It == Solution.end() ? Rational(0) : It->second;
 }
 
-Simplex::Result Simplex::checkFeasible() { return run(nullptr); }
-
-Simplex::Result Simplex::maximize(const std::vector<LinTerm> &Objective) {
-  return run(&Objective);
-}
-
 namespace {
 
 /// Dense tableau in "dictionary" style: basic variable per row, the
 /// matrix holds the coefficients of non-basic columns after elimination.
 struct Tableau {
-  size_t M; // rows
-  size_t N; // structural + slack columns (artificials appended after)
+  size_t M;         // rows
+  size_t TotalCols; // structural + slack + artificial columns
   std::vector<std::vector<Rational>> A; // M x TotalCols
   std::vector<Rational> B;              // M
   std::vector<size_t> Basis;            // M, column index of basic var
-  size_t TotalCols;
+  /// The nonzero columns of the last pivot row.
+  std::vector<size_t> PivotCols;
 
-  /// Pivots on (Row, Col): Col enters the basis, Basis[Row] leaves.
+  /// Pivots on (Row, Col): Col enters the basis, Basis[Row] leaves. A
+  /// column where the pivot row is zero would only subtract an exact
+  /// zero, so the update visits the pivot row's nonzero columns alone.
   void pivot(size_t Row, size_t Col) {
-    Rational P = A[Row][Col];
-    assert(!P.isZero() && "pivot on zero element");
+    std::vector<Rational> &R = A[Row];
+    Rational P = R[Col];
+    PivotCols.clear();
     for (size_t J = 0; J < TotalCols; ++J)
-      A[Row][J] /= P;
+      if (!R[J].isZero()) {
+        R[J] /= P;
+        PivotCols.push_back(J);
+      }
     B[Row] /= P;
     for (size_t I = 0; I < M; ++I) {
       if (I == Row)
@@ -55,17 +54,22 @@ struct Tableau {
       Rational F = A[I][Col];
       if (F.isZero())
         continue;
-      for (size_t J = 0; J < TotalCols; ++J)
-        A[I][J] -= F * A[Row][J];
+      for (size_t J : PivotCols)
+        A[I][J] -= F * R[J];
       B[I] -= F * B[Row];
     }
     Basis[Row] = Col;
   }
 
-  /// Runs primal simplex maximizing the reduced objective Z (a row of
-  /// length TotalCols) with current objective constant \p Z0, restricted
-  /// to columns < ColLimit. Bland's rule; returns false on unbounded.
-  bool optimize(std::vector<Rational> &Z, Rational &Z0, size_t ColLimit) {
+  /// Phase 1: primal simplex with Bland's rule on the reduced objective
+  /// Z (one entry per column), whose value Z0 is minus the sum of the
+  /// artificials. Stops at Z0 == 0: the basic solution is then
+  /// feasible, and every pivot a longer run would still make — further
+  /// phase-1 steps and those driving zero artificials out of the basis —
+  /// is degenerate, so the vertex is the one a longer run would return.
+  /// Also stops when \p Overflow trips.
+  void optimize(std::vector<Rational> &Z, Rational &Z0,
+                const OverflowScope &Overflow) {
     // Make the objective consistent with the current basis: eliminate
     // basic columns from Z.
     for (size_t I = 0; I < M; ++I) {
@@ -73,19 +77,20 @@ struct Tableau {
       if (F.isZero())
         continue;
       for (size_t J = 0; J < TotalCols; ++J)
-        Z[J] -= F * A[I][J];
+        if (!A[I][J].isZero())
+          Z[J] -= F * A[I][J];
       Z0 += F * B[I];
     }
-    for (;;) {
+    while (!Z0.isZero() && !Overflow.overflowed()) {
       // Bland: the lowest-index column with positive reduced cost.
-      size_t Enter = ColLimit;
-      for (size_t J = 0; J < ColLimit; ++J)
+      size_t Enter = TotalCols;
+      for (size_t J = 0; J < TotalCols; ++J)
         if (Z[J].isPos()) {
           Enter = J;
           break;
         }
-      if (Enter == ColLimit)
-        return true; // Optimal.
+      if (Enter == TotalCols)
+        return; // Optimal below zero: infeasible.
       // Ratio test, Bland tie-break on basic variable index.
       size_t Leave = M;
       Rational BestRatio;
@@ -99,25 +104,25 @@ struct Tableau {
           BestRatio = Ratio;
         }
       }
+      // No leaving row would make the objective unbounded, but it is
+      // bounded above by zero; Z0 < 0 then reads as infeasible.
       if (Leave == M)
-        return false; // Unbounded.
+        return;
       pivot(Leave, Enter);
       // Maintain reduced costs.
       Rational F = Z[Enter];
-      if (!F.isZero()) {
-        for (size_t J = 0; J < TotalCols; ++J)
-          Z[J] -= F * A[Leave][J];
-        Z0 += F * B[Leave];
-      }
+      for (size_t J : PivotCols)
+        Z[J] -= F * A[Leave][J];
+      Z0 += F * B[Leave];
     }
   }
 };
 
 } // namespace
 
-Simplex::Result Simplex::run(const std::vector<LinTerm> *Objective) {
+Simplex::Result Simplex::checkFeasible() {
   Solution.clear();
-  ObjValue = Rational(0);
+  OverflowScope Overflow;
 
   // Column layout: per-variable columns, then one slack per inequality
   // row, then one artificial per row.
@@ -139,7 +144,6 @@ Simplex::Result Simplex::run(const std::vector<LinTerm> *Objective) {
 
   Tableau T;
   T.M = M;
-  T.N = StructCols;
   T.TotalCols = TotalCols;
   T.A.assign(M, std::vector<Rational>(TotalCols, Rational(0)));
   T.B.assign(M, Rational(0));
@@ -148,70 +152,40 @@ Simplex::Result Simplex::run(const std::vector<LinTerm> *Objective) {
   size_t SlackIdx = 0;
   for (size_t I = 0; I < M; ++I) {
     const RowInfo &R = Rows[I];
-    std::vector<Rational> RowCoef(StructCols, Rational(0));
+    std::vector<Rational> &Row = T.A[I];
     for (const LinTerm &Term : R.Terms) {
       const VarInfo &V = Vars[Term.Var];
-      RowCoef[V.Pos] += Term.Coef;
+      Row[V.Pos] += Term.Coef;
       if (!V.NonNeg)
-        RowCoef[V.Neg] -= Term.Coef;
+        Row[V.Neg] -= Term.Coef;
     }
-    Rational Rhs = R.Rhs;
     if (R.Rel == LpRel::Le)
-      RowCoef[SlackBase + SlackIdx++] = Rational(1);
+      Row[SlackBase + SlackIdx++] = Rational(1);
     else if (R.Rel == LpRel::Ge)
-      RowCoef[SlackBase + SlackIdx++] = Rational(-1);
+      Row[SlackBase + SlackIdx++] = Rational(-1);
     // Normalize to Rhs >= 0 for the artificial basis.
-    bool Flip = Rhs.isNeg();
-    for (size_t J = 0; J < StructCols; ++J)
-      T.A[I][J] = Flip ? -RowCoef[J] : RowCoef[J];
-    T.B[I] = Flip ? -Rhs : Rhs;
-    T.A[I][ArtBase + I] = Rational(1);
+    T.B[I] = R.Rhs;
+    if (R.Rhs.isNeg()) {
+      for (size_t J = 0; J < StructCols; ++J)
+        Row[J] = -Row[J];
+      T.B[I] = -R.Rhs;
+    }
+    Row[ArtBase + I] = Rational(1);
     T.Basis[I] = ArtBase + I;
   }
 
   // Phase 1: maximize -(sum of artificials).
-  std::vector<Rational> Z1(TotalCols, Rational(0));
+  std::vector<Rational> Z(TotalCols, Rational(0));
   for (size_t I = 0; I < M; ++I)
-    Z1[ArtBase + I] = Rational(-1);
-  Rational Z10(0);
-  bool Bounded = T.optimize(Z1, Z10, TotalCols);
-  assert(Bounded && "phase-1 objective is bounded by construction");
-  (void)Bounded;
-  if (Z10 != Rational(0))
+    Z[ArtBase + I] = Rational(-1);
+  Rational Z0(0);
+  T.optimize(Z, Z0, Overflow);
+  if (Overflow.overflowed())
+    return Result::Overflow;
+  if (!Z0.isZero())
     return Result::Infeasible;
 
-  // Drive remaining artificial basics out (degenerate rows).
-  for (size_t I = 0; I < M; ++I) {
-    if (T.Basis[I] < ArtBase)
-      continue;
-    size_t Col = StructCols;
-    for (size_t J = 0; J < StructCols; ++J)
-      if (!T.A[I][J].isZero()) {
-        Col = J;
-        break;
-      }
-    if (Col < StructCols)
-      T.pivot(I, Col);
-    // Otherwise the row is 0 = 0 and harmless.
-  }
-
-  // Phase 2 (optional objective), restricted to structural columns so
-  // artificials stay at zero.
-  if (Objective) {
-    std::vector<Rational> Z2(TotalCols, Rational(0));
-    for (const LinTerm &Term : *Objective) {
-      const VarInfo &V = Vars[Term.Var];
-      Z2[V.Pos] += Term.Coef;
-      if (!V.NonNeg)
-        Z2[V.Neg] -= Term.Coef;
-    }
-    Rational Z20(0);
-    if (!T.optimize(Z2, Z20, StructCols))
-      return Result::Unbounded;
-    ObjValue = Z20;
-  }
-
-  // Extract the model.
+  // Extract the model. Artificials still in the basis sit at zero.
   std::vector<Rational> ColVal(TotalCols, Rational(0));
   for (size_t I = 0; I < M; ++I)
     ColVal[T.Basis[I]] = T.B[I];
@@ -221,6 +195,10 @@ Simplex::Result Simplex::run(const std::vector<LinTerm> *Objective) {
     if (!VI.NonNeg)
       Val -= ColVal[VI.Neg];
     Solution[V] = Val;
+  }
+  if (Overflow.overflowed()) {
+    Solution.clear();
+    return Result::Overflow;
   }
   return Result::Feasible;
 }

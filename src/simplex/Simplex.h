@@ -6,11 +6,14 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// A two-phase primal simplex over exact rationals with Bland's rule.
-/// This is the LP backend for the Farkas-lemma constraint systems of the
-/// ranking-function synthesizer (5.4) and the abductive case-split
-/// inference (5.6). Systems are tiny (tens of variables), so a dense
-/// tableau is appropriate.
+/// A phase-1 primal simplex over exact rationals with Bland's rule: it
+/// decides feasibility and returns a vertex. This is the LP backend for
+/// the Farkas-lemma constraint systems of the ranking-function
+/// synthesizer (5.4) and the abductive case-split inference (5.6), and
+/// the hot path of the analysis. The tableau is stored densely but
+/// updated sparsely: a pivot touches only the nonzero columns of the
+/// pivot row. See docs/ARCHITECTURE.md "Exact LP" for why each shortcut
+/// keeps the pivot sequence and the returned vertex unchanged.
 ///
 /// The paper's implementation hands the corresponding constraints to a
 /// nonlinear solver; see DESIGN.md 4(3) for why our systems are linear
@@ -42,9 +45,8 @@ struct LinTerm {
 enum class LpRel { Le, Ge, Eq };
 
 /// An exact-arithmetic LP: declare variables, add rows, then check
-/// feasibility or maximize an objective. Instances are single-use after
-/// a solve (further rows may be added and the problem re-solved from
-/// scratch).
+/// feasibility. Instances are single-use after a solve (further rows may
+/// be added and the problem re-solved from scratch).
 class Simplex {
 public:
   /// Declares a variable. Non-negative variables get one column; free
@@ -55,19 +57,15 @@ public:
   void addRow(const std::vector<LinTerm> &Terms, LpRel Rel,
               const Rational &Rhs);
 
-  enum class Result { Feasible, Infeasible, Unbounded };
+  /// Overflow: some exact intermediate did not fit in 64 bits, so the
+  /// solve stopped without an answer (see OverflowScope).
+  enum class Result { Feasible, Infeasible, Overflow };
 
   /// Phase-1 feasibility.
   Result checkFeasible();
 
-  /// Phase-1 then phase-2 maximization of "sum Objective".
-  Result maximize(const std::vector<LinTerm> &Objective);
-
   /// Model access; valid after a Feasible solve.
   Rational value(LVar V) const;
-
-  /// Objective value; valid after a Feasible maximize().
-  Rational objectiveValue() const { return ObjValue; }
 
   size_t numVars() const { return Vars.size(); }
   size_t numRows() const { return Rows.size(); }
@@ -87,12 +85,9 @@ private:
     Rational Rhs;
   };
 
-  Result run(const std::vector<LinTerm> *Objective);
-
   std::vector<VarInfo> Vars;
   std::vector<RowInfo> Rows;
   std::map<LVar, Rational> Solution;
-  Rational ObjValue;
 };
 
 } // namespace tnt

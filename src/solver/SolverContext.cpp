@@ -561,6 +561,11 @@ void SolverContext::noteLpSolve() {
   ++Counters.LpSolves;
 }
 
+void SolverContext::noteLpOverflow() {
+  std::lock_guard<std::mutex> L(Mu);
+  ++Counters.LpOverflows;
+}
+
 void SolverContext::promoteTo(GlobalSolverCache &G) const {
   // Snapshot under the local lock, merge outside it: promotion must
   // not stall this context's (or anyone's) query path on the shared

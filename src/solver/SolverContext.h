@@ -76,6 +76,8 @@ struct SolverStats {
   uint64_t CacheEvictions = 0;
   /// Farkas/simplex LP solves attributed to this context.
   uint64_t LpSolves = 0;
+  /// Of those, solves rejected because exact arithmetic left 64 bits.
+  uint64_t LpOverflows = 0;
   /// DNF-memo counters (the memoized toDNF path). Non-trivial formulas
   /// only; DnfHits + DnfMisses == DnfQueries when the memo is enabled,
   /// and both stay zero when it is disabled (capacity 0).
@@ -114,6 +116,7 @@ struct SolverStats {
     CacheMisses += O.CacheMisses;
     CacheEvictions += O.CacheEvictions;
     LpSolves += O.LpSolves;
+    LpOverflows += O.LpOverflows;
     DnfQueries += O.DnfQueries;
     DnfHits += O.DnfHits;
     DnfMisses += O.DnfMisses;
@@ -208,8 +211,9 @@ public:
   size_t dnfMemoCapacity() const { return DnfCapacity; }
   bool dnfMemoEnabled() const { return DnfCapacity != 0; }
 
-  /// Attribution hook for the synthesis layer (FarkasSystem).
+  /// Attribution hooks for the synthesis layer (FarkasSystem).
   void noteLpSolve();
+  void noteLpOverflow();
 
   /// Attaches the read-mostly global cache tier. The tier is consulted
   /// on local misses (both sat cache and DNF memo) and never written

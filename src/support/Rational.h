@@ -6,9 +6,9 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Exact rational numbers over 64-bit numerator/denominator with
-/// overflow-checked 128-bit intermediates. Used by the simplex LP backend
-/// and the Farkas-based synthesis engine, where all quantities stay tiny.
+/// Exact rational numbers over 64-bit numerator/denominator. Used by the
+/// simplex LP backend and the Farkas-based synthesis engine. Overflow is
+/// a value, not a crash and not a truncation: see OverflowScope.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -22,8 +22,10 @@
 namespace tnt {
 
 /// An exact rational number kept in lowest terms with a positive
-/// denominator. All operations assert on 64-bit overflow; the synthesis
-/// systems this backs never approach those magnitudes.
+/// denominator. Every result is exact: an operation whose exact result
+/// does not fit in 64 bits, or that divides by zero, raises this
+/// thread's overflow flag (see OverflowScope) and returns 0. This holds
+/// in every build type.
 class Rational {
 public:
   Rational() : Num(0), Den(1) {}
@@ -44,9 +46,26 @@ public:
     return Num;
   }
 
-  Rational operator+(const Rational &O) const;
-  Rational operator-(const Rational &O) const;
-  Rational operator*(const Rational &O) const;
+  // Integer operands take the overflow-checked machine operation; the
+  // rest, and integer overflow, go to the general out-of-line routine.
+  Rational operator+(const Rational &O) const {
+    int64_t N;
+    if (Den == 1 && O.Den == 1 && !__builtin_add_overflow(Num, O.Num, &N))
+      return Rational(N);
+    return add(O, /*Negate=*/false);
+  }
+  Rational operator-(const Rational &O) const {
+    int64_t N;
+    if (Den == 1 && O.Den == 1 && !__builtin_sub_overflow(Num, O.Num, &N))
+      return Rational(N);
+    return add(O, /*Negate=*/true);
+  }
+  Rational operator*(const Rational &O) const {
+    int64_t N;
+    if (Den == 1 && O.Den == 1 && !__builtin_mul_overflow(Num, O.Num, &N))
+      return Rational(N);
+    return mul(O);
+  }
   Rational operator/(const Rational &O) const;
   Rational operator-() const;
 
@@ -72,13 +91,47 @@ public:
   std::string str() const;
 
 private:
+  /// Adopts N/D as is; the caller guarantees lowest terms and D > 0.
+  static Rational canonical(int64_t N, int64_t D) {
+    Rational R;
+    R.Num = N;
+    R.Den = D;
+    return R;
+  }
+  Rational add(const Rational &O, bool Negate) const;
+  Rational mul(const Rational &O) const;
+
   int64_t Num;
   int64_t Den;
 };
 
-/// Greatest common divisor of the absolute values; gcd(0,0) == 0.
+/// The overflow flag of this thread's 64-bit exact arithmetic, in the
+/// manner of the floating-point environment's sticky FE_OVERFLOW: an
+/// operation that cannot return its exact result raises the flag and
+/// returns a documented placeholder instead. A scope clears the flag for
+/// its extent and merges it back into the enclosing scope's on exit, so
+/// scopes nest and a caller asks only about its own operations.
+class OverflowScope {
+public:
+  OverflowScope();
+  ~OverflowScope();
+  OverflowScope(const OverflowScope &) = delete;
+  OverflowScope &operator=(const OverflowScope &) = delete;
+
+  /// True iff an operation on this thread overflowed since the scope
+  /// was entered.
+  bool overflowed() const;
+
+private:
+  bool Outer;
+};
+
+/// Greatest common divisor of the absolute values; gcd(0,0) == 0. The
+/// one result int64 cannot hold, 2^63, raises the overflow flag and
+/// returns 1 (a common divisor, so a caller that divides stays exact).
 int64_t gcd64(int64_t A, int64_t B);
-/// Least common multiple of the absolute values; asserts on overflow.
+/// Least common multiple of the absolute values; lcm(0, x) == 0. A
+/// result beyond int64 raises the overflow flag and returns 0.
 int64_t lcm64(int64_t A, int64_t B);
 
 /// Euclidean floor division (rounds toward negative infinity).

@@ -201,21 +201,32 @@ bool FarkasSystem::solve() {
   if (SC)
     SC->noteLpSolve();
   IntParams.clear();
-  if (LP.checkFeasible() != Simplex::Result::Feasible)
+  OverflowScope Overflow;
+  Simplex::Result R = LP.checkFeasible();
+  if (R == Simplex::Result::Infeasible)
     return false;
-  // Scale the parameter assignment to integers. Scaling the synthesized
-  // function by a positive integer preserves ">= 0" templates exactly
-  // and strengthens ">= 1" decreases, so downstream uses stay sound
-  // (and are re-verified by the solver regardless).
-  int64_t Scale = 1;
-  for (const auto &[P, L] : ParamToLp)
-    Scale = lcm64(Scale, LP.value(L).den());
-  if (Scale == 0)
-    Scale = 1;
-  for (const auto &[P, L] : ParamToLp) {
-    Rational V = LP.value(L) * Rational(Scale);
-    assert(V.isInt() && "scaled parameter must be integral");
-    IntParams[P] = V.asInt();
+  bool Ok = R == Simplex::Result::Feasible;
+  if (Ok) {
+    // Scale the parameter assignment to integers. Scaling the
+    // synthesized function by a positive integer preserves ">= 0"
+    // templates exactly and strengthens ">= 1" decreases, so downstream
+    // uses stay sound (and are re-verified by the solver regardless).
+    int64_t Scale = 1;
+    for (const auto &[P, L] : ParamToLp)
+      Scale = lcm64(Scale, LP.value(L).den());
+    for (const auto &[P, L] : ParamToLp) {
+      Rational V = LP.value(L) * Rational(Scale);
+      Ok = Ok && V.isInt();
+      IntParams[P] = V.num();
+    }
+  }
+  // An LP or a scaling that left 64 bits has no trustworthy answer:
+  // reject the candidate, so the verdict can only fall back to Unknown.
+  if (!Ok || Overflow.overflowed()) {
+    IntParams.clear();
+    if (SC)
+      SC->noteLpOverflow();
+    return false;
   }
   return true;
 }

@@ -97,6 +97,21 @@ TEST(LinExpr, EvalAndGcd) {
   EXPECT_EQ(E.eval(M), 4 + 12 - 2);
 }
 
+TEST(LinExpr, EvalClampsInsteadOfWrapping) {
+  const int64_t P62 = int64_t(1) << 62;
+  LinExpr E = ex(X()) * P62 - 2;
+  // 2^62 * -2 - 2 is below INT64_MIN; 2^62 * 3 - 2 is above INT64_MAX.
+  EXPECT_EQ(E.eval({{X(), -2}}), INT64_MIN);
+  EXPECT_EQ(E.eval({{X(), 3}}), INT64_MAX);
+  EXPECT_EQ(E.eval({{X(), 2}}), INT64_MAX - 1);
+  // The sign survives, and with it the truth of a constraint.
+  EXPECT_TRUE(Constraint::leZero(E).eval({{X(), -2}}));
+  EXPECT_FALSE(Constraint::leZero(E).eval({{X(), 3}}));
+  // Large terms that cancel stay exact.
+  LinExpr F = ex(X()) * INT64_MAX + ex(Y()) * INT64_MAX;
+  EXPECT_EQ(F.eval({{X(), 3}, {Y(), -3}}), 0);
+}
+
 TEST(LinExpr, Str) {
   EXPECT_EQ((ex(X()) * 2 - ex(Y()) + 1).str(), "2*x - y + 1");
   EXPECT_EQ(LinExpr(0).str(), "0");

@@ -4,6 +4,8 @@
 
 #include <gtest/gtest.h>
 
+#include <random>
+
 using namespace tnt;
 
 TEST(Simplex, TrivialFeasible) {
@@ -47,28 +49,6 @@ TEST(Simplex, InconsistentEqualities) {
   S.addRow({{X, Rational(1)}}, LpRel::Eq, Rational(1));
   S.addRow({{X, Rational(1)}}, LpRel::Eq, Rational(2));
   EXPECT_EQ(S.checkFeasible(), Simplex::Result::Infeasible);
-}
-
-TEST(Simplex, MaximizeSimple) {
-  Simplex S;
-  LVar X = S.addVar("x", true);
-  LVar Y = S.addVar("y", true);
-  // max x + y st x + 2y <= 4, 3x + y <= 6: optimum at intersection
-  // (8/5, 6/5) with value 14/5.
-  S.addRow({{X, Rational(1)}, {Y, Rational(2)}}, LpRel::Le, Rational(4));
-  S.addRow({{X, Rational(3)}, {Y, Rational(1)}}, LpRel::Le, Rational(6));
-  ASSERT_EQ(S.maximize({{X, Rational(1)}, {Y, Rational(1)}}),
-            Simplex::Result::Feasible);
-  EXPECT_EQ(S.objectiveValue(), Rational(14, 5));
-  EXPECT_EQ(S.value(X), Rational(8, 5));
-  EXPECT_EQ(S.value(Y), Rational(6, 5));
-}
-
-TEST(Simplex, UnboundedObjective) {
-  Simplex S;
-  LVar X = S.addVar("x", true);
-  S.addRow({{X, Rational(1)}}, LpRel::Ge, Rational(0));
-  EXPECT_EQ(S.maximize({{X, Rational(1)}}), Simplex::Result::Unbounded);
 }
 
 TEST(Simplex, DegenerateRedundantRows) {
@@ -124,4 +104,292 @@ TEST(Simplex, ManyVariablesSmoke) {
     Sum.push_back({V, Rational(1)});
   S.addRow(Sum, LpRel::Ge, Rational(1));
   EXPECT_EQ(S.checkFeasible(), Simplex::Result::Feasible);
+}
+
+TEST(Simplex, OverflowIsAResult) {
+  // Eliminating the phase-1 objective adds the two big coefficients of
+  // x: the exact sum needs 64 bits of magnitude, so the solve must stop
+  // with Overflow and publish no model. The caller's scope sees the
+  // overflow too.
+  const int64_t Big = INT64_MAX;
+  OverflowScope Outer;
+  Simplex S;
+  LVar X = S.addVar("x", false);
+  LVar Y = S.addVar("y", false);
+  S.addRow({{X, Rational(Big)}, {Y, Rational(Big - 1)}}, LpRel::Eq,
+           Rational(Big));
+  S.addRow({{X, Rational(Big - 2)}, {Y, Rational(1)}}, LpRel::Eq,
+           Rational(5));
+  EXPECT_EQ(S.checkFeasible(), Simplex::Result::Overflow);
+  EXPECT_EQ(S.value(X), Rational(0));
+  EXPECT_TRUE(Outer.overflowed());
+}
+
+//===----------------------------------------------------------------------===//
+// Reference equivalence
+//===----------------------------------------------------------------------===//
+
+namespace {
+
+/// The dense tableau Simplex replaced, kept as a test-only reference:
+/// every pivot multiplies through every column, phase 1 runs to
+/// optimality, and zero artificials left in the basis are then driven
+/// out. Simplex must take the same Bland pivots and return the same
+/// vertex.
+class ReferenceSimplex {
+public:
+  LVar addVar(bool NonNeg) {
+    NonNegs.push_back(NonNeg);
+    return static_cast<LVar>(NonNegs.size() - 1);
+  }
+  void addRow(const std::vector<LinTerm> &Terms, LpRel Rel,
+              const Rational &Rhs) {
+    Rows.push_back({Terms, Rel, Rhs});
+  }
+  Simplex::Result checkFeasible();
+  Rational value(LVar V) const { return Solution.at(V); }
+
+private:
+  struct Row {
+    std::vector<LinTerm> Terms;
+    LpRel Rel;
+    Rational Rhs;
+  };
+  void pivot(size_t Row, size_t Col);
+  void optimize(std::vector<Rational> &Z, Rational &Z0);
+
+  std::vector<bool> NonNegs;
+  std::vector<Row> Rows;
+  std::vector<Rational> Solution;
+  size_t M = 0, TotalCols = 0;
+  std::vector<std::vector<Rational>> A;
+  std::vector<Rational> B;
+  std::vector<size_t> Basis;
+};
+
+void ReferenceSimplex::pivot(size_t Row, size_t Col) {
+  Rational P = A[Row][Col];
+  for (size_t J = 0; J < TotalCols; ++J)
+    A[Row][J] /= P;
+  B[Row] /= P;
+  for (size_t I = 0; I < M; ++I) {
+    if (I == Row)
+      continue;
+    Rational F = A[I][Col];
+    if (F.isZero())
+      continue;
+    for (size_t J = 0; J < TotalCols; ++J)
+      A[I][J] -= F * A[Row][J];
+    B[I] -= F * B[Row];
+  }
+  Basis[Row] = Col;
+}
+
+void ReferenceSimplex::optimize(std::vector<Rational> &Z, Rational &Z0) {
+  for (size_t I = 0; I < M; ++I) {
+    Rational F = Z[Basis[I]];
+    if (F.isZero())
+      continue;
+    for (size_t J = 0; J < TotalCols; ++J)
+      Z[J] -= F * A[I][J];
+    Z0 += F * B[I];
+  }
+  for (;;) {
+    size_t Enter = TotalCols;
+    for (size_t J = 0; J < TotalCols; ++J)
+      if (Z[J].isPos()) {
+        Enter = J;
+        break;
+      }
+    if (Enter == TotalCols)
+      return;
+    size_t Leave = M;
+    Rational BestRatio;
+    for (size_t I = 0; I < M; ++I) {
+      if (!A[I][Enter].isPos())
+        continue;
+      Rational Ratio = B[I] / A[I][Enter];
+      if (Leave == M || Ratio < BestRatio ||
+          (Ratio == BestRatio && Basis[I] < Basis[Leave])) {
+        Leave = I;
+        BestRatio = Ratio;
+      }
+    }
+    ASSERT_NE(Leave, M) << "the phase-1 objective is bounded";
+    pivot(Leave, Enter);
+    Rational F = Z[Enter];
+    for (size_t J = 0; J < TotalCols; ++J)
+      Z[J] -= F * A[Leave][J];
+    Z0 += F * B[Leave];
+  }
+}
+
+Simplex::Result ReferenceSimplex::checkFeasible() {
+  std::vector<size_t> Pos, Neg;
+  size_t NextCol = 0;
+  for (bool NonNeg : NonNegs) {
+    Pos.push_back(NextCol++);
+    Neg.push_back(NonNeg ? 0 : NextCol++);
+  }
+  size_t NumSlacks = 0;
+  for (const Row &R : Rows)
+    NumSlacks += R.Rel != LpRel::Eq;
+  size_t SlackBase = NextCol, StructCols = NextCol + NumSlacks;
+  M = Rows.size();
+  TotalCols = StructCols + M;
+  A.assign(M, std::vector<Rational>(TotalCols));
+  B.assign(M, Rational());
+  Basis.assign(M, 0);
+  size_t SlackIdx = 0;
+  for (size_t I = 0; I < M; ++I) {
+    const Row &R = Rows[I];
+    std::vector<Rational> Coef(StructCols);
+    for (const LinTerm &T : R.Terms) {
+      Coef[Pos[T.Var]] += T.Coef;
+      if (!NonNegs[T.Var])
+        Coef[Neg[T.Var]] -= T.Coef;
+    }
+    if (R.Rel == LpRel::Le)
+      Coef[SlackBase + SlackIdx++] = Rational(1);
+    else if (R.Rel == LpRel::Ge)
+      Coef[SlackBase + SlackIdx++] = Rational(-1);
+    bool Flip = R.Rhs.isNeg();
+    for (size_t J = 0; J < StructCols; ++J)
+      A[I][J] = Flip ? -Coef[J] : Coef[J];
+    B[I] = Flip ? -R.Rhs : R.Rhs;
+    A[I][StructCols + I] = Rational(1);
+    Basis[I] = StructCols + I;
+  }
+
+  std::vector<Rational> Z(TotalCols);
+  for (size_t I = 0; I < M; ++I)
+    Z[StructCols + I] = Rational(-1);
+  Rational Z0;
+  optimize(Z, Z0);
+  if (!Z0.isZero())
+    return Simplex::Result::Infeasible;
+  for (size_t I = 0; I < M; ++I) {
+    if (Basis[I] < StructCols)
+      continue;
+    for (size_t J = 0; J < StructCols; ++J)
+      if (!A[I][J].isZero()) {
+        pivot(I, J);
+        break;
+      }
+  }
+
+  std::vector<Rational> ColVal(TotalCols);
+  for (size_t I = 0; I < M; ++I)
+    ColVal[Basis[I]] = B[I];
+  Solution.clear();
+  for (LVar V = 0; V < NonNegs.size(); ++V)
+    Solution.push_back(NonNegs[V] ? ColVal[Pos[V]]
+                                  : ColVal[Pos[V]] - ColVal[Neg[V]]);
+  return Simplex::Result::Feasible;
+}
+
+struct LpRow {
+  std::vector<LinTerm> Terms;
+  LpRel Rel;
+  Rational Rhs;
+};
+
+/// A seeded random system in the shape Farkas encodings produce: free
+/// and non-negative variables, Eq/Le/Ge rows with coefficients in
+/// [-6, 6], many zero right-hand sides, and duplicated, scaled or summed
+/// (hence redundant) rows. These are the degenerate systems where the
+/// early phase-1 exit skips the most pivots.
+std::vector<LpRow> randomFarkasRows(std::mt19937 &Rng, size_t NumVars) {
+  auto Pick = [&Rng](int Lo, int Hi) {
+    return std::uniform_int_distribution<int>(Lo, Hi)(Rng);
+  };
+  std::vector<LpRow> Rows;
+  int NumRows = Pick(1, 7);
+  for (int I = 0; I < NumRows; ++I) {
+    int Kind = I == 0 ? 9 : Pick(0, 9);
+    if (Kind == 0) {
+      LpRow Copy = Rows[Pick(0, I - 1)];
+      Rows.push_back(Copy);
+    } else if (Kind == 1) {
+      // A positive multiple implies nothing new.
+      LpRow R = Rows[Pick(0, I - 1)];
+      Rational K(Pick(2, 3));
+      for (LinTerm &T : R.Terms)
+        T.Coef *= K;
+      R.Rhs *= K;
+      Rows.push_back(R);
+    } else if (Kind == 2) {
+      // Neither does the sum of two rows whose relations agree, where
+      // Eq agrees with anything; otherwise this is a duplicate.
+      LpRow R = Rows[Pick(0, I - 1)];
+      const LpRow &Other = Rows[Pick(0, I - 1)];
+      if (R.Rel == LpRel::Eq || Other.Rel == LpRel::Eq || R.Rel == Other.Rel) {
+        if (R.Rel == LpRel::Eq)
+          R.Rel = Other.Rel;
+        R.Terms.insert(R.Terms.end(), Other.Terms.begin(), Other.Terms.end());
+        R.Rhs += Other.Rhs;
+      }
+      Rows.push_back(R);
+    } else {
+      LpRow R;
+      R.Rel = static_cast<LpRel>(Pick(0, 2));
+      for (LVar V = 0; V < NumVars; ++V)
+        if (Pick(0, 9) < 6)
+          R.Terms.push_back({V, Rational(Pick(-6, 6))});
+      R.Rhs = Pick(0, 1) ? Rational(0) : Rational(Pick(-6, 6));
+      Rows.push_back(R);
+    }
+  }
+  return Rows;
+}
+
+} // namespace
+
+TEST(SimplexReference, SamePivotsSameVertex) {
+  std::mt19937 Rng(20150613);
+  unsigned Feasible = 0, Infeasible = 0;
+  for (int Round = 0; Round < 3000; ++Round) {
+    size_t NumVars = std::uniform_int_distribution<size_t>(1, 7)(Rng);
+    std::vector<bool> NonNeg;
+    for (size_t V = 0; V < NumVars; ++V)
+      NonNeg.push_back(std::uniform_int_distribution<int>(0, 1)(Rng) == 1);
+    std::vector<LpRow> Rows = randomFarkasRows(Rng, NumVars);
+
+    Simplex S;
+    ReferenceSimplex Ref;
+    for (size_t V = 0; V < NumVars; ++V) {
+      S.addVar("v" + std::to_string(V), NonNeg[V]);
+      Ref.addVar(NonNeg[V]);
+    }
+    for (const LpRow &R : Rows) {
+      S.addRow(R.Terms, R.Rel, R.Rhs);
+      Ref.addRow(R.Terms, R.Rel, R.Rhs);
+    }
+    Simplex::Result Got = S.checkFeasible();
+    Simplex::Result Want = Ref.checkFeasible();
+    ASSERT_EQ(Got, Want) << "round " << Round;
+    if (Got != Simplex::Result::Feasible) {
+      ++Infeasible;
+      continue;
+    }
+    ++Feasible;
+    for (LVar V = 0; V < NumVars; ++V) {
+      ASSERT_EQ(S.value(V), Ref.value(V)) << "round " << Round << " var " << V;
+      if (NonNeg[V])
+        ASSERT_FALSE(S.value(V).isNeg()) << "round " << Round;
+    }
+    for (const LpRow &R : Rows) {
+      Rational Lhs;
+      for (const LinTerm &T : R.Terms)
+        Lhs += T.Coef * S.value(T.Var);
+      bool Holds = R.Rel == LpRel::Eq   ? Lhs == R.Rhs
+                   : R.Rel == LpRel::Le ? Lhs <= R.Rhs
+                                        : Lhs >= R.Rhs;
+      ASSERT_TRUE(Holds) << "round " << Round << ": " << Lhs.str()
+                         << " vs " << R.Rhs.str();
+    }
+  }
+  // Both answers must be well represented for the check to mean much.
+  EXPECT_GT(Feasible, 500u);
+  EXPECT_GT(Infeasible, 200u);
 }

@@ -7,6 +7,8 @@
 
 #include <gtest/gtest.h>
 
+#include <random>
+
 using namespace tnt;
 
 //===----------------------------------------------------------------------===//
@@ -114,6 +116,189 @@ TEST(Rational, FloorCeil) {
 TEST(Rational, Str) {
   EXPECT_EQ(Rational(3).str(), "3");
   EXPECT_EQ(Rational(-3, 2).str(), "-3/2");
+}
+
+//===----------------------------------------------------------------------===//
+// Overflow at the int64 edges: exact when the result fits, flagged when not
+//===----------------------------------------------------------------------===//
+
+namespace {
+
+/// Runs \p Op in a fresh scope; true iff it raised the overflow flag and
+/// returned the placeholder 0.
+template <typename F> bool overflows(F Op) {
+  OverflowScope S;
+  Rational R = Op();
+  return S.overflowed() && R.isZero();
+}
+
+} // namespace
+
+TEST(Gcd, Int64Edges) {
+  OverflowScope S;
+  EXPECT_EQ(gcd64(INT64_MIN, 6), 2);
+  EXPECT_EQ(gcd64(6, INT64_MIN), 2);
+  EXPECT_EQ(gcd64(INT64_MIN, INT64_MAX), 1);
+  EXPECT_EQ(gcd64(INT64_MAX, 0), INT64_MAX);
+  EXPECT_EQ(gcd64(INT64_MIN + 1, 0), INT64_MAX);
+  EXPECT_FALSE(S.overflowed());
+  // 2^63 is the one gcd int64 cannot hold: flagged, and 1 (a common
+  // divisor) comes back.
+  EXPECT_EQ(gcd64(INT64_MIN, 0), 1);
+  EXPECT_TRUE(S.overflowed());
+}
+
+TEST(Lcm, Int64Edges) {
+  {
+    OverflowScope S;
+    EXPECT_EQ(lcm64(INT64_MAX, 1), INT64_MAX);
+    EXPECT_EQ(lcm64(INT64_MIN + 1, -1), INT64_MAX);
+    EXPECT_EQ(lcm64(int64_t(1) << 62, int64_t(1) << 61), int64_t(1) << 62);
+    EXPECT_FALSE(S.overflowed());
+  }
+  for (auto [A, B] : {std::pair<int64_t, int64_t>{INT64_MAX, 2},
+                      {INT64_MIN, 1},
+                      {INT64_MIN, INT64_MIN},
+                      {(int64_t(1) << 62) + 1, 3}}) {
+    OverflowScope S;
+    EXPECT_EQ(lcm64(A, B), 0) << A << " " << B;
+    EXPECT_TRUE(S.overflowed()) << A << " " << B;
+  }
+}
+
+TEST(Rational, Int64EdgesExact) {
+  OverflowScope S;
+  const int64_t P62 = int64_t(1) << 62;
+  EXPECT_EQ(Rational(INT64_MIN, 2), Rational(-P62));
+  EXPECT_EQ(Rational(INT64_MIN, INT64_MIN), Rational(1));
+  EXPECT_EQ(Rational(2, INT64_MIN), Rational(-1, P62));
+  EXPECT_EQ(Rational(INT64_MIN).num(), INT64_MIN);
+  EXPECT_EQ(Rational(INT64_MAX) + Rational(INT64_MIN), Rational(-1));
+  EXPECT_EQ(Rational(INT64_MIN) + Rational(INT64_MAX), Rational(-1));
+  EXPECT_EQ(Rational(-1) - Rational(INT64_MAX), Rational(INT64_MIN));
+  EXPECT_EQ(Rational(INT64_MAX, 2) * Rational(2), Rational(INT64_MAX));
+  EXPECT_EQ(Rational(INT64_MAX - 1, INT64_MAX) + Rational(1, INT64_MAX),
+            Rational(1));
+  EXPECT_EQ(Rational(INT64_MIN) / Rational(INT64_MAX),
+            Rational(INT64_MIN, INT64_MAX));
+  EXPECT_EQ(Rational(INT64_MIN) / Rational(-2), Rational(P62));
+  EXPECT_LT(Rational(INT64_MIN), Rational(INT64_MIN + 1));
+  EXPECT_LT(Rational(INT64_MAX - 1, INT64_MAX), Rational(1));
+  EXPECT_FALSE(S.overflowed());
+}
+
+TEST(Rational, Int64EdgesOverflow) {
+  EXPECT_TRUE(overflows([] { return -Rational(INT64_MIN); }));
+  EXPECT_TRUE(overflows([] { return Rational(INT64_MIN, -1); }));
+  EXPECT_TRUE(overflows([] { return Rational(1, INT64_MIN); }));
+  EXPECT_TRUE(overflows([] { return Rational(INT64_MAX) + Rational(1); }));
+  EXPECT_TRUE(overflows([] { return Rational(INT64_MIN) - Rational(1); }));
+  EXPECT_TRUE(overflows([] { return Rational(0) - Rational(INT64_MIN); }));
+  EXPECT_TRUE(overflows([] { return Rational(INT64_MAX) * Rational(2); }));
+  EXPECT_TRUE(overflows([] { return Rational(INT64_MIN) * Rational(-1); }));
+  EXPECT_TRUE(overflows(
+      [] { return Rational(1, INT64_MAX) + Rational(1, INT64_MAX - 1); }));
+  EXPECT_TRUE(overflows([] { return Rational(1, 3) * Rational(1, INT64_MAX); }));
+  EXPECT_TRUE(overflows([] { return Rational(INT64_MAX) / Rational(1, 2); }));
+  // Division multiplies by the reciprocal, which INT64_MIN/d lacks.
+  EXPECT_TRUE(overflows([] { return Rational(2) / Rational(INT64_MIN); }));
+  EXPECT_TRUE(overflows([] { return Rational(1) / Rational(0); }));
+  EXPECT_TRUE(overflows([] { return Rational(1, 0); }));
+}
+
+TEST(Rational, OverflowScopesNest) {
+  {
+    OverflowScope Outer;
+    {
+      OverflowScope Inner;
+      EXPECT_TRUE((Rational(INT64_MAX) + Rational(1)).isZero());
+      EXPECT_TRUE(Inner.overflowed());
+    }
+    // An inner overflow is the outer scope's overflow too...
+    EXPECT_TRUE(Outer.overflowed());
+    // ...but a scope entered afterwards starts clean.
+    OverflowScope Later;
+    EXPECT_FALSE(Later.overflowed());
+  }
+  OverflowScope Fresh;
+  EXPECT_FALSE(Fresh.overflowed());
+}
+
+namespace {
+
+/// N/D (D > 0) reduced with a 128-bit Euclid loop: the reference the
+/// 64-bit fast paths must agree with. False when the reduced fraction
+/// does not fit in 64 bits.
+bool reduceWide(__int128 N, __int128 D, Rational &Out) {
+  if (D < 0) {
+    N = -N;
+    D = -D;
+  }
+  __int128 A = N < 0 ? -N : N, B = D;
+  while (B != 0) {
+    __int128 T = A % B;
+    A = B;
+    B = T;
+  }
+  N /= A;
+  D /= A;
+  if (N < INT64_MIN || N > INT64_MAX || D > INT64_MAX)
+    return false;
+  Out = Rational(static_cast<int64_t>(N), static_cast<int64_t>(D));
+  return true;
+}
+
+} // namespace
+
+TEST(Rational, MatchesWideReference) {
+  std::mt19937_64 Rng(2015);
+  // Magnitudes of every bit length, so both the integer fast paths and
+  // the general ones run, near and across the 64-bit edge.
+  auto Draw = [&Rng](bool Positive) {
+    int Bits = std::uniform_int_distribution<int>(0, 63)(Rng);
+    int64_t V = static_cast<int64_t>(Bits == 0 ? 0 : Rng() >> (64 - Bits));
+    if (!Positive)
+      return (Rng() & 1) ? (V == INT64_MAX ? INT64_MIN : -V) : V;
+    return V == 0 ? int64_t(1) : V;
+  };
+  unsigned Exact = 0, Flagged = 0;
+  for (int Round = 0; Round < 20000; ++Round) {
+    Rational X(Draw(false), (Round % 3) ? Draw(true) : 1);
+    Rational Y(Draw(false), (Round % 5) ? Draw(true) : 1);
+    __int128 XN = X.num(), XD = X.den(), YN = Y.num(), YD = Y.den();
+    struct Case {
+      const char *Op;
+      Rational Got;
+      bool GotOverflow;
+      __int128 N, D;
+      bool MustOverflow;
+    };
+    std::vector<Case> Cases;
+    auto Run = [&](const char *Op, auto F, __int128 N, __int128 D,
+                   bool MustOverflow) {
+      OverflowScope S;
+      Rational R = F();
+      Cases.push_back({Op, R, S.overflowed(), N, D, MustOverflow});
+    };
+    Run("+", [&] { return X + Y; }, XN * YD + YN * XD, XD * YD, false);
+    Run("-", [&] { return X - Y; }, XN * YD - YN * XD, XD * YD, false);
+    Run("*", [&] { return X * Y; }, XN * YN, XD * YD, false);
+    if (!Y.isZero())
+      Run("/", [&] { return X / Y; }, XN * YD, XD * YN, YN == INT64_MIN);
+    for (const Case &C : Cases) {
+      Rational Want;
+      bool Fits = reduceWide(C.N, C.D, Want) && !C.MustOverflow;
+      ASSERT_EQ(C.GotOverflow, !Fits)
+          << X.str() << " " << C.Op << " " << Y.str();
+      if (Fits)
+        ASSERT_EQ(C.Got, Want) << X.str() << " " << C.Op << " " << Y.str();
+      else
+        ASSERT_TRUE(C.Got.isZero());
+      ++(Fits ? Exact : Flagged);
+    }
+  }
+  EXPECT_GT(Exact, 20000u);
+  EXPECT_GT(Flagged, 5000u);
 }
 
 //===----------------------------------------------------------------------===//

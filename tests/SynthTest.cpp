@@ -1,6 +1,7 @@
 //===- tests/SynthTest.cpp - Farkas / ranking / abduction ------*- C++ -*-===//
 
 #include "solver/Solver.h"
+#include "solver/SolverContext.h"
 #include "synth/Abduction.h"
 #include "synth/Farkas.h"
 #include "synth/Ranking.h"
@@ -98,6 +99,24 @@ TEST(Farkas, UsesEqualityWithFreeMultiplier) {
   FS.addImplication({eq(ex(X), ex(Y))},
                     ParamLinExpr::fromConcrete(ex(Y) - ex(X)));
   EXPECT_TRUE(FS.solve());
+}
+
+TEST(Farkas, OverflowRejectsCandidateAndCounts) {
+  // Parameter rows whose elimination needs more than 64 bits: the solve
+  // must fail rather than truncate, publish no parameters, and count
+  // the overflow in the context's statistics.
+  const int64_t Big = INT64_MAX;
+  VarId P = freshVar("fk_p"), Q = freshVar("fk_q");
+  SolverContext SC;
+  FarkasSystem FS(&SC);
+  FS.addParamConstraint(
+      LinExpr::var(P, Big) + LinExpr::var(Q, Big - 1) - Big, LpRel::Eq);
+  FS.addParamConstraint(LinExpr::var(P, Big - 2) + LinExpr::var(Q) - 5,
+                        LpRel::Eq);
+  EXPECT_FALSE(FS.solve());
+  EXPECT_TRUE(FS.params().empty());
+  EXPECT_EQ(SC.stats().LpSolves, 1u);
+  EXPECT_EQ(SC.stats().LpOverflows, 1u);
 }
 
 //===----------------------------------------------------------------------===//

@@ -329,7 +329,8 @@ int runBatch(const std::string &Target, const AnalyzerConfig &Cli,
     std::cout << "local tier: sat_queries=" << S.SatQueries
               << " hits=" << S.CacheHits << " misses=" << S.CacheMisses
               << " hit_rate=" << rate(S.CacheHits, S.CacheMisses)
-              << " lp_solves=" << S.LpSolves << "\n";
+              << " lp_solves=" << S.LpSolves
+              << " lp_overflows=" << S.LpOverflows << "\n";
     std::cout << "local dnf memo: queries=" << S.DnfQueries
               << " hits=" << S.DnfHits << " misses=" << S.DnfMisses
               << " hit_rate=" << rate(S.DnfHits, S.DnfMisses) << "\n";
@@ -938,6 +939,7 @@ int main(int Argc, char **Argv) {
               << " cache_misses=" << S.CacheMisses
               << " cache_evictions=" << S.CacheEvictions
               << " lp_solves=" << S.LpSolves
+              << " lp_overflows=" << S.LpOverflows
               << " hit_rate=" << rate(S.CacheHits, S.CacheMisses)
               << "\n";
     std::cout << "dnf memo: queries=" << S.DnfQueries
