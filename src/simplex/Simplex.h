@@ -35,7 +35,7 @@ namespace tnt {
 /// Dense index of an LP variable.
 using LVar = uint32_t;
 
-/// One objective / constraint term: Coef * Var.
+/// One constraint term: Coef * Var.
 struct LinTerm {
   LVar Var;
   Rational Coef;

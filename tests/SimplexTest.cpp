@@ -375,8 +375,7 @@ TEST(SimplexReference, SamePivotsSameVertex) {
     ++Feasible;
     for (LVar V = 0; V < NumVars; ++V) {
       ASSERT_EQ(S.value(V), Ref.value(V)) << "round " << Round << " var " << V;
-      if (NonNeg[V])
-        ASSERT_FALSE(S.value(V).isNeg()) << "round " << Round;
+      ASSERT_TRUE(!NonNeg[V] || !S.value(V).isNeg()) << "round " << Round;
     }
     for (const LpRow &R : Rows) {
       Rational Lhs;
