@@ -23,9 +23,10 @@ namespace tnt {
 
 /// An exact rational number kept in lowest terms with a positive
 /// denominator. Every result is exact: an operation whose exact result
-/// does not fit in 64 bits, or that divides by zero, raises this
-/// thread's overflow flag (see OverflowScope) and returns 0. This holds
-/// in every build type.
+/// does not fit in 64 bits raises this thread's overflow flag (see
+/// OverflowScope) and returns 0, as does a division by zero or by a
+/// number with numerator INT64_MIN (its reciprocal does not fit). This
+/// holds in every build type.
 class Rational {
 public:
   Rational() : Num(0), Den(1) {}
