@@ -232,10 +232,8 @@ StoreSample runStore(const std::vector<BatchItem> &Items,
     ColdRender = R.renderOutcomes();
     S.ColdMillis = R.Millis;
     S.ColdInserts = Store.stats().Inserts;
-    if (BA.globalTier() != nullptr) {
+    if (BA.globalTier() != nullptr)
       Store.setSatSnapshot(BA.globalTier()->exportSatSnapshot());
-      Store.setLemmaSnapshot(BA.globalTier()->exportLemmas());
-    }
     Store.save(Path);
   }
   {
@@ -248,10 +246,8 @@ StoreSample runStore(const std::vector<BatchItem> &Items,
     Store.load(Path);
     Opt.Store = &Store;
     BatchAnalyzer BA(Opt);
-    if (BA.globalTier() != nullptr) {
+    if (BA.globalTier() != nullptr)
       BA.globalTier()->importSatSnapshot(Store.satSnapshot());
-      BA.globalTier()->importLemmaSnapshot(Store.lemmaSnapshot());
-    }
     BatchResult R = BA.run(Items);
     S.WarmMillis = R.Millis;
     S.WarmHits = R.StoreHits;

@@ -158,7 +158,7 @@ void BM_UnmemoizedToDNF(benchmark::State &State) {
 }
 BENCHMARK(BM_UnmemoizedToDNF);
 
-/// The constraint-heavy workload of the ladder artifact section:
+/// The constraint-heavy workload of the prefilter artifact section:
 /// difference chains x0 >= Off, x_{i+1} >= x_i + 1, x_{N-1} <= Top.
 /// With Top < Off + N - 1 the chain is UNSAT, and interval propagation
 /// decides it in a couple of passes where Omega runs a full
@@ -166,11 +166,11 @@ BENCHMARK(BM_UnmemoizedToDNF);
 /// (and its own variable block), so no cache tier can answer — the
 /// timing isolates prefilter-vs-Omega on the engine itself. A quarter
 /// of the family are satisfiable boxes, exercising the witness path.
-std::vector<ConstraintConj> ladderChainFamily(unsigned Count, int N) {
+std::vector<ConstraintConj> chainFamily(unsigned Count, int N) {
   std::vector<ConstraintConj> Out;
   Out.reserve(Count);
   for (unsigned Q = 0; Q < Count; ++Q) {
-    std::string Base = "bm_lad" + std::to_string(Q) + "_";
+    std::string Base = "bm_chain" + std::to_string(Q) + "_";
     ConstraintConj Conj;
     if (Q % 4 == 3) {
       // Satisfiable box: x_i in [Q % 7 + 1, Q % 7 + 10].
@@ -196,7 +196,7 @@ std::vector<ConstraintConj> ladderChainFamily(unsigned Count, int N) {
 }
 
 void BM_IntervalPrefilterChain(benchmark::State &State) {
-  auto Family = ladderChainFamily(64, static_cast<int>(State.range(0)));
+  auto Family = chainFamily(64, static_cast<int>(State.range(0)));
   for (auto _ : State)
     for (const ConstraintConj &Conj : Family)
       benchmark::DoNotOptimize(intervalPrefilter(Conj));
@@ -204,7 +204,7 @@ void BM_IntervalPrefilterChain(benchmark::State &State) {
 BENCHMARK(BM_IntervalPrefilterChain)->Arg(12)->Arg(16);
 
 void BM_OmegaOnChainFamily(benchmark::State &State) {
-  auto Family = ladderChainFamily(64, static_cast<int>(State.range(0)));
+  auto Family = chainFamily(64, static_cast<int>(State.range(0)));
   for (auto _ : State)
     for (const ConstraintConj &Conj : Family)
       benchmark::DoNotOptimize(Omega::isSatConj(Conj));
@@ -355,56 +355,40 @@ int emitJson(const std::string &Path) {
   double ParSpeedup = ParSec > 0 ? SeqSec / ParSec : 0.0;
   bool Deterministic = RS.Ok && RP.Ok && RS.str() == RP.str();
 
-  // 4. Query ladder: prefilter-vs-Omega on the constraint-heavy chain
-  // family (uncached contexts, every query distinct — the A/B isolates
-  // the engine swap), then the corpus-level regime: @fig11 with the
-  // ladder on and off, for the lemma hit rate and the end-to-end wall
-  // time.
-  auto Family = ladderChainFamily(2000, 14);
+  // 4. Interval prefilter: plain Omega against the uncached query path
+  // (prefilter first, Omega when it cannot decide) on the
+  // constraint-heavy chain family, where every query is distinct; then
+  // the share of @fig11's queries the prefilter answers.
+  auto Family = chainFamily(2000, 14);
 
-  SolverContext LadderOff(/*CacheCapacity=*/0);
-  LadderOff.setLadder(false);
-  auto LF0 = Clock::now();
+  auto OF0 = Clock::now();
   for (const ConstraintConj &Conj : Family)
-    benchmark::DoNotOptimize(LadderOff.isSatConj(Conj));
-  auto LF1 = Clock::now();
-  double LadderOffSec = Secs(LF0, LF1);
+    benchmark::DoNotOptimize(Omega::isSatConj(Conj));
+  auto OF1 = Clock::now();
+  double OmegaSec = Secs(OF0, OF1);
 
-  SolverContext LadderOn(/*CacheCapacity=*/0);
-  auto LN0 = Clock::now();
+  SolverContext Prefiltered(/*CacheCapacity=*/0);
+  auto PF0 = Clock::now();
   for (const ConstraintConj &Conj : Family)
-    benchmark::DoNotOptimize(LadderOn.isSatConj(Conj));
-  auto LN1 = Clock::now();
-  double LadderOnSec = Secs(LN0, LN1);
-  SolverStats LS = LadderOn.stats();
+    benchmark::DoNotOptimize(Prefiltered.isSatConj(Conj));
+  auto PF1 = Clock::now();
+  double PrefilteredSec = Secs(PF0, PF1);
+  SolverStats LS = Prefiltered.stats();
   double AnswerRate =
       LS.SatQueries
           ? double(LS.IntervalUnsat + LS.IntervalSat) / double(LS.SatQueries)
           : 0.0;
-  double LadderSpeedup =
-      LadderOffSec > 0 && LadderOnSec > 0 ? LadderOffSec / LadderOnSec : 0.0;
+  double PrefilterSpeedup =
+      OmegaSec > 0 && PrefilteredSec > 0 ? OmegaSec / PrefilteredSec : 0.0;
 
-  std::vector<BatchItem> Fig11 = loopBasedBatchItems();
-  BatchOptions FigOn;
-  FigOn.Threads = Threads;
-  BatchAnalyzer FigOnBA(FigOn);
-  BatchResult FigOnR = FigOnBA.run(Fig11);
-
-  BatchOptions FigOff = FigOn;
-  FigOff.Program.Ladder = false;
-  BatchAnalyzer FigOffBA(FigOff);
-  BatchResult FigOffR = FigOffBA.run(Fig11);
-
-  bool LadderIdentical =
-      FigOnR.renderOutcomes() == FigOffR.renderOutcomes();
-  double LemmaHitRate =
-      FigOnR.Usage.SatQueries
-          ? double(FigOnR.Usage.LemmaHits) / double(FigOnR.Usage.SatQueries)
-          : 0.0;
+  BatchOptions FigOpt;
+  FigOpt.Threads = Threads;
+  BatchAnalyzer FigBA(FigOpt);
+  BatchResult FigR = FigBA.run(loopBasedBatchItems());
   double FigAnswerRate =
-      FigOnR.Usage.SatQueries
-          ? double(FigOnR.Usage.IntervalUnsat + FigOnR.Usage.IntervalSat) /
-                double(FigOnR.Usage.SatQueries)
+      FigR.Usage.SatQueries
+          ? double(FigR.Usage.IntervalUnsat + FigR.Usage.IntervalSat) /
+                double(FigR.Usage.SatQueries)
           : 0.0;
 
   std::ofstream Out(Path);
@@ -437,21 +421,13 @@ int emitJson(const std::string &Path) {
   Out << "    \"deterministic\": " << (Deterministic ? "true" : "false")
       << "\n";
   Out << "  },\n";
-  Out << "  \"ladder\": {\n";
+  Out << "  \"prefilter\": {\n";
   Out << "    \"chain_queries\": " << Family.size() << ",\n";
-  Out << "    \"chain_ladder_off_ms\": " << LadderOffSec * 1000.0 << ",\n";
-  Out << "    \"chain_ladder_on_ms\": " << LadderOnSec * 1000.0 << ",\n";
-  Out << "    \"chain_speedup_vs_no_ladder\": " << LadderSpeedup << ",\n";
+  Out << "    \"chain_omega_ms\": " << OmegaSec * 1000.0 << ",\n";
+  Out << "    \"chain_prefiltered_ms\": " << PrefilteredSec * 1000.0 << ",\n";
+  Out << "    \"chain_speedup_vs_omega\": " << PrefilterSpeedup << ",\n";
   Out << "    \"prefilter_answer_rate\": " << AnswerRate << ",\n";
-  Out << "    \"fig11_ladder_off_ms\": " << FigOffR.Millis << ",\n";
-  Out << "    \"fig11_ladder_on_ms\": " << FigOnR.Millis << ",\n";
-  Out << "    \"fig11_prefilter_answer_rate\": " << FigAnswerRate << ",\n";
-  Out << "    \"fig11_cores_learned\": " << FigOnR.Global.LemmaInserts
-      << ",\n";
-  Out << "    \"fig11_lemma_hits\": " << FigOnR.Global.LemmaHits << ",\n";
-  Out << "    \"fig11_lemma_hit_rate\": " << LemmaHitRate << ",\n";
-  Out << "    \"fig11_outcomes_identical\": "
-      << (LadderIdentical ? "true" : "false") << "\n";
+  Out << "    \"fig11_prefilter_answer_rate\": " << FigAnswerRate << "\n";
   Out << "  }\n";
   Out << "}\n";
   std::cout << "BENCH_solver.json: cached " << CachedQps << " q/s vs uncached "
@@ -460,12 +436,10 @@ int emitJson(const std::string &Path) {
             << " dnf/s (x" << DnfSpeedup << ", hit rate " << DnfHitRate
             << "); parallel x" << ParSpeedup << " on " << Threads
             << " threads (deterministic: " << (Deterministic ? "yes" : "no")
-            << "); ladder x" << LadderSpeedup << " on chains (answer rate "
-            << AnswerRate << "), fig11 " << FigOnR.Millis << " ms vs "
-            << FigOffR.Millis << " ms off, lemma hit rate " << LemmaHitRate
-            << " (outcomes identical: " << (LadderIdentical ? "yes" : "no")
-            << ")\n";
-  return Deterministic && LadderIdentical ? 0 : 1;
+            << "); prefilter x" << PrefilterSpeedup
+            << " vs Omega on chains (answer rate " << AnswerRate
+            << "), fig11 answer rate " << FigAnswerRate << "\n";
+  return Deterministic ? 0 : 1;
 }
 
 } // namespace

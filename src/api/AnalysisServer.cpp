@@ -75,10 +75,8 @@ AnalysisServer::AnalysisServer(ServerOptions Options)
   }
   if (Store != nullptr) {
     Opt.Program.Store = Store;
-    if (GlobalSolverCache *Tier = Batch.globalTier()) {
+    if (GlobalSolverCache *Tier = Batch.globalTier())
       Tier->importSatSnapshot(Store->satSnapshot());
-      Tier->importLemmaSnapshot(Store->lemmaSnapshot());
-    }
   }
   // Everything interned before this point (constant singletons, any
   // warmup the host process did) becomes permanent; per-request terms
@@ -316,10 +314,8 @@ std::string AnalysisServer::handleBatchVerb(const std::string &Id,
 bool AnalysisServer::saveStore(std::string *Err) {
   if (Store == nullptr || Opt.StorePath.empty())
     return true;
-  if (GlobalSolverCache *Tier = Batch.globalTier()) {
+  if (GlobalSolverCache *Tier = Batch.globalTier())
     Store->setSatSnapshot(Tier->exportSatSnapshot());
-    Store->setLemmaSnapshot(Tier->exportLemmas());
-  }
   return Store->save(Opt.StorePath, Err);
 }
 
@@ -353,16 +349,7 @@ std::string AnalysisServer::statsJson(const std::string &Id) const {
       << ",\"dnf_prev_hits\":" << S.Global.DnfPrevHits
       << ",\"dnf_rotations\":" << S.Global.DnfRotations << "},\"ladder\":{"
       << "\"interval_unsat\":" << S.Usage.IntervalUnsat
-      << ",\"interval_sat\":" << S.Usage.IntervalSat
-      << ",\"cores_learned\":" << S.Global.LemmaInserts
-      << ",\"core_probes\":" << S.Global.CoreProbes
-      << ",\"lemma_hits\":" << S.Global.LemmaHits
-      << ",\"lemma_prev_hits\":" << S.Global.LemmaPrevHits
-      << ",\"lemma_snapshot_hits\":" << S.Global.LemmaSnapshotHits
-      << ",\"lemma_entries\":" << S.Global.LemmaEntries
-      << ",\"lemma_prev_entries\":" << S.Global.LemmaPrevEntries
-      << ",\"lemma_snapshot_entries\":" << S.Global.LemmaSnapshotEntries
-      << "},\"cond_term\":{"
+      << ",\"interval_sat\":" << S.Usage.IntervalSat << "},\"cond_term\":{"
       << "\"emitted\":" << S.CondTerm.Emitted
       << ",\"sound\":" << S.CondTerm.Sound
       << ",\"demoted\":" << S.CondTerm.Demoted

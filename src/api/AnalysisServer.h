@@ -119,8 +119,8 @@ struct ServerStats {
   ReclaimStats LastReclaim;
   GlobalCacheStats Global;
   /// Cumulative per-request solver usage (sum of every handled
-  /// program's SolverUsage) — the interval-prefilter ladder counters
-  /// live here; the lemma side lives in Global.
+  /// program's SolverUsage) — the interval-prefilter counters live
+  /// here.
   SolverStats Usage;
   /// Cumulative conditional-termination counters (zero unless the
   /// server's Program config enables --cond-term). Store-served groups

@@ -64,14 +64,6 @@ struct AnalyzerConfig {
   /// exact cutoff truncates can depend on scheduling (serial runs cut
   /// at the same query every time).
   unsigned Threads = 1;
-  /// The solver query ladder (interval prefilter before Omega,
-  /// unsat-core lemma learning at the end-of-program merge). On by
-  /// default; `hiptnt --no-ladder` clears it for A/B runs. Analysis
-  /// output is byte-identical either way — the ladder only changes
-  /// which engine computes each answer — so, like Threads, it is
-  /// excluded from the spec-store config fingerprint and a warm store
-  /// stays valid across toggles.
-  bool Ladder = true;
   /// Optional persistent spec store (store/SpecStore.h). When set, the
   /// pipeline consults it before running each SCC group — a hit
   /// rehydrates the stored summaries and skips verification and

@@ -34,7 +34,6 @@ void tnt::bridgeSolverStats(const std::string &Prefix, const SolverStats &S) {
   put(Prefix, "global_dnf_hits", S.GlobalDnfHits);
   put(Prefix, "interval_unsat", S.IntervalUnsat);
   put(Prefix, "interval_sat", S.IntervalSat);
-  put(Prefix, "lemma_hits", S.LemmaHits);
   put(Prefix, "fuel_used", S.fuelUsed());
 }
 
@@ -48,16 +47,6 @@ void tnt::bridgeGlobalCacheStats(const std::string &Prefix,
   put(Prefix, "dnf_prev_hits", S.DnfPrevHits);
   put(Prefix, "sat_snapshot_hits", S.SatSnapshotHits);
   put(Prefix, "sat_snapshot_entries", S.SatSnapshotEntries);
-  put(Prefix, "lemma_lookups", S.LemmaLookups);
-  put(Prefix, "lemma_hits", S.LemmaHits);
-  put(Prefix, "lemma_prev_hits", S.LemmaPrevHits);
-  put(Prefix, "lemma_snapshot_hits", S.LemmaSnapshotHits);
-  put(Prefix, "lemma_inserts", S.LemmaInserts);
-  put(Prefix, "lemma_rotations", S.LemmaRotations);
-  put(Prefix, "core_probes", S.CoreProbes);
-  put(Prefix, "lemma_entries", S.LemmaEntries);
-  put(Prefix, "lemma_prev_entries", S.LemmaPrevEntries);
-  put(Prefix, "lemma_snapshot_entries", S.LemmaSnapshotEntries);
   put(Prefix, "sat_inserts", S.SatInserts);
   put(Prefix, "dnf_inserts", S.DnfInserts);
   put(Prefix, "sat_rotations", S.SatRotations);
@@ -85,6 +74,5 @@ void tnt::bridgeSpecStoreStats(const std::string &Prefix,
   put(Prefix, "misses", S.Misses);
   put(Prefix, "inserts", S.Inserts);
   put(Prefix, "sat_snapshot_entries", S.SatSnapshotEntries);
-  put(Prefix, "lemma_snapshot_entries", S.LemmaSnapshotEntries);
   put(Prefix, "load_discarded", S.LoadDiscarded ? 1 : 0);
 }

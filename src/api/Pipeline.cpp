@@ -28,7 +28,6 @@ tnt::prepareProgram(const std::string &Source, const AnalyzerConfig &Config,
   // so concurrent front ends cannot interleave allocations.
   VarPool::Scope RootScope(RootBlock);
   PP->RootCtx = std::make_unique<SolverContext>();
-  PP->RootCtx->setLadder(Config.Ladder);
   if (Config.FuelBudget != 0) {
     // The cooperative budget token: charged by every context of this
     // program at query granularity, so the cutoff is exact (the old
@@ -312,7 +311,6 @@ GroupRun tnt::runPipelineGroup(PreparedProgram &PP,
 
   Out.Ctx = std::make_unique<SolverContext>();
   SolverContext &SC = *Out.Ctx;
-  SC.setLadder(Config.Ladder);
   if (Global != nullptr)
     SC.attachGlobalTier(Global);
   if (PP.Budget)

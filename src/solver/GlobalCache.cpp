@@ -11,89 +11,9 @@ namespace {
 
 std::atomic<size_t> LiveTiers{0};
 
-} // namespace
-
-GlobalSolverCache::GlobalSolverCache(size_t SatCapacity, size_t DnfCapacity)
-    : SatCap(SatCapacity), DnfCap(DnfCapacity) {
-  LiveTiers.fetch_add(1, std::memory_order_relaxed);
-}
-
-GlobalSolverCache::~GlobalSolverCache() {
-  LiveTiers.fetch_sub(1, std::memory_order_relaxed);
-}
-
-size_t GlobalSolverCache::liveCount() {
-  return LiveTiers.load(std::memory_order_relaxed);
-}
-
-std::optional<Tri> GlobalSolverCache::lookupSat(const InternedConj &Key,
-                                                bool *LemmaHit) {
-  SatLookupsN.fetch_add(1, std::memory_order_relaxed);
-  std::shared_lock<std::shared_mutex> L(Mu);
-  auto It = Sat.find(Key);
-  if (It != Sat.end()) {
-    SatHitsN.fetch_add(1, std::memory_order_relaxed);
-    return It->second;
-  }
-  It = SatPrev.find(Key);
-  if (It != SatPrev.end()) {
-    SatHitsN.fetch_add(1, std::memory_order_relaxed);
-    SatPrevHitsN.fetch_add(1, std::memory_order_relaxed);
-    return It->second;
-  }
-  // The two remaining levels both work in the spelling-based canon
-  // identity: the exact-key persistent snapshot, then lemma
-  // subsumption. Canonicalization runs once, only on a resident miss
-  // and only when a canon-keyed level exists, so its cost rides on
-  // queries that would otherwise pay for an Omega run.
-  bool HaveLemmas = !Lemma.Items.empty() || !LemmaPrev.Items.empty() ||
-                    !LemmaSnapshot.Items.empty();
-  if (Snapshot.empty() && !HaveLemmas)
-    return std::nullopt;
-  std::vector<std::string> Parts;
-  Parts.reserve(Key.size());
-  for (const Constraint *C : Key)
-    Parts.push_back(constraintCanon(*C));
-  std::sort(Parts.begin(), Parts.end());
-  if (!Snapshot.empty()) {
-    std::string Joined;
-    for (const std::string &P : Parts) {
-      if (!Joined.empty())
-        Joined += '&';
-      Joined += P;
-    }
-    auto SIt = Snapshot.find(Joined);
-    if (SIt != Snapshot.end()) {
-      SatHitsN.fetch_add(1, std::memory_order_relaxed);
-      SatSnapshotHitsN.fetch_add(1, std::memory_order_relaxed);
-      return SIt->second;
-    }
-  }
-  // Lemma subsumption: a learned unsat core contained in the query
-  // refutes it, whatever else the query conjoins. Sound for any
-  // superset (adding conjuncts cannot make an infeasible set
-  // feasible), so the answer Omega would compute is known without
-  // running it.
-  if (HaveLemmas) {
-    LemmaLookupsN.fetch_add(1, std::memory_order_relaxed);
-    const LemmaGen *Levels[] = {&Lemma, &LemmaPrev, &LemmaSnapshot};
-    std::atomic<uint64_t> *LevelHit[] = {&LemmaHitsN, &LemmaPrevHitsN,
-                                         &LemmaSnapshotHitsN};
-    for (int I = 0; I < 3; ++I)
-      if (lemmaSubsumes(*Levels[I], Parts)) {
-        SatHitsN.fetch_add(1, std::memory_order_relaxed);
-        LevelHit[I]->fetch_add(1, std::memory_order_relaxed);
-        if (I != 0)
-          LemmaHitsN.fetch_add(1, std::memory_order_relaxed);
-        if (LemmaHit != nullptr)
-          *LemmaHit = true;
-        return Tri::False;
-      }
-  }
-  return std::nullopt;
-}
-
-std::string GlobalSolverCache::constraintCanon(const Constraint &C) {
+/// The per-constraint piece of satKeyCanon: relation, constant, then
+/// the terms sorted by variable SPELLING.
+std::string constraintCanon(const Constraint &C) {
   std::string P;
   switch (C.rel()) {
   case RelKind::Eq:
@@ -118,6 +38,49 @@ std::string GlobalSolverCache::constraintCanon(const Constraint &C) {
   return P;
 }
 
+} // namespace
+
+GlobalSolverCache::GlobalSolverCache(size_t SatCapacity, size_t DnfCapacity)
+    : SatCap(SatCapacity), DnfCap(DnfCapacity) {
+  LiveTiers.fetch_add(1, std::memory_order_relaxed);
+}
+
+GlobalSolverCache::~GlobalSolverCache() {
+  LiveTiers.fetch_sub(1, std::memory_order_relaxed);
+}
+
+size_t GlobalSolverCache::liveCount() {
+  return LiveTiers.load(std::memory_order_relaxed);
+}
+
+std::optional<Tri> GlobalSolverCache::lookupSat(const InternedConj &Key) {
+  SatLookupsN.fetch_add(1, std::memory_order_relaxed);
+  std::shared_lock<std::shared_mutex> L(Mu);
+  auto It = Sat.find(Key);
+  if (It != Sat.end()) {
+    SatHitsN.fetch_add(1, std::memory_order_relaxed);
+    return It->second;
+  }
+  It = SatPrev.find(Key);
+  if (It != SatPrev.end()) {
+    SatHitsN.fetch_add(1, std::memory_order_relaxed);
+    SatPrevHitsN.fetch_add(1, std::memory_order_relaxed);
+    return It->second;
+  }
+  // The persistent snapshot is keyed by name-canonical form.
+  // Canonicalization runs only on a resident miss and only when a
+  // snapshot was imported, so its cost rides on queries that would
+  // otherwise pay for a computation.
+  if (Snapshot.empty())
+    return std::nullopt;
+  auto SIt = Snapshot.find(satKeyCanon(Key));
+  if (SIt == Snapshot.end())
+    return std::nullopt;
+  SatHitsN.fetch_add(1, std::memory_order_relaxed);
+  SatSnapshotHitsN.fetch_add(1, std::memory_order_relaxed);
+  return SIt->second;
+}
+
 std::string GlobalSolverCache::satKeyCanon(const InternedConj &Key) {
   std::vector<std::string> Parts;
   Parts.reserve(Key.size());
@@ -131,141 +94,6 @@ std::string GlobalSolverCache::satKeyCanon(const InternedConj &Key) {
     Out += P;
   }
   return Out;
-}
-
-bool GlobalSolverCache::lemmaSubsumes(const LemmaGen &G,
-                                      const std::vector<std::string> &Parts) {
-  if (G.Items.empty())
-    return false;
-  // A core can only be a subset of Parts if its largest element occurs
-  // in Parts, so probing the watch index once per query part
-  // enumerates every candidate.
-  for (const std::string &P : Parts) {
-    auto WIt = G.Watch.find(P);
-    if (WIt == G.Watch.end())
-      continue;
-    for (size_t Idx : WIt->second) {
-      const std::vector<std::string> &Core = G.Items[Idx];
-      // Sorted-merge subset test: Core included in Parts?
-      size_t I = 0, J = 0;
-      while (I < Core.size() && J < Parts.size()) {
-        if (Core[I] == Parts[J]) {
-          ++I;
-          ++J;
-        } else if (Core[I] < Parts[J]) {
-          break;
-        } else {
-          ++J;
-        }
-      }
-      if (I == Core.size())
-        return true;
-    }
-  }
-  return false;
-}
-
-void GlobalSolverCache::lemmaInsert(LemmaGen &G,
-                                    std::vector<std::string> Core) {
-  std::string Joined;
-  for (const std::string &P : Core) {
-    if (!Joined.empty())
-      Joined += '&';
-    Joined += P;
-  }
-  if (!G.Keys.insert(std::move(Joined)).second)
-    return;
-  G.Watch[Core.back()].push_back(G.Items.size());
-  G.Items.push_back(std::move(Core));
-}
-
-void GlobalSolverCache::mergeLemmas(
-    const std::vector<std::vector<std::string>> &Cores,
-    uint64_t ProbesUsed) {
-  CoreProbesN.fetch_add(ProbesUsed, std::memory_order_relaxed);
-  if (Cores.empty())
-    return;
-  std::unique_lock<std::shared_mutex> L(Mu);
-  bool Rotated = false; // One rotation per merge, as in mergeSat.
-  for (const std::vector<std::string> &Core : Cores) {
-    if (Core.empty())
-      continue;
-    std::vector<std::string> Sorted = Core;
-    std::sort(Sorted.begin(), Sorted.end());
-    Sorted.erase(std::unique(Sorted.begin(), Sorted.end()), Sorted.end());
-    if (Lemma.Items.size() >= LemmaCapacity) {
-      if (Rotated)
-        break;
-      LemmaPrev = std::move(Lemma);
-      Lemma.clear();
-      Rotated = true;
-      LemmaRotationsN.fetch_add(1, std::memory_order_relaxed);
-    }
-    size_t Before = Lemma.Items.size();
-    lemmaInsert(Lemma, std::move(Sorted));
-    if (Lemma.Items.size() != Before)
-      LemmaInsertsN.fetch_add(1, std::memory_order_relaxed);
-  }
-}
-
-void GlobalSolverCache::importLemmaSnapshot(
-    const std::vector<std::vector<std::string>> &Cores) {
-  std::unique_lock<std::shared_mutex> L(Mu);
-  LemmaSnapshot.clear();
-  for (const std::vector<std::string> &Core : Cores) {
-    if (Core.empty())
-      continue;
-    std::vector<std::string> Sorted = Core;
-    std::sort(Sorted.begin(), Sorted.end());
-    Sorted.erase(std::unique(Sorted.begin(), Sorted.end()), Sorted.end());
-    lemmaInsert(LemmaSnapshot, std::move(Sorted));
-  }
-}
-
-std::vector<std::vector<std::string>> GlobalSolverCache::exportLemmas() const {
-  // Residents first (both generations), then unshadowed snapshot
-  // leftovers filling the room left under the 2 * LemmaCapacity
-  // retention bound — the same shape as exportSatSnapshot, for the
-  // same reason: persisted lemmas must not grow without limit across
-  // import -> serve -> export cycles.
-  std::vector<std::vector<std::string>> Resident, Leftover;
-  {
-    std::shared_lock<std::shared_mutex> L(Mu);
-    std::unordered_set<std::string> Seen;
-    for (const LemmaGen *G : {&Lemma, &LemmaPrev})
-      for (const std::vector<std::string> &Core : G->Items) {
-        std::string Joined;
-        for (const std::string &P : Core) {
-          if (!Joined.empty())
-            Joined += '&';
-          Joined += P;
-        }
-        if (Seen.insert(std::move(Joined)).second)
-          Resident.push_back(Core);
-      }
-    for (const std::vector<std::string> &Core : LemmaSnapshot.Items) {
-      std::string Joined;
-      for (const std::string &P : Core) {
-        if (!Joined.empty())
-          Joined += '&';
-        Joined += P;
-      }
-      if (Seen.insert(std::move(Joined)).second)
-        Leftover.push_back(Core);
-    }
-  }
-  const size_t Cap = 2 * LemmaCapacity;
-  std::sort(Leftover.begin(), Leftover.end());
-  if (Resident.size() < Cap) {
-    size_t Room = Cap - Resident.size();
-    if (Leftover.size() > Room)
-      Leftover.resize(Room);
-    Resident.insert(Resident.end(), Leftover.begin(), Leftover.end());
-  }
-  if (Resident.size() > Cap)
-    Resident.resize(Cap);
-  std::sort(Resident.begin(), Resident.end());
-  return Resident;
 }
 
 void GlobalSolverCache::importSatSnapshot(
@@ -437,22 +265,12 @@ GlobalCacheStats GlobalSolverCache::stats() const {
   S.SatRotations = SatRotationsN.load(std::memory_order_relaxed);
   S.DnfRotations = DnfRotationsN.load(std::memory_order_relaxed);
   S.SatSnapshotHits = SatSnapshotHitsN.load(std::memory_order_relaxed);
-  S.LemmaLookups = LemmaLookupsN.load(std::memory_order_relaxed);
-  S.LemmaHits = LemmaHitsN.load(std::memory_order_relaxed);
-  S.LemmaPrevHits = LemmaPrevHitsN.load(std::memory_order_relaxed);
-  S.LemmaSnapshotHits = LemmaSnapshotHitsN.load(std::memory_order_relaxed);
-  S.LemmaInserts = LemmaInsertsN.load(std::memory_order_relaxed);
-  S.LemmaRotations = LemmaRotationsN.load(std::memory_order_relaxed);
-  S.CoreProbes = CoreProbesN.load(std::memory_order_relaxed);
   std::shared_lock<std::shared_mutex> L(Mu);
   S.SatEntries = Sat.size();
   S.DnfEntries = Dnf.size();
   S.SatPrevEntries = SatPrev.size();
   S.DnfPrevEntries = DnfPrev.size();
   S.SatSnapshotEntries = Snapshot.size();
-  S.LemmaEntries = Lemma.Items.size();
-  S.LemmaPrevEntries = LemmaPrev.Items.size();
-  S.LemmaSnapshotEntries = LemmaSnapshot.Items.size();
   return S;
 }
 

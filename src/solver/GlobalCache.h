@@ -57,7 +57,6 @@
 #include <atomic>
 #include <optional>
 #include <shared_mutex>
-#include <unordered_set>
 
 namespace tnt {
 
@@ -77,23 +76,13 @@ struct GlobalCacheStats {
   uint64_t SatSnapshotHits = 0;
   /// Resident imported snapshot entries.
   size_t SatSnapshotEntries = 0;
-  /// Lemma (unsat-core subsumption) level: lookups that reached the
-  /// lemma check, and hits per level. Lemma hits are counted in
-  /// SatHits too — they are genuine tier answers.
-  uint64_t LemmaLookups = 0;
-  uint64_t LemmaHits = 0;
-  uint64_t LemmaPrevHits = 0;
-  uint64_t LemmaSnapshotHits = 0;
-  /// Cores accepted by mergeLemmas (first-writer-wins inserts) and
-  /// shrink-probe oracle calls spent learning them. Probes run at
-  /// promote time, after the program's stats snapshot — visible here,
-  /// transparent to per-program fuel accounting.
-  uint64_t LemmaInserts = 0;
-  uint64_t LemmaRotations = 0;
+  /// Always 0. The unsat-core lemma tier is gone; these two fields and
+  /// GlobalSolverCache::exportLemmas/importLemmaSnapshot stay only
+  /// because perfbench/driver.cpp names them and only a benchmark
+  /// change may edit that file; that change removes all four. Nothing
+  /// else may use them.
   uint64_t CoreProbes = 0;
-  size_t LemmaEntries = 0;
-  size_t LemmaPrevEntries = 0;
-  size_t LemmaSnapshotEntries = 0;
+  uint64_t LemmaHits = 0;
   /// Entries accepted by merges (first-writer-wins inserts).
   uint64_t SatInserts = 0;
   uint64_t DnfInserts = 0;
@@ -138,18 +127,9 @@ public:
   /// could alias a stale entry).
   static size_t liveCount();
 
-  static constexpr size_t LemmaCapacity = 1u << 12;
-
   /// Satisfiability answer for an interned conjunction, if promoted
-  /// (either generation), from the imported snapshot, or — new lowest
-  /// level — by LEMMA SUBSUMPTION: a learned unsat core whose every
-  /// constraint appears in \p Key refutes the whole conjunction, so
-  /// the lookup answers Tri::False for any superset of a core, not
-  /// just exact key matches. When a lemma answered, \p LemmaHit (may
-  /// be null) is set to true; the caller uses it to attribute the hit
-  /// in its own stats.
-  std::optional<Tri> lookupSat(const InternedConj &Key,
-                               bool *LemmaHit = nullptr);
+  /// (either generation) or present in the imported snapshot.
+  std::optional<Tri> lookupSat(const InternedConj &Key);
 
   /// Promoted DNF payload for an interned formula node, if any. Only
   /// full (non-overflow) skeletons are ever promoted, so a payload
@@ -178,33 +158,9 @@ public:
   /// form of the persistent solver snapshot.
   static std::string satKeyCanon(const InternedConj &Key);
 
-  /// The per-constraint piece of satKeyCanon, exposed so unsat cores
-  /// can be keyed in the same spelling-based identity: a lemma is a
-  /// sorted vector of these strings, and subsumption is subset
-  /// inclusion on them.
-  static std::string constraintCanon(const Constraint &C);
-
-  /// Merges learned unsat cores (each a SORTED vector of
-  /// constraintCanon strings, known infeasible) into the current lemma
-  /// generation: first-writer-wins by joined key, at most one
-  /// generation rotation per merge — the same retention policy as
-  /// mergeSat. \p ProbesUsed is the shrink-oracle call count spent
-  /// producing these cores, recorded in stats().CoreProbes. Called
-  /// serially from SolverContext::promoteTo at the deterministic
-  /// end-of-program merge.
-  void mergeLemmas(const std::vector<std::vector<std::string>> &Cores,
-                   uint64_t ProbesUsed);
-
-  /// Installs persisted lemmas (from a spec store file) as a read-only
-  /// level under both lemma generations — the lemma analogue of
-  /// importSatSnapshot. Call before attaching contexts; replaces any
-  /// previous import. Malformed (empty) cores are skipped.
-  void importLemmaSnapshot(const std::vector<std::vector<std::string>> &Cores);
-
-  /// Exports resident lemmas (both generations, then unshadowed
-  /// snapshot leftovers filling the remaining room) capped at
-  /// 2 * LemmaCapacity and sorted, for deterministic store files.
-  std::vector<std::vector<std::string>> exportLemmas() const;
+  /// Inert: see GlobalCacheStats::CoreProbes.
+  void importLemmaSnapshot(const std::vector<std::vector<std::string>> &) {}
+  std::vector<std::vector<std::string>> exportLemmas() const { return {}; }
 
   /// Installs a persistent snapshot (from a spec store file) as a
   /// read-only THIRD lookup level under both generations: a lookupSat
@@ -270,33 +226,6 @@ private:
   /// to see it: it holds no interned pointers).
   std::unordered_map<std::string, Tri> Snapshot;
 
-  /// One lemma generation: cores as sorted constraintCanon vectors,
-  /// a WATCH index from each core's lexicographically largest element
-  /// to the core indices watching it (a core can only subsume a query
-  /// that contains its largest element, so a lookup probes the index
-  /// once per query part instead of scanning every lemma), and the
-  /// joined-key dedup set. Holds no interned pointers, so epoch
-  /// reclamation ignores it — like Snapshot.
-  struct LemmaGen {
-    std::vector<std::vector<std::string>> Items;
-    std::unordered_map<std::string, std::vector<size_t>> Watch;
-    std::unordered_set<std::string> Keys;
-
-    void clear() {
-      Items.clear();
-      Watch.clear();
-      Keys.clear();
-    }
-  };
-  LemmaGen Lemma, LemmaPrev, LemmaSnapshot;
-
-  /// Candidate probe shared by the three lemma levels: true iff some
-  /// core of \p G watching one of \p Parts is a subset of \p Parts.
-  /// Caller holds (at least) the shared lock.
-  static bool lemmaSubsumes(const LemmaGen &G,
-                            const std::vector<std::string> &Parts);
-  static void lemmaInsert(LemmaGen &G, std::vector<std::string> Core);
-
   // Lookup counters are atomics so the shared-lock read path never
   // needs the exclusive lock.
   std::atomic<uint64_t> SatLookupsN{0}, SatHitsN{0};
@@ -305,10 +234,6 @@ private:
   std::atomic<uint64_t> SatSnapshotHitsN{0};
   std::atomic<uint64_t> SatInsertsN{0}, DnfInsertsN{0};
   std::atomic<uint64_t> SatRotationsN{0}, DnfRotationsN{0};
-  std::atomic<uint64_t> LemmaLookupsN{0}, LemmaHitsN{0};
-  std::atomic<uint64_t> LemmaPrevHitsN{0}, LemmaSnapshotHitsN{0};
-  std::atomic<uint64_t> LemmaInsertsN{0}, LemmaRotationsN{0};
-  std::atomic<uint64_t> CoreProbesN{0};
 };
 
 } // namespace tnt

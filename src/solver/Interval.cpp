@@ -2,6 +2,8 @@
 
 #include "solver/Interval.h"
 
+#include "support/Rational.h"
+
 #include <map>
 #include <optional>
 #include <set>
@@ -30,28 +32,6 @@ int64_t satSub(int64_t A, int64_t B) {
   if (!__builtin_sub_overflow(A, B, &R))
     return R;
   return (B < 0) ? INT64_MAX : INT64_MIN;
-}
-
-/// floor(A / B) for B != 0, written with remainder fixups instead of
-/// negation so A == INT64_MIN needs no special case (B == -1 is the
-/// one quotient that can overflow, and callers exclude it by treating
-/// sentinel-valued bounds as infinite before dividing).
-int64_t floorDiv(int64_t A, int64_t B) {
-  if (B == -1)
-    return satSub(0, A);
-  int64_t Q = A / B, R = A % B;
-  if (R != 0 && ((R < 0) != (B < 0)))
-    --Q;
-  return Q;
-}
-
-int64_t ceilDiv(int64_t A, int64_t B) {
-  if (B == -1)
-    return satSub(0, A);
-  int64_t Q = A / B, R = A % B;
-  if (R != 0 && ((R < 0) == (B < 0)))
-    ++Q;
-  return Q;
 }
 
 /// One row of the propagation system: Expr <= 0. An Eq constraint
@@ -92,12 +72,12 @@ std::optional<int64_t> checkedEval(const LinExpr &E, const Model &W) {
 IntervalOutcome tnt::intervalPrefilter(const ConstraintConj &Conj) {
   IntervalOutcome Out;
 
-  // The ladder substitutes for Omega, so it must stay strictly inside
-  // Omega's contract: Ne atoms are split by callers before the Omega
-  // test (toRows asserts so). A conjunction that violates the contract
-  // falls through to Omega untouched — answering it here with the
-  // honest Ne semantics would DIFFER from what the Omega path does
-  // with it, breaking ladder-on/off byte identity.
+  // The prefilter substitutes for Omega, so it must stay strictly
+  // inside Omega's contract: Ne atoms are split by callers before the
+  // Omega test (toRows asserts so). A conjunction that violates the
+  // contract falls through to Omega untouched — answering it here with
+  // the honest Ne semantics would DIFFER from what the Omega path does
+  // with it, changing output bytes.
   for (const Constraint &C : Conj)
     if (C.isNe())
       return Out; // Unknown.
@@ -192,7 +172,8 @@ IntervalOutcome tnt::intervalPrefilter(const ConstraintConj &Conj) {
         int64_t Bound = satSub(satSub(0, K), Sum);
         // A sentinel bound is indistinguishable from infinity (true
         // or saturated); skipping the contraction is the sound move
-        // either way.
+        // either way. It also keeps INT64_MIN / -1, the one quotient
+        // int64 cannot hold, out of the divisions below.
         if (Bound == INT64_MIN || Bound == INT64_MAX)
           continue;
         int64_t C = Cs[I];

@@ -7,8 +7,8 @@
 ///
 /// \file
 /// An ICP-style interval-propagation prefilter over constraint
-/// conjunctions: the first rung of the solver query ladder (see
-/// SolverContext::isSatConj). Per-variable integer intervals are
+/// conjunctions: the rung of SolverContext::isSatConj that runs after
+/// the caches and before Omega. Per-variable integer intervals are
 /// contracted against every Eq/Le constraint to a fixpoint (or a pass
 /// cap, for cyclic dependency chains whose contraction never
 /// converges); an empty interval is a cheap UNSAT, and a point picked
@@ -35,12 +35,12 @@
 /// Conjunctions containing a Ne atom are never answered: Omega's
 /// contract is that callers split Ne before the test (toRows asserts
 /// so), and a query that slips through anyway must take the same path
-/// it always took, not a semantically honest shortcut — ladder on/off
-/// byte identity is against the Omega path's actual behavior.
+/// it always took, not a semantically honest shortcut — output bytes
+/// are pinned against the Omega path's actual behavior.
 ///
-/// That exactness is what lets the ladder answer a query without
-/// consulting Omega while preserving the byte-identity invariant: the
-/// verdict is the one Omega would have produced, only cheaper.
+/// That exactness is what lets the prefilter answer a query without
+/// consulting Omega while keeping output bytes unchanged: the verdict
+/// is the one Omega would have produced, only cheaper.
 ///
 //===----------------------------------------------------------------------===//
 

@@ -5,7 +5,6 @@
 #include "solver/Cancellation.h"
 #include "solver/GlobalCache.h"
 #include "solver/Interval.h"
-#include "solver/UnsatCore.h"
 #include "support/Trace.h"
 
 #include <algorithm>
@@ -101,6 +100,30 @@ bool SolverContext::cancelled() const {
   return Cancel != nullptr && Cancel->cancelled();
 }
 
+Tri SolverContext::computeSat(const ConstraintConj &Conj) {
+  // The interval prefilter answers instead of Omega when it can. Both
+  // its verdicts are exact (empty-box UNSAT, verified-witness SAT; see
+  // Interval.h), so the answer — and everything downstream of it — is
+  // the one Omega would give; only the engine differs. Callers count
+  // and charge the query first: an interval answer is a local
+  // computation and costs a query, exactly like the Omega run it
+  // replaces.
+  {
+    trace::Span IvSpan("interval", "solver");
+    IntervalOutcome IO = intervalPrefilter(Conj);
+    if (IO.Verdict != Tri::Unknown) {
+      std::lock_guard<std::mutex> L(Mu);
+      if (IO.Verdict == Tri::False)
+        ++Counters.IntervalUnsat;
+      else
+        ++Counters.IntervalSat;
+      return IO.Verdict;
+    }
+  }
+  trace::Span OmegaSpan("omegaSat", "solver");
+  return Omega::isSatConj(Conj);
+}
+
 Tri SolverContext::isSatConj(const ConstraintConj &Conj) {
   if (Capacity == 0 && Global == nullptr) {
     // Cache disabled: the query still counts (fuel accounting), but it
@@ -113,27 +136,7 @@ Tri SolverContext::isSatConj(const ConstraintConj &Conj) {
     }
     if (Cancel != nullptr)
       Cancel->charge();
-    // Ladder rung: the interval prefilter answers instead of Omega
-    // when it can. Both its verdicts are exact (empty-box UNSAT,
-    // verified-witness SAT), so the answer — and everything downstream
-    // of it — is identical either way; only the engine differs. It
-    // runs after the charge above: an interval answer is a local
-    // computation and costs a query, exactly like the Omega run it
-    // replaces, keeping fuel accounting byte-for-byte ladder-blind.
-    if (Ladder) {
-      trace::Span IvSpan("interval", "solver");
-      IntervalOutcome IO = intervalPrefilter(Conj);
-      if (IO.Verdict != Tri::Unknown) {
-        std::lock_guard<std::mutex> L(Mu);
-        if (IO.Verdict == Tri::False)
-          ++Counters.IntervalUnsat;
-        else
-          ++Counters.IntervalSat;
-        return IO.Verdict;
-      }
-    }
-    trace::Span OmegaSpan("omegaSat", "solver");
-    return Omega::isSatConj(Conj);
+    return computeSat(Conj);
   }
 
   InternedConj Key = internConj(Conj);
@@ -157,23 +160,14 @@ Tri SolverContext::isSatConj(const ConstraintConj &Conj) {
     }
   }
 
-  // Local miss: consult the shared tier before paying for an Omega run.
-  // The answer for a key is a pure function of the key, so a hit is
-  // indistinguishable from the recomputation it saves; it is installed
-  // in the local tier so repeats stay off the shared lock.
+  // Local miss: consult the shared tier before paying for a
+  // computation. The answer for a key is a pure function of the key,
+  // so a hit is indistinguishable from the recomputation it saves; it
+  // is installed in the local tier so repeats stay off the shared lock.
   if (Global != nullptr) {
-    bool LemmaHit = false;
-    if (std::optional<Tri> Shared = Global->lookupSat(Key, &LemmaHit)) {
+    if (std::optional<Tri> Shared = Global->lookupSat(Key)) {
       std::lock_guard<std::mutex> L(Mu);
       ++Counters.GlobalSatHits;
-      // Lemma-subsumption answers are genuine tier hits (some program
-      // paid for the core's refutation once); attribute them so the
-      // stats surfaces can show how often subsumption beats exact
-      // matching. Installing the exact entry locally below also means
-      // this context's own promote naturally re-promotes the answer
-      // under its exact key.
-      if (LemmaHit)
-        ++Counters.LemmaHits;
       if (Capacity != 0 && Cache.find(Key) == Cache.end()) {
         Lru.push_front(CacheEntry{Key, *Shared});
         Cache.emplace(Key, Lru.begin());
@@ -190,38 +184,16 @@ Tri SolverContext::isSatConj(const ConstraintConj &Conj) {
   // A global-tier hit above returned without charging the token: the
   // query was paid for by the program that promoted the answer, the
   // same no-double-count rule fuelUsed() applies. From here on this
-  // context answers the query itself, so charge it.
+  // context answers the query itself, so charge it. The prefilter runs
+  // after the tier lookups, so it only ever replaces a charged Omega
+  // computation, never an uncharged tier hit.
   if (Cancel != nullptr)
     Cancel->charge();
+  Tri R = computeSat(Conj);
 
-  // Ladder rung: try the interval prefilter before paying for an Omega
-  // run. It answers only when its verdict is exact (see Interval.h),
-  // so the cached value — and all downstream analysis — is identical
-  // with the ladder on or off. Running it after the tier lookups keeps
-  // warm-run accounting unchanged too: it only ever replaces a charged
-  // Omega computation, never an uncharged tier hit.
-  Tri R = Tri::Unknown;
-  int ByInterval = 0; // 0: Omega answered, 1: interval UNSAT, 2: SAT.
-  if (Ladder) {
-    trace::Span IvSpan("interval", "solver");
-    IntervalOutcome IO = intervalPrefilter(Conj);
-    if (IO.Verdict != Tri::Unknown) {
-      R = IO.Verdict;
-      ByInterval = R == Tri::False ? 1 : 2;
-    }
-  }
-  if (ByInterval == 0) {
-    trace::Span OmegaSpan("omegaSat", "solver");
-    R = Omega::isSatConj(Conj);
-  }
-
-  if (Capacity != 0 || ByInterval != 0) {
+  if (Capacity != 0) {
     std::lock_guard<std::mutex> L(Mu);
-    if (ByInterval == 1)
-      ++Counters.IntervalUnsat;
-    else if (ByInterval == 2)
-      ++Counters.IntervalSat;
-    if (Capacity != 0 && Cache.find(Key) == Cache.end()) {
+    if (Cache.find(Key) == Cache.end()) {
       Lru.push_front(CacheEntry{Key, R});
       Cache.emplace(std::move(Key), Lru.begin());
       if (Cache.size() > Capacity) {
@@ -589,58 +561,4 @@ void SolverContext::promoteTo(GlobalSolverCache &G) const {
   }
   G.mergeSat(SatEntries);
   G.mergeDnf(DnfEntries);
-
-  // Unsat-core learning, the ladder's promote-time half: shrink a
-  // bounded slice of this context's freshest UNSAT answers to small
-  // cores and offer them to the tier as subsumption lemmas. This runs
-  // HERE — at the serial end-of-program merge, after the driver
-  // snapshotted the program's stats and after every GroupFuel bail
-  // window closed — so the shrink probes, whatever their number, are
-  // invisible to per-program fuel accounting and to every budget
-  // cutoff; they surface only in the tier's own CoreProbes counter.
-  // Cancellation still gates the work: a budget-exhausted program
-  // skips learning rather than stretch its own shutdown.
-  if (!Ladder || (Cancel != nullptr && Cancel->cancelled()))
-    return;
-  constexpr size_t MaxCandidates = 64;
-  const CoreOptions Opt;
-  auto Oracle = [](const ConstraintConj &C) {
-    IntervalOutcome IO = intervalPrefilter(C);
-    if (IO.Verdict != Tri::Unknown)
-      return IO.Verdict;
-    return Omega::isSatConj(C);
-  };
-  std::vector<std::vector<std::string>> Cores;
-  uint64_t BudgetLeft = Opt.ProbeBudget;
-  uint64_t Probes = 0;
-  size_t Seen = 0;
-  // SatEntries is MRU-first, so under the candidate and probe caps the
-  // freshest refutations — the ones most likely to recur on the next
-  // program — are the ones that get learned.
-  for (const auto &[Key, Val] : SatEntries) {
-    if (Seen >= MaxCandidates || BudgetLeft == 0)
-      break;
-    if (Cancel != nullptr && Cancel->cancelled())
-      break;
-    if (Val != Tri::False || Key.empty() || Key.size() > Opt.MaxConjSize)
-      continue;
-    ++Seen;
-    ConstraintConj Conj;
-    Conj.reserve(Key.size());
-    for (const Constraint *C : Key)
-      Conj.push_back(*C);
-    ConstraintConj Core =
-        Conj.size() == 1
-            ? Conj // A single infeasible atom is its own core: no probes.
-            : shrinkUnsatCore(Conj, Oracle, BudgetLeft, &Probes, Cancel);
-    if (Core.size() > Opt.MaxCoreSize)
-      continue; // Wide cores rarely subsume anything; not worth a slot.
-    std::vector<std::string> Canon;
-    Canon.reserve(Core.size());
-    for (const Constraint &C : Core)
-      Canon.push_back(GlobalSolverCache::constraintCanon(C));
-    std::sort(Canon.begin(), Canon.end());
-    Cores.push_back(std::move(Canon));
-  }
-  G.mergeLemmas(Cores, Probes);
 }

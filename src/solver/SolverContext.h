@@ -92,17 +92,13 @@ struct SolverStats {
   /// computed the answer already paid for it (see fuelUsed()).
   uint64_t GlobalSatHits = 0;
   uint64_t GlobalDnfHits = 0;
-  /// Query-ladder counters. Interval* count queries the interval
-  /// prefilter answered INSTEAD of Omega — charged exactly like an
-  /// Omega run (they are local computations: counted in SatQueries,
-  /// charged to the token, included in fuelUsed()), so the ladder
-  /// changes where an answer comes from but never what any budget
-  /// observes. LemmaHits counts global-tier answers produced by lemma
-  /// subsumption — a subset of GlobalSatHits, uncharged like every
-  /// other tier hit.
+  /// Queries the interval prefilter answered INSTEAD of Omega — charged
+  /// exactly like an Omega run (they are local computations: counted in
+  /// SatQueries, charged to the token, included in fuelUsed()), so the
+  /// prefilter changes where an answer comes from but never what any
+  /// budget observes.
   uint64_t IntervalUnsat = 0;
   uint64_t IntervalSat = 0;
-  uint64_t LemmaHits = 0;
 
   /// Solver work charged to this context for budget purposes: queries
   /// issued minus queries answered by the shared global tier. Local
@@ -125,7 +121,6 @@ struct SolverStats {
     GlobalDnfHits += O.GlobalDnfHits;
     IntervalUnsat += O.IntervalUnsat;
     IntervalSat += O.IntervalSat;
-    LemmaHits += O.LemmaHits;
     return *this;
   }
 };
@@ -186,7 +181,9 @@ public:
   Formula simplify(const Formula &F);
 
   /// Cached conjunction-level satisfiability (the unit every formula
-  /// query decomposes into).
+  /// query decomposes into). One fixed path: local LRU, then the global
+  /// tier (exact generations, then the sat snapshot), then the interval
+  /// prefilter, then Omega.
   Tri isSatConj(const ConstraintConj &Conj);
 
   /// Memoized DNF expansion, keyed on the interned formula node. The
@@ -237,16 +234,6 @@ public:
   /// (remaining unknowns finalize to MayLoop).
   bool cancelled() const;
 
-  /// Enables/disables the query ladder (interval prefilter before
-  /// Omega, unsat-core learning at promoteTo). On by default; the
-  /// --no-ladder A/B switch turns it off. Both settings produce
-  /// byte-identical analysis output — the ladder only changes which
-  /// engine computes each (identical) answer. Set before the context
-  /// issues queries; read without the context mutex, like the global
-  /// tier and the token.
-  void setLadder(bool Enabled) { Ladder = Enabled; }
-  bool ladderEnabled() const { return Ladder; }
-
   /// The deterministic end-of-program merge: offers this context's sat
   /// entries (most-recently-used first) and full DNF skeletons to the
   /// global tier, first-writer-wins within the tier's current
@@ -278,6 +265,12 @@ private:
     bool Overflow = false;
   };
 
+  /// The rungs below every cache: the interval prefilter, then Omega
+  /// when the prefilter cannot decide. Counts an interval answer in
+  /// IntervalUnsat/IntervalSat; the caller has already counted and
+  /// charged the query.
+  Tri computeSat(const ConstraintConj &Conj);
+
   size_t Capacity;
   size_t DnfCapacity;
   /// The shared tier consulted on local misses; not owned. Set before
@@ -286,8 +279,6 @@ private:
   /// Cooperative budget token charged per answered query; not owned.
   /// Set before first use, read without holding Mu.
   CancellationToken *Cancel = nullptr;
-  /// Query-ladder switch; set before first use, read without Mu.
-  bool Ladder = true;
 
   mutable std::mutex Mu;
   SolverStats Counters;

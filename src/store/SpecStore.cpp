@@ -24,13 +24,11 @@ std::string SpecStore::configFingerprint(const AnalyzerConfig &Config) {
   // condition and the fingerprint grew the ct= mode flag below —
   // default-mode entries would replay into a --cond-term run with the
   // conditions silently missing (and vice versa), so the modes must
-  // not share a store file. (v2 added the versioned "solver_lemmas"
-  // snapshot section.) Bumping the prefix wholesale-discards files
+  // not share a store file. (v2 added a "solver_lemmas" section, which
+  // current builds ignore.) Bumping the prefix wholesale-discards files
   // written by older builds via the normal fingerprint-mismatch path —
   // a clean cold start, never a parse of a shape this build does not
-  // know. Ladder on/off is deliberately NOT part of the fingerprint:
-  // both settings produce identical summaries, so a warm store stays
-  // valid across A/B runs.
+  // know.
   Out << "v4;mod=" << (Config.Modular ? 1 : 0) << ";iter=" << S.MaxIter
       << ";abd=" << (S.EnableAbduction ? 1 : 0)
       << ";base=" << (S.EnableBaseCase ? 1 : 0)
@@ -84,16 +82,6 @@ std::vector<std::pair<std::string, Tri>> SpecStore::satSnapshot() const {
   return SatSnapshot;
 }
 
-void SpecStore::setLemmaSnapshot(std::vector<std::vector<std::string>> Cores) {
-  std::lock_guard<std::mutex> L(Mu);
-  LemmaSnapshot = std::move(Cores);
-}
-
-std::vector<std::vector<std::string>> SpecStore::lemmaSnapshot() const {
-  std::lock_guard<std::mutex> L(Mu);
-  return LemmaSnapshot;
-}
-
 void SpecStore::setOutcomesDigest(uint64_t Count, uint64_t Hash) {
   std::lock_guard<std::mutex> L(Mu);
   OutcomesCount = Count;
@@ -120,7 +108,6 @@ SpecStoreStats SpecStore::stats() const {
   S.LoadDiscarded = LoadDiscarded;
   S.Entries = Groups.size();
   S.SatSnapshotEntries = SatSnapshot.size();
-  S.LemmaSnapshotEntries = LemmaSnapshot.size();
   return S;
 }
 
@@ -182,34 +169,6 @@ bool SpecStore::load(const std::string &Path, std::string *Err) {
       SatSnapshot.emplace_back(E.elements()[0].asString(), T);
     }
   }
-  if (const json::Value *Lm = Doc->field("solver_lemmas")) {
-    // Versioned section with a skip-don't-fail contract: lemmas are a
-    // pure optimization, so a section this build cannot interpret
-    // (unknown version, unexpected shape) loads as "no lemmas" — the
-    // counters then show 0 imports — rather than discarding the rest
-    // of an otherwise valid store.
-    const json::Value *V = Lm->isObject() ? Lm->field("version") : nullptr;
-    const json::Value *Cores =
-        Lm->isObject() ? Lm->field("cores") : nullptr;
-    if (V != nullptr && json::toInt64(*V).value_or(0) == 1 &&
-        Cores != nullptr && Cores->isArray()) {
-      for (const json::Value &CoreV : Cores->elements()) {
-        if (!CoreV.isArray())
-          continue;
-        std::vector<std::string> Core;
-        bool Clean = true;
-        for (const json::Value &P : CoreV.elements()) {
-          if (!P.isString()) {
-            Clean = false;
-            break;
-          }
-          Core.push_back(P.asString());
-        }
-        if (Clean && !Core.empty())
-          LemmaSnapshot.push_back(std::move(Core));
-      }
-    }
-  }
   if (const json::Value *Oc = Doc->field("outcomes")) {
     const json::Value *Count = Oc->field("count");
     const json::Value *Hash = Oc->field("hash");
@@ -252,21 +211,6 @@ bool SpecStore::save(const std::string &Path, std::string *Err) const {
         Out += "[" + json::quoted(SatSnapshot[I].first) + ",\"" + V + "\"]";
       }
       Out += "]";
-    }
-    if (!LemmaSnapshot.empty()) {
-      Out += ",\"solver_lemmas\":{\"version\":1,\"cores\":[";
-      for (size_t I = 0; I < LemmaSnapshot.size(); ++I) {
-        if (I != 0)
-          Out += ',';
-        Out += '[';
-        for (size_t J = 0; J < LemmaSnapshot[I].size(); ++J) {
-          if (J != 0)
-            Out += ',';
-          Out += json::quoted(LemmaSnapshot[I][J]);
-        }
-        Out += ']';
-      }
-      Out += "]}";
     }
     if (HasOutcomes) {
       char Hex[32];

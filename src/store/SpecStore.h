@@ -65,7 +65,6 @@ struct SpecStoreStats {
   bool LoadDiscarded = false;
   size_t Entries = 0;
   size_t SatSnapshotEntries = 0;
-  size_t LemmaSnapshotEntries = 0;
 };
 
 /// The persistent spec store. One instance is typically shared by all
@@ -111,13 +110,13 @@ public:
   void setSatSnapshot(std::vector<std::pair<std::string, Tri>> Entries);
   std::vector<std::pair<std::string, Tri>> satSnapshot() const;
 
-  /// Learned unsat-core lemmas (each a sorted vector of canonical
-  /// constraint strings; see GlobalSolverCache::exportLemmas). Saved
-  /// under a VERSIONED "solver_lemmas" section: a loader that finds an
-  /// unknown lemma version skips the section cleanly (0 imports)
-  /// instead of failing the whole store.
-  void setLemmaSnapshot(std::vector<std::vector<std::string>> Cores);
-  std::vector<std::vector<std::string>> lemmaSnapshot() const;
+  /// No-ops that hold and serialize nothing: the unsat-core lemma tier
+  /// is gone, and these stay only because perfbench/driver.cpp names
+  /// them and only a benchmark change may edit that file; that change
+  /// removes both. Nothing else may use them. A "solver_lemmas"
+  /// section in a file written by an older build is ignored on load.
+  void setLemmaSnapshot(std::vector<std::vector<std::string>>) {}
+  std::vector<std::vector<std::string>> lemmaSnapshot() const { return {}; }
 
   /// Outcomes digest of the last full batch (count + FNV-1a 64).
   void setOutcomesDigest(uint64_t Count, uint64_t Hash);
@@ -138,7 +137,6 @@ private:
   /// Node-based: peek() pointers survive concurrent inserts.
   std::map<std::string, std::string> Groups;
   std::vector<std::pair<std::string, Tri>> SatSnapshot;
-  std::vector<std::vector<std::string>> LemmaSnapshot;
   uint64_t OutcomesCount = 0;
   uint64_t OutcomesHash = 0;
   bool HasOutcomes = false;

@@ -63,6 +63,10 @@ int64_t tnt::lcm64(int64_t A, int64_t B) {
 
 int64_t tnt::floorDiv(int64_t A, int64_t B) {
   assert(B != 0 && "division by zero");
+  if (A == INT64_MIN && B == -1) {
+    Overflowed = true;
+    return 0;
+  }
   int64_t Q = A / B;
   if ((A % B != 0) && ((A < 0) != (B < 0)))
     --Q;
@@ -71,6 +75,10 @@ int64_t tnt::floorDiv(int64_t A, int64_t B) {
 
 int64_t tnt::ceilDiv(int64_t A, int64_t B) {
   assert(B != 0 && "division by zero");
+  if (A == INT64_MIN && B == -1) {
+    Overflowed = true;
+    return 0;
+  }
   int64_t Q = A / B;
   if ((A % B != 0) && ((A < 0) == (B < 0)))
     ++Q;

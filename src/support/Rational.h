@@ -135,7 +135,9 @@ int64_t gcd64(int64_t A, int64_t B);
 /// result beyond int64 raises the overflow flag and returns 0.
 int64_t lcm64(int64_t A, int64_t B);
 
-/// Euclidean floor division (rounds toward negative infinity).
+/// Euclidean floor division (rounds toward negative infinity). The one
+/// quotient int64 cannot hold, INT64_MIN / -1, raises the overflow flag
+/// and returns 0; so does ceilDiv.
 int64_t floorDiv(int64_t A, int64_t B);
 /// Euclidean ceiling division (rounds toward positive infinity).
 int64_t ceilDiv(int64_t A, int64_t B);

@@ -1,10 +1,10 @@
 //===- tests/IntervalTest.cpp - interval-prefilter edge cases ---*- C++ -*-===//
 //
-// The first ladder rung in isolation: saturating int64 arithmetic at
-// the extremes, strict-vs-non-strict tightening, contradictory
-// equalities, fixpoint termination on cyclic contraction chains, the
-// Ne bail-out, witness overflow rejection, and a fixed-seed property
-// sweep pinning every definite prefilter verdict against Omega.
+// The interval rung of the sat query path in isolation: saturating
+// int64 arithmetic at the extremes, strict-vs-non-strict tightening,
+// contradictory equalities, fixpoint termination on cyclic contraction
+// chains, the Ne bail-out, witness overflow rejection, and a fixed-seed
+// property sweep pinning every definite prefilter verdict against Omega.
 //
 //===----------------------------------------------------------------------===//
 
@@ -116,8 +116,8 @@ TEST(Interval, ConstantAtomRefutation) {
 TEST(Interval, NeAtomsAreNeverAnswered) {
   // Omega's contract is Ne-free input (callers split Ne first), so the
   // prefilter must decline ANY conjunction carrying one — even a
-  // constant Ne it could refute honestly. The ladder's byte-identity
-  // is against the Omega path's actual behavior, not against ideal Ne
+  // constant Ne it could refute honestly. Output bytes are pinned
+  // against the Omega path's actual behavior, not against ideal Ne
   // semantics.
   ConstraintConj ConstNe = {Constraint(LinExpr(0), RelKind::Ne)};
   EXPECT_EQ(intervalPrefilter(ConstNe).Verdict, Tri::Unknown);
@@ -183,7 +183,7 @@ TEST(Interval, ExtremeConstantsStaySound) {
 TEST(Interval, PrefilterVerdictsMatchOmegaOnRandomConjunctions) {
   // Fixed seed: the sweep is part of the pinned suite, not a fuzzer.
   // Small Ne-free systems where Omega always decides, so agreement can
-  // be asserted exactly — this is the ladder's core invariant (an
+  // be asserted exactly — this is the prefilter's core invariant (an
   // interval answer must be THE answer, not merely a sound one).
   std::mt19937 Gen(20150613);
   std::uniform_int_distribution<int> NumAtoms(1, 4), NumVars(1, 3),

@@ -1,16 +1,21 @@
 //===- tests/SolverContextTest.cpp - instance-based solver layer -*- C++ -*-===//
 //
 // Coverage for the SolverContext refactor: per-context cache/stats
-// isolation, hit/miss accounting, LRU bounding, hash-consed interning
-// pointer identity, and the legacy static facade forwarding.
+// isolation, hit/miss and interval-rung accounting, LRU bounding,
+// hash-consed interning pointer identity, and the legacy static facade
+// forwarding.
 //
 //===----------------------------------------------------------------------===//
 
 #include "arith/Intern.h"
+#include "solver/Cancellation.h"
+#include "solver/GlobalCache.h"
 #include "solver/Solver.h"
 #include "solver/SolverContext.h"
 
 #include <gtest/gtest.h>
+
+#include <string>
 
 using namespace tnt;
 
@@ -84,6 +89,47 @@ TEST(SolverContext, ZeroCapacityDisablesCaching) {
   EXPECT_EQ(S.CacheHits, 0u);
   EXPECT_EQ(S.CacheMisses, 0u);
   EXPECT_EQ(SC.cacheSize(), 0u);
+}
+
+TEST(SolverContext, IntervalAnswerCountsAndChargesOnce) {
+  // A query the interval prefilter answers is charged exactly like the
+  // Omega run it replaces: one SatQueries, one Interval* count and one
+  // token charge — on the cache-disabled path, on the cached path, and
+  // on a cache-less context that still consults an (empty) global tier.
+  ConstraintConj Unsat = {
+      Constraint::make(ex("scx_iu"), CmpKind::Ge, LinExpr(5)),
+      Constraint::make(ex("scx_iu"), CmpKind::Le, LinExpr(3))};
+  ConstraintConj Sat = {
+      Constraint::make(ex("scx_is"), CmpKind::Ge, LinExpr(1)),
+      Constraint::make(ex("scx_is"), CmpKind::Le, LinExpr(4))};
+  GlobalSolverCache EmptyTier;
+  for (size_t Capacity : {size_t(0), SolverContext::DefaultCacheCapacity}) {
+    for (bool WithTier : {false, true}) {
+      SCOPED_TRACE("capacity=" + std::to_string(Capacity) +
+                   " tier=" + std::to_string(WithTier));
+      CancellationToken T(100);
+      SolverContext SC(Capacity);
+      if (WithTier)
+        SC.attachGlobalTier(&EmptyTier);
+      SC.attachCancellation(&T);
+
+      EXPECT_EQ(SC.isSatConj(Unsat), Tri::False);
+      SolverStats S = SC.stats();
+      EXPECT_EQ(S.SatQueries, 1u);
+      EXPECT_EQ(S.IntervalUnsat, 1u);
+      EXPECT_EQ(S.IntervalSat, 0u);
+      EXPECT_EQ(T.charged(), 1u);
+
+      EXPECT_EQ(SC.isSatConj(Sat), Tri::True);
+      S = SC.stats();
+      EXPECT_EQ(S.SatQueries, 2u);
+      EXPECT_EQ(S.IntervalUnsat, 1u);
+      EXPECT_EQ(S.IntervalSat, 1u);
+      EXPECT_EQ(S.GlobalSatHits, 0u);
+      EXPECT_EQ(S.fuelUsed(), 2u);
+      EXPECT_EQ(T.charged(), 2u);
+    }
+  }
 }
 
 TEST(SolverContext, LruEvictsLeastRecentlyUsed) {

@@ -28,8 +28,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <fstream>
+#include <sstream>
 #include <unistd.h>
 
 using namespace tnt;
@@ -94,6 +96,17 @@ size_t totalGroups(const BatchResult &R) {
   for (const BatchProgramResult &P : R.Programs)
     N += P.Result.GroupCount;
   return N;
+}
+
+/// About \p Count programs spread evenly over the whole corpus, so every
+/// category is represented.
+std::vector<BatchItem> corpusSlice(size_t Count) {
+  const std::vector<BenchProgram> &All = corpus();
+  size_t Step = std::max<size_t>(All.size() / Count, 1);
+  std::vector<BatchItem> Items;
+  for (size_t I = 0; I < All.size(); I += Step)
+    Items.push_back({All[I].Name, All[I].Category, All[I].Source, All[I].Entry});
+  return Items;
 }
 
 } // namespace
@@ -541,6 +554,47 @@ TEST(SpecStore, FingerprintBumpDiscardsStaleFiles) {
   }
 }
 
+TEST(SpecStore, OlderLayoutLemmaSectionIsIgnored) {
+  // A current-fingerprint file written by a build that still had the
+  // unsat-core lemma tier: same layout plus a "solver_lemmas" section.
+  // Warm stores must survive the upgrade without a fingerprint bump —
+  // groups and sat entries load, the lemma section is dropped, and a
+  // re-save no longer carries it.
+  std::string Fp = SpecStore::configFingerprint(AnalyzerConfig());
+  TempFile File("lemmas");
+  {
+    std::ofstream Out(File.Path);
+    Out << "{\"version\":1,\"fingerprint\":" << json::quoted(Fp)
+        << ",\"groups\":{\"key1\":{\"v\":1,\"sc\":[]}}"
+        << ",\"solver_sat\":[[\"e0;y*2\",\"F\"],[\"l-1;x*1\",\"T\"]]"
+        << ",\"solver_lemmas\":{\"version\":1,\"cores\":"
+        << "[[\"l-3;z*1\",\"l5;z*-1\"]]}"
+        << ",\"outcomes\":{\"count\":3,\"hash\":\"00000000deadbeef\"}}\n";
+  }
+  SpecStore S(Fp);
+  std::string Err;
+  ASSERT_TRUE(S.load(File.Path, &Err)) << Err;
+  EXPECT_FALSE(S.stats().LoadDiscarded);
+  EXPECT_EQ(S.stats().LoadedGroups, 1u);
+  ASSERT_NE(S.peek("key1"), nullptr);
+  EXPECT_EQ(*S.peek("key1"), "{\"v\":1,\"sc\":[]}");
+  auto Snap = S.satSnapshot();
+  ASSERT_EQ(Snap.size(), 2u);
+  EXPECT_EQ(Snap[0], (std::pair<std::string, Tri>{"e0;y*2", Tri::False}));
+  EXPECT_EQ(Snap[1], (std::pair<std::string, Tri>{"l-1;x*1", Tri::True}));
+  uint64_t Count = 0, Hash = 0;
+  ASSERT_TRUE(S.outcomesDigest(Count, Hash));
+  EXPECT_EQ(Count, 3u);
+  EXPECT_EQ(Hash, 0xdeadbeefull);
+
+  ASSERT_TRUE(S.save(File.Path, &Err)) << Err;
+  std::ifstream In(File.Path);
+  std::stringstream Saved;
+  Saved << In.rdbuf();
+  EXPECT_EQ(Saved.str().find("solver_lemmas"), std::string::npos);
+  EXPECT_NE(Saved.str().find("l-1;x*1"), std::string::npos);
+}
+
 //===----------------------------------------------------------------------===//
 // The round-trip property (acceptance criterion)
 //===----------------------------------------------------------------------===//
@@ -779,6 +833,41 @@ TEST(SatSnapshot, CanonKeyIsIdAgnostic) {
   ConstraintConj C2 = {C1[1], C1[0]}; // Permuted conjunction order.
   EXPECT_EQ(GlobalSolverCache::satKeyCanon(internConj(C1)),
             GlobalSolverCache::satKeyCanon(internConj(C2)));
+}
+
+TEST(SatSnapshot, BatchByteIdenticalAcrossThreadsAndWarmth) {
+  // Whole batches warm-started from exportSatSnapshot: a cold
+  // single-thread run is the baseline and produces the snapshot; every
+  // thread count, cold and warm, must render the same outcome bytes.
+  std::vector<BatchItem> Items = corpusSlice(20);
+  std::string Base;
+  std::vector<std::pair<std::string, Tri>> Snap;
+  {
+    BatchOptions Opt;
+    Opt.Threads = 1;
+    BatchAnalyzer BA(Opt);
+    Base = BA.run(Items).renderOutcomes();
+    Snap = BA.globalTier()->exportSatSnapshot();
+  }
+  ASSERT_FALSE(Base.empty());
+  ASSERT_FALSE(Snap.empty());
+
+  for (unsigned Threads : {1u, 2u, 4u, 8u}) {
+    for (bool Warm : {false, true}) {
+      if (Threads == 1 && !Warm)
+        continue; // The baseline itself.
+      BatchOptions Opt;
+      Opt.Threads = Threads;
+      BatchAnalyzer BA(Opt);
+      if (Warm)
+        BA.globalTier()->importSatSnapshot(Snap);
+      BatchResult R = BA.run(Items);
+      EXPECT_EQ(Base, R.renderOutcomes())
+          << "threads=" << Threads << " warm=" << Warm;
+      EXPECT_EQ(R.Global.SatSnapshotHits > 0, Warm)
+          << "threads=" << Threads << " warm=" << Warm;
+    }
+  }
 }
 
 //===----------------------------------------------------------------------===//

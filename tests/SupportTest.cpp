@@ -166,6 +166,41 @@ TEST(Lcm, Int64Edges) {
   }
 }
 
+TEST(FloorDiv, Int64Edges) {
+  {
+    OverflowScope S;
+    EXPECT_EQ(floorDiv(INT64_MIN, 1), INT64_MIN);
+    EXPECT_EQ(floorDiv(INT64_MIN, 2), INT64_MIN / 2);
+    EXPECT_EQ(floorDiv(INT64_MIN, INT64_MIN), 1);
+    EXPECT_EQ(floorDiv(INT64_MIN + 1, -1), INT64_MAX);
+    EXPECT_EQ(floorDiv(INT64_MAX, -1), -INT64_MAX);
+    EXPECT_EQ(floorDiv(INT64_MAX, INT64_MIN), -1);
+    EXPECT_EQ(floorDiv(-1, INT64_MIN), 0);
+    EXPECT_FALSE(S.overflowed());
+  }
+  // -INT64_MIN is the one quotient int64 cannot hold: flagged, and the
+  // placeholder 0 comes back instead of a SIGFPE.
+  OverflowScope S;
+  EXPECT_EQ(floorDiv(INT64_MIN, -1), 0);
+  EXPECT_TRUE(S.overflowed());
+}
+
+TEST(CeilDiv, Int64Edges) {
+  {
+    OverflowScope S;
+    EXPECT_EQ(ceilDiv(INT64_MIN, 1), INT64_MIN);
+    EXPECT_EQ(ceilDiv(INT64_MIN, INT64_MIN), 1);
+    EXPECT_EQ(ceilDiv(INT64_MIN + 1, -1), INT64_MAX);
+    EXPECT_EQ(ceilDiv(INT64_MAX, 2), INT64_MAX / 2 + 1);
+    EXPECT_EQ(ceilDiv(INT64_MAX, INT64_MIN), 0);
+    EXPECT_EQ(ceilDiv(-1, INT64_MIN), 1);
+    EXPECT_FALSE(S.overflowed());
+  }
+  OverflowScope S;
+  EXPECT_EQ(ceilDiv(INT64_MIN, -1), 0);
+  EXPECT_TRUE(S.overflowed());
+}
+
 TEST(Rational, Int64EdgesExact) {
   OverflowScope S;
   const int64_t P62 = int64_t(1) << 62;

@@ -113,7 +113,6 @@ void printUsage(std::ostream &OS) {
         "scheduling\n"
         "  --no-global-tier      disable the shared global solver cache "
         "tier (batch/serve)\n"
-        "  --no-ladder           disable the tiered solver query ladder\n"
         "  --stats               print solver/cache/store statistics\n"
         "  --outcomes            print every program's rendered summary "
         "(batch)\n"
@@ -263,7 +262,6 @@ int runBatch(const std::string &Target, const AnalyzerConfig &Cli,
   Opt.Program.Modular = Cli.Modular;
   Opt.Program.Solve.EnableAbduction = Cli.Solve.EnableAbduction;
   Opt.Program.Solve.EnableCondTerm = Cli.Solve.EnableCondTerm;
-  Opt.Program.Ladder = Cli.Ladder;
   Opt.Profile = Profile;
 
   // Persistent spec store: load (or cold-start) the file, remember the
@@ -284,10 +282,8 @@ int runBatch(const std::string &Target, const AnalyzerConfig &Cli,
     Opt.Store = Store.get();
   }
   BatchAnalyzer BA(Opt);
-  if (Store && BA.globalTier() != nullptr) {
+  if (Store && BA.globalTier() != nullptr)
     BA.globalTier()->importSatSnapshot(Store->satSnapshot());
-    BA.globalTier()->importLemmaSnapshot(Store->lemmaSnapshot());
-  }
   BatchResult R = BA.run(Items);
 
   if (ShowOutcomes)
@@ -348,20 +344,9 @@ int runBatch(const std::string &Target, const AnalyzerConfig &Cli,
                 << ") misses=" << (G.DnfLookups - G.DnfHits)
                 << " hit_rate=" << G.dnfHitRate()
                 << " rotations=" << G.DnfRotations << "\n";
-      std::cout << "ladder: interval_unsat=" << S.IntervalUnsat
-                << " interval_sat=" << S.IntervalSat
-                << " cores_learned=" << G.LemmaInserts
-                << " core_probes=" << G.CoreProbes
-                << " lemma_hits=" << G.LemmaHits << " (cur "
-                << (G.LemmaHits - G.LemmaPrevHits - G.LemmaSnapshotHits)
-                << ", prev " << G.LemmaPrevHits << ", snapshot "
-                << G.LemmaSnapshotHits << ") lemmas=" << G.LemmaEntries
-                << "+" << G.LemmaPrevEntries << "prev+"
-                << G.LemmaSnapshotEntries << "snap\n";
-    } else {
-      std::cout << "ladder: interval_unsat=" << S.IntervalUnsat
-                << " interval_sat=" << S.IntervalSat << "\n";
     }
+    std::cout << "ladder: interval_unsat=" << S.IntervalUnsat
+              << " interval_sat=" << S.IntervalSat << "\n";
     ArithIntern &I = ArithIntern::global();
     std::cout << "intern: exprs=" << I.exprCount()
               << " constraints=" << I.constraintCount()
@@ -396,10 +381,8 @@ int runBatch(const std::string &Target, const AnalyzerConfig &Cli,
       }
     }
     Store->setOutcomesDigest(Items.size(), Hash);
-    if (BA.globalTier() != nullptr) {
+    if (BA.globalTier() != nullptr)
       Store->setSatSnapshot(BA.globalTier()->exportSatSnapshot());
-      Store->setLemmaSnapshot(BA.globalTier()->exportLemmas());
-    }
     std::string Err;
     if (!Store->save(StorePath, &Err)) {
       std::cerr << Err << "\n";
@@ -411,7 +394,6 @@ int runBatch(const std::string &Target, const AnalyzerConfig &Cli,
                 << " loaded=" << SS.LoadedGroups << " hits=" << SS.Hits
                 << " misses=" << SS.Misses << " inserts=" << SS.Inserts
                 << " sat_snapshot=" << SS.SatSnapshotEntries
-                << " lemma_snapshot=" << SS.LemmaSnapshotEntries
                 << (SS.LoadDiscarded ? " (stale file discarded)" : "")
                 << "\n";
     }
@@ -690,8 +672,6 @@ int main(int Argc, char **Argv) {
       Config.Solve.EnableAbduction = false;
     else if (Arg == "--cond-term")
       Config.Solve.EnableCondTerm = true;
-    else if (Arg == "--no-ladder")
-      Config.Ladder = false;
     else if (Arg == "--entry" && I + 1 < Argc)
       Entry = Argv[++I];
     else if (Arg == "--batch") {
@@ -857,7 +837,6 @@ int main(int Argc, char **Argv) {
     CO.Server.Program.Modular = Config.Modular;
     CO.Server.Program.Solve.EnableAbduction = Config.Solve.EnableAbduction;
     CO.Server.Program.Solve.EnableCondTerm = Config.Solve.EnableCondTerm;
-    CO.Server.Program.Ladder = Config.Ladder;
     CO.Server.StorePath = StorePath;
     CO.Workers = ServeWorkers;
     CO.QueueDepth = ServeQueue;
@@ -876,7 +855,6 @@ int main(int Argc, char **Argv) {
     SO.Program.Modular = Config.Modular;
     SO.Program.Solve.EnableAbduction = Config.Solve.EnableAbduction;
     SO.Program.Solve.EnableCondTerm = Config.Solve.EnableCondTerm;
-    SO.Program.Ladder = Config.Ladder;
     SO.StorePath = StorePath;
     AnalysisServer Server(SO);
     return Finish(Server.serve(std::cin, std::cout));
