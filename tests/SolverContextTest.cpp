@@ -1,7 +1,8 @@
 //===- tests/SolverContextTest.cpp - instance-based solver layer -*- C++ -*-===//
 //
 // Coverage for the SolverContext refactor: per-context cache/stats
-// isolation, hit/miss and interval-rung accounting, LRU bounding,
+// isolation, hit/miss and interval-rung accounting, fuel transparency
+// of the query ladder with its cache rung on and off, LRU bounding,
 // hash-consed interning pointer identity, and the legacy static facade
 // forwarding.
 //
@@ -16,6 +17,7 @@
 #include <gtest/gtest.h>
 
 #include <string>
+#include <vector>
 
 using namespace tnt;
 
@@ -129,6 +131,85 @@ TEST(SolverContext, IntervalAnswerCountsAndChargesOnce) {
       EXPECT_EQ(S.fuelUsed(), 2u);
       EXPECT_EQ(T.charged(), 2u);
     }
+  }
+}
+
+//===----------------------------------------------------------------------===//
+// Fuel transparency of the query ladder: with its local cache rung on
+// (default capacity) and off (capacity 0), the ladder changes which
+// rung answers a query, never the answer or what any budget observes.
+//===----------------------------------------------------------------------===//
+
+/// Rounds of a fixed query stream: an interval-decided unsat and sat
+/// pair plus two queries the prefilter leaves to Omega. Repeating the
+/// stream makes the cache rung answer every round after the first.
+std::vector<ConstraintConj> ladderStream(unsigned Rounds) {
+  LinExpr X = ex("lad_x"), Y = ex("lad_y");
+  std::vector<ConstraintConj> Distinct = {
+      {Constraint::make(X, CmpKind::Ge, LinExpr(5)),
+       Constraint::make(X, CmpKind::Le, LinExpr(3))},
+      {Constraint::make(Y, CmpKind::Ge, LinExpr(1)),
+       Constraint::make(Y, CmpKind::Le, LinExpr(4))},
+      {Constraint::make(X + Y, CmpKind::Ge, LinExpr(3)),
+       Constraint::make(X + Y, CmpKind::Le, LinExpr(2))},
+      {Constraint::make(X + Y, CmpKind::Ge, LinExpr(3)),
+       Constraint::make(X - Y, CmpKind::Le, LinExpr(1))}};
+  std::vector<ConstraintConj> Stream;
+  for (unsigned R = 0; R < Rounds; ++R)
+    Stream.insert(Stream.end(), Distinct.begin(), Distinct.end());
+  return Stream;
+}
+
+TEST(Ladder, FuelUsedIdenticalOnAndOff) {
+  std::vector<ConstraintConj> Stream = ladderStream(3);
+  CancellationToken TOn(1000), TOff(1000);
+  SolverContext On, Off(/*CacheCapacity=*/0);
+  On.attachCancellation(&TOn);
+  Off.attachCancellation(&TOff);
+  for (size_t I = 0; I < Stream.size(); ++I)
+    EXPECT_EQ(On.isSatConj(Stream[I]), Off.isSatConj(Stream[I]))
+        << "query " << I;
+
+  SolverStats A = On.stats(), B = Off.stats();
+  EXPECT_GT(A.IntervalUnsat + A.IntervalSat, 0u)
+      << "the stream must actually exercise the prefilter";
+  EXPECT_GT(A.CacheHits, 0u) << "the stream must exercise the cache rung";
+  EXPECT_EQ(B.CacheHits + B.CacheMisses, 0u);
+  // Off answers every round below the cache, so its interval rung
+  // answers each interval-decided query once per round.
+  EXPECT_EQ(B.IntervalUnsat + B.IntervalSat,
+            3 * (A.IntervalUnsat + A.IntervalSat));
+  EXPECT_EQ(A.SatQueries, Stream.size());
+  EXPECT_EQ(A.SatQueries, B.SatQueries);
+  EXPECT_EQ(A.fuelUsed(), B.fuelUsed());
+  EXPECT_EQ(TOn.charged(), TOff.charged());
+  EXPECT_EQ(TOn.charged(), Stream.size());
+}
+
+TEST(Ladder, BudgetCutoffIdenticalOnAndOff) {
+  // A budget small enough to bite: polling between queries, like the
+  // inference loops do, stops both contexts after the same query —
+  // exactly one past the budget — because a cache hit, an interval
+  // answer and an Omega run each charge the token once.
+  std::vector<ConstraintConj> Stream = ladderStream(10);
+  for (uint64_t Budget : {5u, 12u, 30u}) {
+    SCOPED_TRACE("budget=" + std::to_string(Budget));
+    auto cutoff = [&](size_t Capacity, std::vector<Tri> &Answers) {
+      CancellationToken T(Budget);
+      SolverContext SC(Capacity);
+      SC.attachCancellation(&T);
+      size_t I = 0;
+      while (I < Stream.size() && !SC.cancelled())
+        Answers.push_back(SC.isSatConj(Stream[I++]));
+      EXPECT_EQ(T.charged(), I);
+      return I;
+    };
+    std::vector<Tri> OnAnswers, OffAnswers;
+    size_t OnStop = cutoff(SolverContext::DefaultCacheCapacity, OnAnswers);
+    size_t OffStop = cutoff(0, OffAnswers);
+    EXPECT_EQ(OnStop, Budget + 1);
+    EXPECT_EQ(OnStop, OffStop);
+    EXPECT_EQ(OnAnswers, OffAnswers);
   }
 }
 
