@@ -32,7 +32,7 @@ function(check_golden NAME EXPECTED)
     message(FATAL_ERROR "GoldenBytesSmoke: ${NAME} run failed (rc=${RC})")
   endif()
   # Everything after the "Batch:" summary header is the timing table,
-  # which legitimately varies run to run (as in LadderSmoke.cmake).
+  # which legitimately varies run to run.
   string(FIND "${OUT}" "\nBatch: " CUT)
   if(CUT EQUAL -1)
     message(FATAL_ERROR

@@ -12,6 +12,7 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
+#include <map>
 #include <mutex>
 
 using namespace tnt;
@@ -64,14 +65,19 @@ BatchResult BatchAnalyzer::run(const std::vector<BatchItem> &Items) {
 
   // The pipeline functions never read Config.Threads; the pool below
   // is the only thread budget. The batch-level store (incremental
-  // mode) rides on the per-program config slot.
+  // mode) rides on the per-program config slot. Without a caller
+  // store, an in-memory one lives for this run only: it serves in-run
+  // dedup and nothing else.
   AnalyzerConfig CfgStorage = Opt.Program;
   if (Opt.Store != nullptr)
     CfgStorage.Store = Opt.Store;
+  const bool CallerStore = CfgStorage.Store != nullptr;
+  SpecStore RunStore;
+  if (!CallerStore)
+    CfgStorage.Store = &RunStore;
   const AnalyzerConfig &Cfg = CfgStorage;
   GlobalSolverCache *Tier = Global.get();
-  const uint64_t StoreMissesBefore =
-      Cfg.Store != nullptr ? Cfg.Store->stats().Misses : 0;
+  const uint64_t StoreMissesBefore = Cfg.Store->stats().Misses;
 
   WorkStealingPool Pool(R.Threads);
 
@@ -91,10 +97,11 @@ BatchResult BatchAnalyzer::run(const std::vector<BatchItem> &Items) {
   // positional, so even the overflow tail keeps byte-determinism
   // (pinned by VarPoolOverflowTest).
   // The spec-store prescan runs inside the same sequential loop and
-  // session: it interns rehydration spellings (session-scoped) and
-  // snapshots the store's answers (PreparedProgram::StoreEntries), so
-  // the parallel group phase replays a schedule-independent store
-  // view.
+  // session: it computes the group keys, interns the spellings of the
+  // entries already stored (session-scoped) and snapshots those
+  // entries (PreparedProgram::StoreEntries). Entries the group phase
+  // inserts are picked up from the live store by later groups with the
+  // same key (see runPipelineGroup).
   std::vector<std::unique_ptr<PreparedProgram>> Prepared(NP);
   for (size_t P = 0; P < NP; ++P) {
     R.Programs[P].Session = std::make_shared<VarPool::Session>();
@@ -126,10 +133,36 @@ BatchResult BatchAnalyzer::run(const std::vector<BatchItem> &Items) {
     R.Programs[P].Result = std::move(A);
   };
 
+  // Per-key singleflight: the first group to reach a key the store
+  // cannot answer leads (runs it); later groups with that key park
+  // here, holding no worker, until the leader's run returns. The
+  // leader then resubmits them: they rehydrate its entry, or, when it
+  // stored nothing (budget cut, deadline bail, fallback ids,
+  // root-block leak), the first of them to run leads in turn. Flights
+  // maps each key being led to the (program, group) pairs parked on it.
+  std::mutex FlightMu;
+  std::map<std::string, std::vector<std::pair<size_t, size_t>>> Flights;
+
   // Group tasks submit their ready dependents themselves, so a
   // program's chain stays on the finishing worker's own deque while
   // idle workers steal independent programs.
   std::function<void(size_t, size_t)> RunGroupTask = [&](size_t P, size_t G) {
+    // The key this task leads, if any. Checked under FlightMu, so a
+    // leader's insert-then-release cannot slip between the store
+    // lookup and the park.
+    const std::string *Leads = nullptr;
+    const PreparedProgram &PP = *Prepared[P];
+    if (G < PP.GroupKeys.size() && PP.StoreEntries[G] == nullptr) {
+      std::lock_guard<std::mutex> L(FlightMu);
+      if (Cfg.Store->peek(PP.GroupKeys[G]) == nullptr) {
+        auto [It, First] = Flights.try_emplace(PP.GroupKeys[G]);
+        if (!First) {
+          It->second.emplace_back(P, G);
+          return;
+        }
+        Leads = &PP.GroupKeys[G];
+      }
+    }
     auto T0 = Clock::now();
     GroupRun Run;
     {
@@ -143,6 +176,17 @@ BatchResult BatchAnalyzer::run(const std::vector<BatchItem> &Items) {
     }
     double Ms =
         std::chrono::duration<double, std::milli>(Clock::now() - T0).count();
+    if (Leads != nullptr) {
+      std::vector<std::pair<size_t, size_t>> Followers;
+      {
+        std::lock_guard<std::mutex> L(FlightMu);
+        auto It = Flights.find(*Leads);
+        Followers = std::move(It->second);
+        Flights.erase(It);
+      }
+      for (auto [FP, FG] : Followers)
+        Pool.submit([&, FP, FG] { RunGroupTask(FP, FG); });
+    }
     {
       static metrics::Histogram &GroupUs =
           metrics::Registry::get().histogram("batch.group_us");
@@ -218,8 +262,7 @@ BatchResult BatchAnalyzer::run(const std::vector<BatchItem> &Items) {
     R.CondTerm += PR.Result.CondTerm;
     R.StoreHits += PR.Result.GroupsFromStore;
   }
-  if (Cfg.Store != nullptr)
-    R.StoreMisses = Cfg.Store->stats().Misses - StoreMissesBefore;
+  R.StoreMisses = Cfg.Store->stats().Misses - StoreMissesBefore;
   if (Global)
     R.Global = Global->stats();
   if (Opt.Profile)
@@ -241,7 +284,7 @@ BatchResult BatchAnalyzer::run(const std::vector<BatchItem> &Items) {
   if (Global)
     bridgeGlobalCacheStats("tier.", R.Global);
   bridgeCondTermStats("cond_term.", R.CondTerm);
-  if (Cfg.Store != nullptr)
+  if (CallerStore)
     bridgeSpecStoreStats("spec_store.", Cfg.Store->stats());
   return R;
 }

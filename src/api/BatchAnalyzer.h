@@ -38,12 +38,26 @@
 /// Sessions also make store keys position-independent ACROSS programs:
 /// every program's groups are keyed under the same root-0 numbering,
 /// so content-identical groups at the same group index in different
-/// programs share one spec-store entry (the near-twin dedup the
-/// ROADMAP's content-addressed direction asks for, for the common
-/// same-shape case). The store view each program replays is
-/// snapshotted at prescan time (see PreparedProgram::StoreEntries), so
-/// mid-run inserts by sibling programs never make hits — or interning
-/// order — schedule-dependent.
+/// programs share one spec-store entry.
+///
+/// In-run dedup. A batch infers each content key once: without a
+/// caller store, run() attaches an in-memory SpecStore that lives for
+/// that call only, and every group task goes through per-key
+/// singleflight. The first group to reach a key with no entry runs it;
+/// later groups with the key park without holding a worker, and the
+/// leader resubmits them once its run returns, so they rehydrate the
+/// entry it inserted. When the leader stored nothing (budget cut,
+/// fallback ids, root-block leak) the first resubmitted group leads
+/// instead. Entries present when the run starts replay through the
+/// prescan snapshot (PreparedProgram::StoreEntries); an entry inserted
+/// mid-run replays only if every fresh spelling it names lies in the
+/// consuming group's own block, which that group interns itself (see
+/// internOwnBlockSpellings). That check reads only the entry and the
+/// block map, and an entry is a pure function of its key, so which
+/// program leads never shows in the rendered outcomes. Which program
+/// pays for a key's solver work does depend on scheduling, like the
+/// tier hit rates above; with a nonzero FuelBudget it can move a
+/// budget cutoff.
 ///
 /// Each BatchProgramResult OWNS its session: rendering resolves VarIds
 /// through the session that built the result, so renderOutcomes() (and
@@ -117,7 +131,8 @@ struct BatchOptions {
   /// batch (overrides Program.Store). This is the INCREMENTAL mode:
   /// re-analyzing a corpus after edits re-runs only the changed groups
   /// and their transitive callers — every other group's key still hits
-  /// the store. Not owned; must outlive the analyzer.
+  /// the store. Not owned; must outlive the analyzer. Without one,
+  /// each run() uses a private in-memory store for in-run dedup.
   SpecStore *Store = nullptr;
   /// Capture per-group profile rows (BatchResult::Profile) for the
   /// --profile top-N slowest-groups table. Off by default: profiling
@@ -148,7 +163,7 @@ struct GroupProfile {
   std::string Program;   ///< BatchItem name.
   size_t ProgramIdx = 0; ///< Batch input index (deterministic tiebreak).
   size_t Group = 0;      ///< SCC-group index within the program.
-  std::string Key;       ///< Store content key ("" without a store).
+  std::string Key;       ///< Store content key.
   double Millis = 0;     ///< Group task wall-clock.
   bool FromStore = false;
   uint64_t SatQueries = 0;
@@ -179,7 +194,9 @@ struct BatchResult {
   bool GlobalTierEnabled = false;
   /// Groups served from / re-run against the spec store across the
   /// whole batch (sums of per-program GroupsFromStore and the store's
-  /// miss count delta; both zero without a store).
+  /// miss count delta). Without a caller store they count the run's
+  /// in-run dedup: StoreMisses groups ran inference, StoreHits groups
+  /// replayed an entry inserted earlier in the run.
   uint64_t StoreHits = 0;
   uint64_t StoreMisses = 0;
   /// Conditional-termination mode: set from the batch options; adds

@@ -96,9 +96,8 @@ tnt::prepareProgram(const std::string &Source, const AnalyzerConfig &Config,
           PP->Deps[G].insert(It->second);
       }
 
-  // The single-program block schedule; BatchAnalyzer overwrites
-  // GroupBlocks (before prescanSpecStore, which derives the store
-  // keys from them).
+  // The single-program block schedule, which every driver uses
+  // (prescanSpecStore derives the store keys from it).
   PP->RootBlock = RootBlock;
   PP->GroupBlocks.resize(PP->Groups.size());
   for (size_t G = 0; G < PP->Groups.size(); ++G)
@@ -136,10 +135,11 @@ void tnt::prescanSpecStore(PreparedProgram &PP,
   // order. Group tasks may rehydrate concurrently later; by then every
   // spelling they can touch is a deterministic function of the program
   // + store content, like the pre-interned "res"/primed spellings of
-  // prepareProgram. The peek results are snapshotted alongside: the
-  // group phase replays THIS moment's store view, so an entry a
-  // sibling program inserts mid-run can never become a hit whose
-  // spellings were not interned here.
+  // prepareProgram. The peek results are snapshotted alongside, so the
+  // group phase skips a second lookup. Entries that arrive later are
+  // interned by their consuming group task (see runPipelineGroup); the
+  // prescan stays as a hoist, keeping that interning out of the timed
+  // group tasks when the store is already populated.
   PP.StoreEntries.assign(PP.GroupKeys.size(), nullptr);
   std::vector<std::string> Fresh;
   for (size_t G = 0; G < PP.GroupKeys.size(); ++G)
@@ -278,11 +278,13 @@ GroupRun tnt::runPipelineGroup(PreparedProgram &PP,
   // Spec store, hit path: rehydrate the stored summaries and register
   // them for the callers above — no verification, no inference, no
   // solver context. A malformed or slot-mismatched entry (scheme
-  // drift, key collision) falls through to a normal run. The lookup
-  // goes through the PRESCAN SNAPSHOT, not the live store: an entry a
-  // concurrent sibling inserted after the prescan must stay a miss
-  // here, or its un-prescanned fresh spellings would intern in
-  // schedule-dependent order (see PreparedProgram::StoreEntries).
+  // drift, key collision) falls through to a normal run. The prescan
+  // snapshot answers first; on its miss the live store does, with an
+  // entry a sibling group inserted mid-run. Such an entry's fresh
+  // spellings were never prescanned, so they are interned here, under
+  // this group's block, and an entry naming a fresh spelling of any
+  // other block counts as a miss: only this task allocates in its own
+  // block, so the interning order cannot depend on scheduling.
   SpecStore *Store = Config.Store;
   const std::string *StoreKey =
       Store != nullptr && GroupIdx < PP.GroupKeys.size()
@@ -296,11 +298,16 @@ GroupRun tnt::runPipelineGroup(PreparedProgram &PP,
     const std::string *Entry =
         GroupIdx < PP.StoreEntries.size() ? PP.StoreEntries[GroupIdx]
                                           : nullptr;
+    const bool MidRun = Entry == nullptr;
+    if (MidRun)
+      Entry = Store->peek(*StoreKey);
     if (Entry != nullptr) {
       trace::Span RehydrateSpan("rehydrate", "store");
       std::vector<ScenarioSlot> Slots = scenarioSlots(PP, GroupIdx);
       RehydratedGroup RG;
-      if (rehydrateGroupEntry(*Entry, Slots, PP.StoreBlocks, RG)) {
+      if ((!MidRun || internOwnBlockSpellings(*Entry, PP.StoreBlocks,
+                                              PP.GroupBlocks[GroupIdx])) &&
+          rehydrateGroupEntry(*Entry, Slots, PP.StoreBlocks, RG)) {
         assembleFromStore(PP, GroupIdx, Slots, std::move(RG), Out);
         Store->noteHit();
         return Out;

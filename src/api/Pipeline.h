@@ -22,7 +22,7 @@
 ///
 /// analyzeProgram composes the three over a private thread pool;
 /// BatchAnalyzer schedules many programs' group tasks on one shared
-/// work-stealing pool and passes explicit fresh-variable blocks so
+/// work-stealing pool, each program in its own VarPool::Session so
 /// concurrently active scopes never collide.
 ///
 //===----------------------------------------------------------------------===//
@@ -95,11 +95,11 @@ struct PreparedProgram {
 
   /// The fresh-variable block schedule this program's groups will run
   /// under. prepareProgram fills the single-program default (root
-  /// block = the RootBlock argument, group G on block G + 1);
-  /// BatchAnalyzer overwrites GroupBlocks with its per-program
-  /// disjoint ranges BEFORE prescanSpecStore. The spec store
-  /// serializes fresh variables relative to these blocks (by group
-  /// content key), which is what keeps entries position-independent.
+  /// block = the RootBlock argument, group G on block G + 1), which
+  /// BatchAnalyzer keeps too: each of its programs runs in a private
+  /// VarPool::Session. The spec store serializes fresh variables
+  /// relative to these blocks (by group content key), which is what
+  /// keeps entries position-independent.
   uint32_t RootBlock = 0;
   std::vector<uint32_t> GroupBlocks;
   /// Block <-> content-key token map for the spec store; built by
@@ -108,12 +108,14 @@ struct PreparedProgram {
 
   /// Prescan-time snapshot of the store's answer per group (parallel
   /// to GroupKeys; null = miss at prescan time). runPipelineGroup
-  /// consults ONLY this snapshot, never the live store: entries
-  /// inserted by sibling programs (or sibling server requests) mid-run
-  /// must not turn into hits whose fresh spellings the prescan never
-  /// interned — that would make interning order, and with it rendered
-  /// bytes, depend on scheduling. SpecStore entries are node-stable
-  /// and insert-only, so the pointers stay valid for the program's
+  /// consults this snapshot first, and the live store only on its
+  /// miss: an entry a sibling program (or sibling server request)
+  /// inserted mid-run is a hit only when all its fresh spellings lie in
+  /// the consuming group's own block, which that group then interns
+  /// itself. The snapshot is a hoist, not a determinism requirement:
+  /// it keeps the interning of entries present before the run out of
+  /// the timed group tasks. SpecStore entries are node-stable and
+  /// insert-only, so the pointers stay valid for the program's
   /// lifetime.
   std::vector<const std::string *> StoreEntries;
 
@@ -131,22 +133,27 @@ std::unique_ptr<PreparedProgram> prepareProgram(const std::string &Source,
                                                 const AnalyzerConfig &Config,
                                                 uint32_t RootBlock = 0);
 
-/// Spec-store prescan (no-op without Config.Store): builds the
-/// program's block-token map and interns every fresh spelling its hit
-/// entries resolve to, in canonical (block, counter) order. MUST run
-/// in a sequential phase after the program's GroupBlocks are final and
-/// before any group task is scheduled — it is part of the "front ends
-/// intern everything deterministically" contract the parallel group
-/// phase relies on.
+/// Spec-store prescan (no-op without Config.Store): computes the group
+/// keys, builds the program's block-token map and interns every fresh
+/// spelling its hit entries resolve to, in canonical (block, counter)
+/// order. MUST run in a sequential phase after the program's
+/// GroupBlocks are final and before any group task is scheduled — it
+/// is part of the "front ends intern everything deterministically"
+/// contract the parallel group phase relies on.
 void prescanSpecStore(PreparedProgram &PP, const AnalyzerConfig &Config);
 
 /// Analyzes one group under VarPool::Scope(ScopeBlock) on a fresh
 /// SolverContext (attached to \p Global when non-null). Thread-safe
 /// across distinct groups of one program once every dependency group
-/// has finished, and across groups of distinct programs provided their
-/// ScopeBlocks are distinct. The single-program scheduler passes
-/// ScopeBlock = GroupIdx + 1 (the historical blocks); BatchAnalyzer
-/// passes per-program disjoint blocks.
+/// has finished, and across groups of distinct programs provided they
+/// run in distinct sessions or on distinct ScopeBlocks. Both drivers
+/// pass ScopeBlock = GroupBlocks[GroupIdx] (= GroupIdx + 1).
+///
+/// With a store attached, the group is answered from the prescan
+/// snapshot, else from an entry the live store gained mid-run whose
+/// fresh spellings all lie in this group's block (interned here), else
+/// by inference, whose summaries are then inserted when they are a
+/// pure function of the key.
 GroupRun runPipelineGroup(PreparedProgram &PP, const AnalyzerConfig &Config,
                           size_t GroupIdx, uint32_t ScopeBlock,
                           GlobalSolverCache *Global);

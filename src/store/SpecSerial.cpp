@@ -785,3 +785,18 @@ void tnt::internFreshSpellings(std::vector<std::string> Spellings) {
       mkVar(Recs[I].Spelling);
   }
 }
+
+bool tnt::internOwnBlockSpellings(const std::string &EntryJson,
+                                  const BlockTokenMap &Blocks,
+                                  uint32_t Block) {
+  std::vector<std::string> Fresh;
+  collectFreshSpellings(EntryJson, Blocks, Fresh);
+  for (const std::string &S : Fresh) {
+    uint32_t B;
+    uint64_t N;
+    if (parseFreshSpelling(S, B, N) && B != Block)
+      return false;
+  }
+  internFreshSpellings(std::move(Fresh));
+  return true;
+}

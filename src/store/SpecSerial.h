@@ -64,7 +64,11 @@
 /// in allocation-counter order — the same relative order a full
 /// fresh run produces — so the id-sorted And/Or child
 /// canonicalization, and with it every rendered summary, is
-/// byte-identical to a storeless run's.
+/// byte-identical to a storeless run's. An entry that reaches the
+/// store after the prescan is interned by its consuming group task
+/// instead (internOwnBlockSpellings), and only when all its fresh
+/// spellings lie in that group's own block, which no other task
+/// allocates in.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -186,9 +190,23 @@ void collectFreshSpellings(const std::string &EntryJson,
 
 /// Interns the collected spellings in canonical (block, counter)
 /// order, each inside VarPool::Scope(block), reproducing the producing
-/// run's relative id order (see file comment). Call from a sequential
-/// phase only, per VarPool's scope contract.
+/// run's relative id order (see file comment). Call it from a
+/// sequential phase, per VarPool's scope contract — or from a group
+/// task whose spellings all lie in that task's own block (see
+/// internOwnBlockSpellings), since no other task of the session
+/// allocates in that block.
 void internFreshSpellings(std::vector<std::string> Spellings);
+
+/// The mid-run form of the prescan, for an entry that reached the
+/// store after the consuming program's prescan: when every fresh
+/// spelling \p EntryJson resolves to under \p Blocks (nested bases
+/// included) lies in \p Block — the consuming group's own block —
+/// interns them as internFreshSpellings does and returns true.
+/// Otherwise interns nothing and returns false; the caller treats the
+/// entry as a miss. The answer depends only on the entry and the
+/// block map, never on what the session interned before.
+bool internOwnBlockSpellings(const std::string &EntryJson,
+                             const BlockTokenMap &Blocks, uint32_t Block);
 
 } // namespace tnt
 

@@ -112,11 +112,17 @@ void FarkasSystem::addImplication(const ConstraintConj &Ante,
 void FarkasSystem::addImplicationWithTemplate(const ConstraintConj &Ante,
                                               const ParamLinExpr &Template,
                                               const ParamLinExpr &Conseq) {
+  // Every int64 step below is exact or raises the overflow flag, which
+  // this scope hands to solve() (the encoding must not wrap: a wrapped
+  // coefficient would be a different, possibly feasible, system).
+  OverflowScope Overflow;
+
   // Multiplier variables: Lambda0 (slack) plus one per antecedent row.
   LVar Lambda0 = LP.addVar("l0", /*NonNeg=*/true);
   struct AnteRow {
     LVar Mult;
-    LinExpr P; // p_i(x) in the >= 0 orientation.
+    const LinExpr *E;
+    Rational Sign; // p_i(x) = Sign * E(x) is the >= 0 orientation.
   };
   std::vector<AnteRow> RowsA;
   for (const Constraint &C : Ante) {
@@ -124,16 +130,16 @@ void FarkasSystem::addImplicationWithTemplate(const ConstraintConj &Ante,
     // e <= 0 gives p = -e >= 0 with a non-negative multiplier;
     // e == 0 gives p = e with a free multiplier.
     if (C.isLe())
-      RowsA.push_back({LP.addVar("l", true), -C.expr()});
+      RowsA.push_back({LP.addVar("l", true), &C.expr(), Rational(-1)});
     else
-      RowsA.push_back({LP.addVar("le", false), C.expr()});
+      RowsA.push_back({LP.addVar("le", false), &C.expr(), Rational(1)});
   }
 
   // Identity: Conseq(x) == Lambda0 + sum Mult_i * p_i(x) + 1 * Template(x)
   // for all x. Collect the program variables involved.
   std::set<VarId> ProgVars;
   for (const AnteRow &R : RowsA)
-    R.P.collectVars(ProgVars);
+    R.E->collectVars(ProgVars);
   for (const auto &[V, C] : Conseq.Coeffs) {
     (void)C;
     ProgVars.insert(V);
@@ -144,9 +150,9 @@ void FarkasSystem::addImplicationWithTemplate(const ConstraintConj &Ante,
   }
 
   auto addParamTerms = [this](std::vector<LinTerm> &Terms, const LinExpr &E,
-                              int64_t Sign) {
+                              const Rational &Sign) {
     for (const auto &[P, A] : E.coeffs())
-      Terms.push_back({lpParam(P), Rational(Sign * A)});
+      Terms.push_back({lpParam(P), Sign * Rational(A)});
   };
 
   // One equality per program variable:
@@ -155,22 +161,22 @@ void FarkasSystem::addImplicationWithTemplate(const ConstraintConj &Ante,
   for (VarId V : ProgVars) {
     std::vector<LinTerm> Terms;
     for (const AnteRow &R : RowsA) {
-      int64_t C = R.P.coeff(V);
+      int64_t C = R.E->coeff(V);
       if (C != 0)
-        Terms.push_back({R.Mult, Rational(C)});
+        Terms.push_back({R.Mult, R.Sign * Rational(C)});
     }
-    int64_t Rhs = 0;
+    Rational Rhs;
     auto ItT = Template.Coeffs.find(V);
     if (ItT != Template.Coeffs.end()) {
-      addParamTerms(Terms, ItT->second, +1);
-      Rhs -= ItT->second.constant();
+      addParamTerms(Terms, ItT->second, Rational(1));
+      Rhs -= Rational(ItT->second.constant());
     }
     auto ItC = Conseq.Coeffs.find(V);
     if (ItC != Conseq.Coeffs.end()) {
-      addParamTerms(Terms, ItC->second, -1);
-      Rhs += ItC->second.constant();
+      addParamTerms(Terms, ItC->second, Rational(-1));
+      Rhs += Rational(ItC->second.constant());
     }
-    LP.addRow(Terms, LpRel::Eq, Rational(Rhs));
+    LP.addRow(Terms, LpRel::Eq, Rhs);
   }
 
   // Constant row:
@@ -178,23 +184,26 @@ void FarkasSystem::addImplicationWithTemplate(const ConstraintConj &Ante,
   std::vector<LinTerm> Terms;
   Terms.push_back({Lambda0, Rational(1)});
   for (const AnteRow &R : RowsA) {
-    int64_t C = R.P.constant();
+    int64_t C = R.E->constant();
     if (C != 0)
-      Terms.push_back({R.Mult, Rational(C)});
+      Terms.push_back({R.Mult, R.Sign * Rational(C)});
   }
-  int64_t Rhs = 0;
-  addParamTerms(Terms, Template.Const, +1);
-  Rhs -= Template.Const.constant();
-  addParamTerms(Terms, Conseq.Const, -1);
-  Rhs += Conseq.Const.constant();
-  LP.addRow(Terms, LpRel::Eq, Rational(Rhs));
+  Rational Rhs;
+  addParamTerms(Terms, Template.Const, Rational(1));
+  Rhs -= Rational(Template.Const.constant());
+  addParamTerms(Terms, Conseq.Const, Rational(-1));
+  Rhs += Rational(Conseq.Const.constant());
+  LP.addRow(Terms, LpRel::Eq, Rhs);
+  EncodingOverflowed |= Overflow.overflowed();
 }
 
 void FarkasSystem::addParamConstraint(const LinExpr &E, LpRel Rel) {
+  OverflowScope Overflow;
   std::vector<LinTerm> Terms;
   for (const auto &[P, A] : E.coeffs())
     Terms.push_back({lpParam(P), Rational(A)});
-  LP.addRow(Terms, Rel, Rational(-E.constant()));
+  LP.addRow(Terms, Rel, -Rational(E.constant()));
+  EncodingOverflowed |= Overflow.overflowed();
 }
 
 bool FarkasSystem::solve() {
@@ -202,7 +211,9 @@ bool FarkasSystem::solve() {
     SC->noteLpSolve();
   IntParams.clear();
   OverflowScope Overflow;
-  Simplex::Result R = LP.checkFeasible();
+  // A system the encoding could not state exactly is not solved.
+  Simplex::Result R =
+      EncodingOverflowed ? Simplex::Result::Overflow : LP.checkFeasible();
   if (R == Simplex::Result::Infeasible)
     return false;
   bool Ok = R == Simplex::Result::Feasible;
@@ -220,8 +231,9 @@ bool FarkasSystem::solve() {
       IntParams[P] = V.num();
     }
   }
-  // An LP or a scaling that left 64 bits has no trustworthy answer:
-  // reject the candidate, so the verdict can only fall back to Unknown.
+  // An encoding, LP or scaling that left 64 bits has no trustworthy
+  // answer: reject the candidate, so the verdict can only fall back to
+  // Unknown.
   if (!Ok || Overflow.overflowed()) {
     IntParams.clear();
     if (SC)

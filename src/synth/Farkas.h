@@ -91,7 +91,9 @@ public:
   /// "E Rel 0" with E affine in parameters.
   void addParamConstraint(const LinExpr &E, LpRel Rel);
 
-  /// Solves the accumulated system.
+  /// Solves the accumulated system. False when it is infeasible, and
+  /// also when an encoding step or the LP left 64 bits: the candidate
+  /// is rejected and the context's LpOverflows counts it.
   bool solve();
 
   /// Integer parameter values (scaled by the common denominator of the
@@ -108,6 +110,8 @@ private:
   Simplex LP;
   std::map<VarId, LVar> ParamToLp;
   std::map<VarId, int64_t> IntParams;
+  /// An add* call could not state a row exactly in 64 bits.
+  bool EncodingOverflowed = false;
 };
 
 } // namespace tnt

@@ -4,15 +4,21 @@
 // standalone analyzeProgram verdicts, failed-program handling,
 // per-category tables, the two-tier fuel accounting contract (queries
 // answered by the global tier are not charged to the program that
-// asked), and tier persistence across run() calls.
+// asked), tier persistence across run() calls, and in-run dedup (each
+// content key inferred once per batch).
 //
 //===----------------------------------------------------------------------===//
 
 #include "api/BatchAnalyzer.h"
+#include "api/Pipeline.h"
 #include "solver/GlobalCache.h"
+#include "store/SpecSerial.h"
+#include "store/SpecStore.h"
 #include "workloads/Corpus.h"
 
 #include <gtest/gtest.h>
+
+#include <set>
 
 using namespace tnt;
 
@@ -22,6 +28,22 @@ const char *TermSrc = R"(
 int dec(int k)
 {
   if (k <= 0) return 0;
+  else return dec(k - 1);
+}
+int main(int n)
+{
+  return dec(n);
+}
+)";
+
+// A near-twin of TermSrc: the base case reads k < 1 instead of
+// k <= 0. Both normalize to the same integer constraint, so the two
+// programs issue overlapping sat queries, but their content keys
+// differ, so neither can replay the other's groups.
+const char *TermLtSrc = R"(
+int dec(int k)
+{
+  if (k < 1) return 0;
   else return dec(k - 1);
 }
 int main(int n)
@@ -109,13 +131,14 @@ TEST(BatchAnalyzer, PerCategoryCountsAndTable) {
 }
 
 TEST(BatchAnalyzer, GlobalTierSharesAcrossDuplicatePrograms) {
-  // Two copies of one program: whichever copy the single worker runs
-  // first pays cold; its twin answers a chunk of its queries from the
-  // promoted entries. (The pool makes no ordering promise — input
-  // order of RESULTS is guaranteed, execution order is not — so the
-  // test identifies cold/warm by their tier-hit counters.)
+  // Two near-twin programs (exact twins would share one inference):
+  // whichever copy the single worker runs first pays cold; its twin
+  // answers a chunk of its queries from the promoted entries. (The
+  // pool makes no ordering promise — input order of RESULTS is
+  // guaranteed, execution order is not — so the test identifies
+  // cold/warm by their tier-hit counters.)
   std::vector<BatchItem> Items = {item("p1", "c", TermSrc),
-                                  item("p2", "c", TermSrc)};
+                                  item("p2", "c", TermLtSrc)};
   BatchOptions Opt;
   Opt.Threads = 1; // One worker: one copy fully finalizes first.
   BatchAnalyzer BA(Opt);
@@ -131,7 +154,10 @@ TEST(BatchAnalyzer, GlobalTierSharesAcrossDuplicatePrograms) {
   EXPECT_GT(R.Global.SatHits, 0u);
   EXPECT_GT(R.Global.SatEntries, 0u);
 
-  // Identical programs issue identical query sequences...
+  // Neither copy replayed the other's groups...
+  EXPECT_EQ(R.StoreHits, 0u);
+  EXPECT_EQ(R.StoreMisses, 4u);
+  // ...and near-twins issue identical query sequences...
   EXPECT_EQ(Cold.SolverUsage.SatQueries, Warm.SolverUsage.SatQueries);
   // ...but the twin is charged less fuel: global-tier answers were
   // paid for by the cold copy (the no-double-count contract).
@@ -220,12 +246,12 @@ TEST(TwoTierFuel, DisabledLocalCacheStillUsesTier) {
 }
 
 TEST(TwoTierFuel, PerProgramBudgetHonorsTierHits) {
-  // A batch of twins where the budget is tight enough that the cold
-  // copy exceeds it, while the warm copy (fed by the tier) stays
-  // inside — only because tier hits are not charged against the
-  // per-program budget.
+  // A batch of near-twins (exact twins would share one inference)
+  // where the budget is tight enough that the cold copy exceeds it,
+  // while the warm copy (fed by the tier) stays inside — only because
+  // tier hits are not charged against the per-program budget.
   std::vector<BatchItem> Items = {item("a", "c", TermSrc),
-                                  item("b", "c", TermSrc)};
+                                  item("b", "c", TermLtSrc)};
   BatchOptions Opt;
   Opt.Threads = 1;
   BatchAnalyzer Probe(Opt);
@@ -253,4 +279,162 @@ TEST(TwoTierFuel, PerProgramBudgetHonorsTierHits) {
   EXPECT_EQ(TimedOut.SolverUsage.GlobalSatHits, 0u);
   EXPECT_GT(Finished.SolverUsage.GlobalSatHits, 0u);
   EXPECT_EQ(Finished.outcome(), Outcome::Yes);
+}
+
+//===----------------------------------------------------------------------===//
+// In-run dedup: with or without a caller store, each content key is
+// inferred once per batch. The first group to reach a key leads; later
+// groups with the key park and then replay the leader's entry.
+//===----------------------------------------------------------------------===//
+
+namespace {
+
+/// The outcome rendering of one program of \p R alone.
+std::string renderOne(const BatchResult &R, size_t P) {
+  BatchResult One;
+  One.Programs.push_back(R.Programs[P]);
+  return One.renderOutcomes();
+}
+
+} // namespace
+
+TEST(BatchDedup, EachKeyInferredOnceAndOutcomesMatchSoloRuns) {
+  // Exact twins (t1, t2), a near-twin of them (t3: overlapping queries,
+  // different keys) and a loop program present three times.
+  std::vector<BatchItem> Items = {
+      item("t1", "a", TermSrc),  item("l1", "b", LoopSrc),
+      item("t2", "a", TermSrc),  item("t3", "a", TermLtSrc),
+      item("l2", "b", LoopSrc),  item("l3", "b", LoopSrc)};
+
+  // Each program in a one-program batch, where nothing can be shared.
+  std::vector<std::string> Solo;
+  for (const BatchItem &It : Items) {
+    BatchAnalyzer BA;
+    BatchResult R = BA.run({It});
+    EXPECT_EQ(R.StoreHits, 0u);
+    EXPECT_EQ(R.StoreMisses, 2u);
+    Solo.push_back(renderOne(R, 0));
+  }
+
+  for (unsigned Threads : {1u, 2u, 4u, 8u}) {
+    BatchOptions Opt;
+    Opt.Threads = Threads;
+    Opt.Profile = true;
+    BatchAnalyzer BA(Opt);
+    BatchResult R = BA.run(Items);
+    std::set<std::string> Keys;
+    for (const GroupProfile &Row : R.Profile)
+      Keys.insert(Row.Key);
+    // Two groups per program; dec+main of TermSrc, of TermLtSrc, and
+    // spin+main of LoopSrc are the distinct keys.
+    ASSERT_EQ(R.Profile.size(), 12u);
+    ASSERT_EQ(Keys.size(), 6u);
+    EXPECT_EQ(R.StoreMisses, 6u) << Threads << " threads";
+    EXPECT_EQ(R.StoreHits, 6u) << Threads << " threads";
+    for (size_t P = 0; P < Items.size(); ++P)
+      EXPECT_EQ(renderOne(R, P), Solo[P])
+          << Items[P].Name << " at " << Threads << " threads";
+  }
+}
+
+TEST(BatchDedup, UnstoredLeaderReleasesFollowers) {
+  // A budget cut leaves the cut group unstored, so each parked copy of
+  // it is released to lead in turn and runs inference itself. Without
+  // the global tier every copy burns the same fuel, so every copy's
+  // dec group is cut and its main group skipped.
+  BatchOptions Probe;
+  Probe.GlobalTier = false;
+  BatchAnalyzer Free(Probe);
+  const uint64_t Fuel = Free.run({item("t", "a", TermSrc)})
+                            .Programs[0].Result.FuelUsed;
+  ASSERT_GT(Fuel, 2u);
+
+  std::vector<BatchItem> Items(3, item("t", "a", TermSrc));
+  for (unsigned Threads : {1u, 2u, 4u, 8u}) {
+    BatchOptions Opt = Probe;
+    Opt.Threads = Threads;
+    Opt.Program.FuelBudget = Fuel / 2;
+    BatchAnalyzer BA(Opt);
+    BatchResult R = BA.run(Items);
+    ASSERT_EQ(R.Programs.size(), 3u);
+    for (const BatchProgramResult &P : R.Programs) {
+      EXPECT_EQ(P.Verdict, Outcome::Timeout) << Threads << " threads";
+      EXPECT_EQ(P.Result.GroupsFromStore, 0u);
+    }
+    EXPECT_EQ(R.StoreHits, 0u) << Threads << " threads";
+    EXPECT_EQ(R.StoreMisses, 3u) << Threads << " threads";
+  }
+}
+
+namespace {
+
+/// A dec-group entry of TermSrc whose one guard names the fresh
+/// variable \p Spelling, serialized in a session of its own. Sets
+/// \p Key to the dec group's content key.
+std::string decEntryNaming(const std::string &Spelling, std::string &Key) {
+  VarPool::Session S;
+  VarPool::SessionScope Active(S);
+  AnalyzerConfig Cfg = batchProgramConfig();
+  SpecStore Store;
+  Cfg.Store = &Store;
+  std::unique_ptr<PreparedProgram> PP = prepareProgram(TermSrc, Cfg);
+  prescanSpecStore(*PP, Cfg);
+  Key = PP->GroupKeys[0];
+
+  CaseTree Leaf;
+  Leaf.Temporal = TemporalSpec::mayLoop();
+  CaseTree Tree;
+  Tree.Children.emplace_back(
+      Formula::cmp(LinExpr::var(mkVar(Spelling)), CmpKind::Ge, LinExpr(0)),
+      Leaf);
+  ScenarioRecord Rec;
+  Rec.Slot.Params = Verifier::canonicalParams(*PP->P.findMethod("dec"),
+                                              Verifier::defaultSpec());
+  Rec.Slot.NumMethodParams = 1;
+  Rec.Cases = &Tree;
+  std::optional<std::string> Entry =
+      serializeGroupEntry({Rec}, "", false, PP->StoreBlocks);
+  return Entry ? *Entry : std::string();
+}
+
+} // namespace
+
+TEST(BatchDedup, EntryNamingAnotherBlocksFreshSpellingIsAMiss) {
+  // An entry that reaches the store after a program's prescan replays
+  // only when every fresh spelling it names lies in the consuming
+  // group's own block. TermSrc's dec group runs on block 1 and main on
+  // block 2; the entry's guard names a block-1 variable, a block-2
+  // one, or a block-1 variable whose fresh base is from block 2.
+  struct Case {
+    std::string Spelling;
+    bool Replays;
+  };
+  for (const Case &C : {Case{"w!b1!3", true}, Case{"w!b2!0", false},
+                        Case{"w!b2!0!b1!3", false}}) {
+    std::string Key;
+    std::string Entry = decEntryNaming(C.Spelling, Key);
+    ASSERT_FALSE(Entry.empty()) << C.Spelling;
+
+    VarPool::Session S;
+    VarPool::SessionScope Active(S);
+    AnalyzerConfig Cfg = batchProgramConfig();
+    SpecStore Store;
+    Cfg.Store = &Store;
+    std::unique_ptr<PreparedProgram> PP = prepareProgram(TermSrc, Cfg);
+    prescanSpecStore(*PP, Cfg);
+    ASSERT_EQ(PP->Groups[0], std::vector<std::string>{"dec"});
+    ASSERT_EQ(PP->GroupKeys[0], Key);
+    ASSERT_EQ(PP->StoreEntries[0], nullptr); // Not in the snapshot.
+    Store.insert(Key, Entry);                 // Mid-run.
+
+    GroupRun Run = runPipelineGroup(*PP, Cfg, 0, PP->GroupBlocks[0], nullptr);
+    EXPECT_EQ(Run.FromStore, C.Replays) << C.Spelling;
+    EXPECT_EQ(Store.stats().Hits, C.Replays ? 1u : 0u) << C.Spelling;
+    EXPECT_EQ(Store.stats().Misses, C.Replays ? 0u : 1u) << C.Spelling;
+    if (C.Replays) {
+      ASSERT_EQ(Run.Methods.size(), 1u);
+      EXPECT_NE(Run.Methods[0].Summary.str().find(C.Spelling),
+                std::string::npos);
+    }
+  }
 }

@@ -119,6 +119,65 @@ TEST(Farkas, OverflowRejectsCandidateAndCounts) {
   EXPECT_EQ(SC.stats().LpOverflows, 1u);
 }
 
+TEST(Farkas, EncodingOverflowRejectsCandidateAndCounts) {
+  // Encoding steps whose exact int64 result does not exist — negating
+  // an INT64_MIN constant or coefficient, summing template and
+  // consequence constants into a row's right-hand side — must reject
+  // the candidate and count an overflow, never wrap (a wrapped row is
+  // a different system, possibly a feasible one).
+  const int64_t Min = INT64_MIN;
+  VarId X = mkVar("fkx");
+  VarId P = freshVar("fk_p");
+  SolverContext SC;
+  auto expectRejected = [&](FarkasSystem &FS, uint64_t Solves) {
+    EXPECT_FALSE(FS.solve());
+    EXPECT_TRUE(FS.params().empty());
+    EXPECT_EQ(SC.stats().LpSolves, Solves);
+    EXPECT_EQ(SC.stats().LpOverflows, Solves);
+  };
+  {
+    // "p + INT64_MIN >= 0": the row's right-hand side negates the
+    // constant.
+    FarkasSystem FS(&SC);
+    FS.addParamConstraint(LinExpr::var(P) + LinExpr(Min), LpRel::Ge);
+    expectRejected(FS, 1);
+  }
+  {
+    // Consequence coefficient INT64_MIN * p: it enters the x row
+    // negated.
+    FarkasSystem FS(&SC);
+    ParamLinExpr Conseq;
+    Conseq.Coeffs[X] = LinExpr::var(P, Min);
+    FS.addImplication({ge(ex(X), LinExpr(0))}, Conseq);
+    expectRejected(FS, 2);
+  }
+  {
+    // Template coefficient with constant INT64_MIN: the x row's
+    // right-hand side subtracts it.
+    FarkasSystem FS(&SC);
+    ParamLinExpr Tmpl;
+    Tmpl.Coeffs[X] = LinExpr(Min);
+    FS.addImplicationWithTemplate({ge(ex(X), LinExpr(0))}, Tmpl,
+                                  ParamLinExpr::fromConcrete(ex(X)));
+    expectRejected(FS, 3);
+  }
+  {
+    // Antecedent INT64_MIN * x <= 0: its ">= 0" orientation negates
+    // the coefficient.
+    FarkasSystem FS(&SC);
+    FS.addImplication({le(LinExpr::var(X, Min), LinExpr(0))},
+                      ParamLinExpr::fromConcrete(ex(X)));
+    expectRejected(FS, 4);
+  }
+  // The flag belongs to the system that raised it: a later in-range
+  // system on the same context solves and counts no overflow.
+  FarkasSystem Fine(&SC);
+  Fine.addParamConstraint(LinExpr::var(P) - 1, LpRel::Ge);
+  EXPECT_TRUE(Fine.solve());
+  EXPECT_EQ(SC.stats().LpSolves, 5u);
+  EXPECT_EQ(SC.stats().LpOverflows, 4u);
+}
+
 //===----------------------------------------------------------------------===//
 // Ranking synthesis
 //===----------------------------------------------------------------------===//

@@ -318,9 +318,13 @@ int runBatch(const std::string &Target, const AnalyzerConfig &Cli,
   if (Profile)
     std::cout << "\n" << R.profileTable();
   if (ShowStats) {
-    // Per-tier breakdown: the local (per-context LRU) tier, the shared
+    // Groups that ran inference vs. replayed an entry (stored, or
+    // inserted earlier in this run — so also without --store), then the
+    // per-tier breakdown: the local (per-context LRU) tier, the shared
     // global tier split by cache generation, and the intern-table
     // footprint — the counters a soak regression shows up in first.
+    std::cout << "groups: inferred=" << R.StoreMisses
+              << " replayed=" << R.StoreHits << "\n";
     const SolverStats &S = R.Usage;
     std::cout << "local tier: sat_queries=" << S.SatQueries
               << " hits=" << S.CacheHits << " misses=" << S.CacheMisses
