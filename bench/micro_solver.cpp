@@ -381,10 +381,14 @@ int emitJson(const std::string &Path) {
   double PrefilterSpeedup =
       OmegaSec > 0 && PrefilteredSec > 0 ? OmegaSec / PrefilteredSec : 0.0;
 
+  // 5. The exact LP on a 1-thread @fig11 batch, whose counts do not
+  // depend on the schedule; the prefilter share above reads it too.
   BatchOptions FigOpt;
-  FigOpt.Threads = Threads;
+  FigOpt.Threads = 1;
   BatchAnalyzer FigBA(FigOpt);
+  auto F0 = Clock::now();
   BatchResult FigR = FigBA.run(loopBasedBatchItems());
+  auto F1 = Clock::now();
   double FigAnswerRate =
       FigR.Usage.SatQueries
           ? double(FigR.Usage.IntervalUnsat + FigR.Usage.IntervalSat) /
@@ -428,6 +432,12 @@ int emitJson(const std::string &Path) {
   Out << "    \"chain_speedup_vs_omega\": " << PrefilterSpeedup << ",\n";
   Out << "    \"prefilter_answer_rate\": " << AnswerRate << ",\n";
   Out << "    \"fig11_prefilter_answer_rate\": " << FigAnswerRate << "\n";
+  Out << "  },\n";
+  Out << "  \"lp\": {\n";
+  Out << "    \"fig11_lp_solves\": " << FigR.Usage.LpSolves << ",\n";
+  Out << "    \"fig11_lp_pivots\": " << FigR.Usage.LpPivots << ",\n";
+  Out << "    \"fig11_lp_overflows\": " << FigR.Usage.LpOverflows << ",\n";
+  Out << "    \"fig11_batch_ms\": " << Secs(F0, F1) * 1000.0 << "\n";
   Out << "  }\n";
   Out << "}\n";
   std::cout << "BENCH_solver.json: cached " << CachedQps << " q/s vs uncached "
@@ -438,7 +448,10 @@ int emitJson(const std::string &Path) {
             << " threads (deterministic: " << (Deterministic ? "yes" : "no")
             << "); prefilter x" << PrefilterSpeedup
             << " vs Omega on chains (answer rate " << AnswerRate
-            << "), fig11 answer rate " << FigAnswerRate << "\n";
+            << "), fig11 answer rate " << FigAnswerRate << "; fig11 LP "
+            << FigR.Usage.LpSolves << " solves, " << FigR.Usage.LpPivots
+            << " pivots, " << FigR.Usage.LpOverflows << " overflows in "
+            << Secs(F0, F1) * 1000.0 << " ms\n";
   return Deterministic ? 0 : 1;
 }
 

@@ -25,6 +25,7 @@ void tnt::bridgeSolverStats(const std::string &Prefix, const SolverStats &S) {
   put(Prefix, "cache_misses", S.CacheMisses);
   put(Prefix, "cache_evictions", S.CacheEvictions);
   put(Prefix, "lp_solves", S.LpSolves);
+  put(Prefix, "lp_pivots", S.LpPivots);
   put(Prefix, "lp_overflows", S.LpOverflows);
   put(Prefix, "dnf_queries", S.DnfQueries);
   put(Prefix, "dnf_hits", S.DnfHits);

@@ -2,6 +2,9 @@
 
 #include "simplex/Simplex.h"
 
+#include <algorithm>
+#include <cstdint>
+
 using namespace tnt;
 
 LVar Simplex::addVar(const std::string &Name, bool NonNeg) {
@@ -24,96 +27,142 @@ Rational Simplex::value(LVar V) const {
 
 namespace {
 
-/// Dense tableau in "dictionary" style: basic variable per row, the
-/// matrix holds the coefficients of non-basic columns after elimination.
-struct Tableau {
-  size_t M;         // rows
-  size_t TotalCols; // structural + slack + artificial columns
-  std::vector<std::vector<Rational>> A; // M x TotalCols
-  std::vector<Rational> B;              // M
-  std::vector<size_t> Basis;            // M, column index of basic var
-  /// The nonzero columns of the last pivot row.
-  std::vector<size_t> PivotCols;
+/// X -= C*Y; true iff a step left int64.
+bool subMul(int64_t &X, int64_t C, int64_t Y) {
+  int64_t P;
+  return __builtin_mul_overflow(C, Y, &P) | __builtin_sub_overflow(X, P, &X);
+}
 
-  /// Pivots on (Row, Col): Col enters the basis, Basis[Row] leaves. A
-  /// column where the pivot row is zero would only subtract an exact
-  /// zero, so the update visits the pivot row's nonzero columns alone.
-  void pivot(size_t Row, size_t Col) {
-    std::vector<Rational> &R = A[Row];
-    Rational P = R[Col];
-    PivotCols.clear();
-    for (size_t J = 0; J < TotalCols; ++J)
-      if (!R[J].isZero()) {
-        R[J] /= P;
-        PivotCols.push_back(J);
-      }
-    B[Row] /= P;
-    for (size_t I = 0; I < M; ++I) {
-      if (I == Row)
-        continue;
-      Rational F = A[I][Col];
-      if (F.isZero())
-        continue;
-      for (size_t J : PivotCols)
-        A[I][J] -= F * R[J];
-      B[I] -= F * B[Row];
+/// Entries this large make a row divide out its content.
+constexpr int64_t ReduceAt = int64_t(1) << 31;
+
+/// One fraction-free row: a positive integer multiple of the row the
+/// rational tableau holds. The multiple is the entry in the row's basic
+/// column, which the rational tableau keeps at 1; the reduced-cost row
+/// has a multiple of its own and holds minus the objective in B.
+struct IntRow {
+  std::vector<int64_t> V;   // one entry per column
+  std::vector<uint32_t> Nz; // the columns where V != 0, in no order
+  int64_t B = 0;            // right-hand side
+};
+
+/// The tableau in "dictionary" style: a basic column per row, and the
+/// reduced-cost row Z.
+struct Tableau {
+  size_t M = 0;
+  std::vector<IntRow> Rows;
+  std::vector<size_t> Basis;
+  IntRow Z;
+  uint64_t Pivots = 0;
+
+  /// T = (P/g)*T - (F/g)*R with g = gcd(P, F), where P > 0 and F != 0
+  /// are R's and T's entries in the column this eliminates from T. Only
+  /// columns nonzero in T or R can change, so the update visits their
+  /// nonzero lists alone. Divides T by its content once an entry reaches
+  /// ReduceAt. A step that leaves int64 raises the overflow flag.
+  void combine(IntRow &T, const IntRow &R, int64_t P, int64_t F) {
+    int64_t G = gcd64(P, F);
+    int64_t PG = P / G, FG = F / G;
+    bool Overflowed = false, Big = false;
+    if (PG != 1) {
+      for (uint32_t J : T.Nz)
+        Overflowed |= __builtin_mul_overflow(PG, T.V[J], &T.V[J]);
+      Overflowed |= __builtin_mul_overflow(PG, T.B, &T.B);
     }
-    Basis[Row] = Col;
+    for (uint32_t J : R.Nz) {
+      bool WasZero = T.V[J] == 0;
+      Overflowed |= subMul(T.V[J], FG, R.V[J]);
+      if (WasZero)
+        T.Nz.push_back(J);
+    }
+    Overflowed |= subMul(T.B, FG, R.B);
+    // Drop the columns that cancelled, the one that left T among them.
+    size_t Kept = 0;
+    for (uint32_t J : T.Nz) {
+      T.Nz[Kept] = J;
+      Kept += T.V[J] != 0;
+      Big |= T.V[J] >= ReduceAt || T.V[J] <= -ReduceAt;
+    }
+    T.Nz.resize(Kept);
+    Big |= T.B >= ReduceAt || T.B <= -ReduceAt;
+    if (Overflowed)
+      raiseOverflow();
+    else if (Big)
+      reduce(T);
   }
 
-  /// Phase 1: primal simplex with Bland's rule on the reduced objective
-  /// Z (one entry per column), whose value Z0 is minus the sum of the
-  /// artificials. Stops at Z0 == 0: the basic solution is then
+  /// Divides T by the gcd of its entries, a positive number: signs,
+  /// ratios and the values read off stay the same.
+  static void reduce(IntRow &T) {
+    int64_t G = gcd64(T.B, 0);
+    for (uint32_t J : T.Nz) {
+      if (G == 1)
+        return;
+      G = gcd64(G, T.V[J]);
+    }
+    if (G <= 1)
+      return;
+    for (uint32_t J : T.Nz)
+      T.V[J] /= G;
+    T.B /= G;
+  }
+
+  /// Pivots on (Row, Col): Col enters the basis, Basis[Row] leaves. The
+  /// pivot row stays as it is; its multiple becomes its entry in Col.
+  void pivot(size_t Row, size_t Col) {
+    const IntRow &R = Rows[Row];
+    int64_t P = R.V[Col];
+    for (size_t I = 0; I < M; ++I)
+      if (I != Row && Rows[I].V[Col] != 0)
+        combine(Rows[I], R, P, Rows[I].V[Col]);
+    combine(Z, R, P, Z.V[Col]);
+    Basis[Row] = Col;
+    ++Pivots;
+  }
+
+  /// Phase 1: primal simplex with Bland's rule on the reduced costs Z,
+  /// whose right-hand side is minus the objective, the sum of the
+  /// artificials. Stops when that is 0: the basic solution is then
   /// feasible, and every pivot a longer run would still make — further
   /// phase-1 steps and those driving zero artificials out of the basis —
   /// is degenerate, so the vertex is the one a longer run would return.
   /// Also stops when \p Overflow trips.
-  void optimize(std::vector<Rational> &Z, Rational &Z0,
-                const OverflowScope &Overflow) {
+  void optimize(const OverflowScope &Overflow) {
     // Make the objective consistent with the current basis: eliminate
     // basic columns from Z.
-    for (size_t I = 0; I < M; ++I) {
-      Rational F = Z[Basis[I]];
-      if (F.isZero())
-        continue;
-      for (size_t J = 0; J < TotalCols; ++J)
-        if (!A[I][J].isZero())
-          Z[J] -= F * A[I][J];
-      Z0 += F * B[I];
-    }
-    while (!Z0.isZero() && !Overflow.overflowed()) {
+    for (size_t I = 0; I < M; ++I)
+      if (Z.V[Basis[I]] != 0)
+        combine(Z, Rows[I], Rows[I].V[Basis[I]], Z.V[Basis[I]]);
+    while (Z.B != 0 && !Overflow.overflowed()) {
       // Bland: the lowest-index column with positive reduced cost.
-      size_t Enter = TotalCols;
-      for (size_t J = 0; J < TotalCols; ++J)
-        if (Z[J].isPos()) {
+      size_t Enter = SIZE_MAX;
+      for (uint32_t J : Z.Nz)
+        if (Z.V[J] > 0 && J < Enter)
           Enter = J;
-          break;
-        }
-      if (Enter == TotalCols)
+      if (Enter == SIZE_MAX)
         return; // Optimal below zero: infeasible.
-      // Ratio test, Bland tie-break on basic variable index.
+      // Ratio test on B_i / a_i,Enter (the multiple cancels), Bland
+      // tie-break on basic variable index.
       size_t Leave = M;
-      Rational BestRatio;
       for (size_t I = 0; I < M; ++I) {
-        if (!A[I][Enter].isPos())
+        int64_t A = Rows[I].V[Enter];
+        if (A <= 0)
           continue;
-        Rational Ratio = B[I] / A[I][Enter];
-        if (Leave == M || Ratio < BestRatio ||
-            (Ratio == BestRatio && Basis[I] < Basis[Leave])) {
+        if (Leave == M) {
           Leave = I;
-          BestRatio = Ratio;
+          continue;
         }
+        __int128 Mine =
+            static_cast<__int128>(Rows[I].B) * Rows[Leave].V[Enter];
+        __int128 Best = static_cast<__int128>(Rows[Leave].B) * A;
+        if (Mine < Best || (Mine == Best && Basis[I] < Basis[Leave]))
+          Leave = I;
       }
       // No leaving row would make the objective unbounded, but it is
-      // bounded above by zero; Z0 < 0 then reads as infeasible.
+      // bounded above by zero; a nonzero one then reads as infeasible.
       if (Leave == M)
         return;
       pivot(Leave, Enter);
-      // Maintain reduced costs.
-      Rational F = Z[Enter];
-      for (size_t J : PivotCols)
-        Z[J] -= F * A[Leave][J];
-      Z0 += F * B[Leave];
     }
   }
 };
@@ -122,6 +171,7 @@ struct Tableau {
 
 Simplex::Result Simplex::checkFeasible() {
   Solution.clear();
+  Pivots = 0;
   OverflowScope Overflow;
 
   // Column layout: per-variable columns, then one slack per inequality
@@ -144,51 +194,69 @@ Simplex::Result Simplex::checkFeasible() {
 
   Tableau T;
   T.M = M;
-  T.TotalCols = TotalCols;
-  T.A.assign(M, std::vector<Rational>(TotalCols, Rational(0)));
-  T.B.assign(M, Rational(0));
+  T.Rows.resize(M);
   T.Basis.assign(M, 0);
 
+  // Each row is the rational row, normalized to Rhs >= 0 for the
+  // artificial basis, times the lcm of its denominators.
+  std::vector<Rational> Coef(StructCols);
   size_t SlackIdx = 0;
   for (size_t I = 0; I < M; ++I) {
     const RowInfo &R = Rows[I];
-    std::vector<Rational> &Row = T.A[I];
+    std::fill(Coef.begin(), Coef.end(), Rational(0));
     for (const LinTerm &Term : R.Terms) {
       const VarInfo &V = Vars[Term.Var];
-      Row[V.Pos] += Term.Coef;
+      Coef[V.Pos] += Term.Coef;
       if (!V.NonNeg)
-        Row[V.Neg] -= Term.Coef;
+        Coef[V.Neg] -= Term.Coef;
     }
     if (R.Rel == LpRel::Le)
-      Row[SlackBase + SlackIdx++] = Rational(1);
+      Coef[SlackBase + SlackIdx++] = Rational(1);
     else if (R.Rel == LpRel::Ge)
-      Row[SlackBase + SlackIdx++] = Rational(-1);
-    // Normalize to Rhs >= 0 for the artificial basis.
-    T.B[I] = R.Rhs;
-    if (R.Rhs.isNeg()) {
-      for (size_t J = 0; J < StructCols; ++J)
-        Row[J] = -Row[J];
-      T.B[I] = -R.Rhs;
-    }
-    Row[ArtBase + I] = Rational(1);
+      Coef[SlackBase + SlackIdx++] = Rational(-1);
+    int64_t Scale = R.Rhs.den();
+    for (const Rational &C : Coef)
+      Scale = lcm64(Scale, C.den());
+    bool Flip = R.Rhs.isNeg();
+    auto Scaled = [&](const Rational &C, int64_t &Out) {
+      if (__builtin_mul_overflow(C.num(), Scale / C.den(), &Out) |
+          (Flip && __builtin_sub_overflow(0, Out, &Out)))
+        raiseOverflow();
+    };
+    IntRow &Row = T.Rows[I];
+    Row.V.assign(TotalCols, 0);
+    for (uint32_t J = 0; J < StructCols; ++J)
+      if (!Coef[J].isZero()) {
+        Scaled(Coef[J], Row.V[J]);
+        Row.Nz.push_back(J);
+      }
+    Scaled(R.Rhs, Row.B);
+    // The sums above, lcm64 (which then returns 0) and Scaled flag a
+    // step beyond int64.
+    if (Overflow.overflowed())
+      return Result::Overflow;
+    Row.V[ArtBase + I] = Scale;
+    Row.Nz.push_back(static_cast<uint32_t>(ArtBase + I));
     T.Basis[I] = ArtBase + I;
   }
 
   // Phase 1: maximize -(sum of artificials).
-  std::vector<Rational> Z(TotalCols, Rational(0));
-  for (size_t I = 0; I < M; ++I)
-    Z[ArtBase + I] = Rational(-1);
-  Rational Z0(0);
-  T.optimize(Z, Z0, Overflow);
+  T.Z.V.assign(TotalCols, 0);
+  for (size_t I = 0; I < M; ++I) {
+    T.Z.V[ArtBase + I] = -1;
+    T.Z.Nz.push_back(static_cast<uint32_t>(ArtBase + I));
+  }
+  T.optimize(Overflow);
+  Pivots = T.Pivots;
   if (Overflow.overflowed())
     return Result::Overflow;
-  if (!Z0.isZero())
+  if (T.Z.B != 0)
     return Result::Infeasible;
 
   // Extract the model. Artificials still in the basis sit at zero.
   std::vector<Rational> ColVal(TotalCols, Rational(0));
   for (size_t I = 0; I < M; ++I)
-    ColVal[T.Basis[I]] = T.B[I];
+    ColVal[T.Basis[I]] = Rational(T.Rows[I].B, T.Rows[I].V[T.Basis[I]]);
   for (LVar V = 0; V < Vars.size(); ++V) {
     const VarInfo &VI = Vars[V];
     Rational Val = ColVal[VI.Pos];

@@ -10,10 +10,12 @@
 /// decides feasibility and returns a vertex. This is the LP backend for
 /// the Farkas-lemma constraint systems of the ranking-function
 /// synthesizer (5.4) and the abductive case-split inference (5.6), and
-/// the hot path of the analysis. The tableau is stored densely but
-/// updated sparsely: a pivot touches only the nonzero columns of the
-/// pivot row. See docs/ARCHITECTURE.md "Exact LP" for why each shortcut
-/// keeps the pivot sequence and the returned vertex unchanged.
+/// the hot path of the analysis. `Rational` is the type of the rows that
+/// go in and of the vertex that comes out, not of the inner loop: the
+/// tableau is fraction-free, each row an int64 positive multiple of the
+/// rational row with a list of its nonzero columns, and every step is
+/// overflow-checked. See docs/ARCHITECTURE.md "Exact LP" for why it takes
+/// the same pivots and returns the same vertex as a rational tableau.
 ///
 /// The paper's implementation hands the corresponding constraints to a
 /// nonlinear solver; see DESIGN.md 4(3) for why our systems are linear
@@ -67,6 +69,9 @@ public:
   /// Model access; valid after a Feasible solve.
   Rational value(LVar V) const;
 
+  /// Bland pivots the last checkFeasible made.
+  uint64_t pivots() const { return Pivots; }
+
   size_t numVars() const { return Vars.size(); }
   size_t numRows() const { return Rows.size(); }
 
@@ -88,6 +93,7 @@ private:
   std::vector<VarInfo> Vars;
   std::vector<RowInfo> Rows;
   std::map<LVar, Rational> Solution;
+  uint64_t Pivots = 0;
 };
 
 } // namespace tnt

@@ -528,9 +528,10 @@ size_t SolverContext::dnfMemoSize() const {
   return DnfMemo.size();
 }
 
-void SolverContext::noteLpSolve() {
+void SolverContext::noteLpSolve(uint64_t Pivots) {
   std::lock_guard<std::mutex> L(Mu);
   ++Counters.LpSolves;
+  Counters.LpPivots += Pivots;
 }
 
 void SolverContext::noteLpOverflow() {

@@ -76,6 +76,8 @@ struct SolverStats {
   uint64_t CacheEvictions = 0;
   /// Farkas/simplex LP solves attributed to this context.
   uint64_t LpSolves = 0;
+  /// Bland pivots those solves made.
+  uint64_t LpPivots = 0;
   /// Of those, solves rejected because exact arithmetic left 64 bits.
   uint64_t LpOverflows = 0;
   /// DNF-memo counters (the memoized toDNF path). Non-trivial formulas
@@ -112,6 +114,7 @@ struct SolverStats {
     CacheMisses += O.CacheMisses;
     CacheEvictions += O.CacheEvictions;
     LpSolves += O.LpSolves;
+    LpPivots += O.LpPivots;
     LpOverflows += O.LpOverflows;
     DnfQueries += O.DnfQueries;
     DnfHits += O.DnfHits;
@@ -209,7 +212,7 @@ public:
   bool dnfMemoEnabled() const { return DnfCapacity != 0; }
 
   /// Attribution hooks for the synthesis layer (FarkasSystem).
-  void noteLpSolve();
+  void noteLpSolve(uint64_t Pivots);
   void noteLpOverflow();
 
   /// Attaches the read-mostly global cache tier. The tier is consulted

@@ -41,6 +41,8 @@ OverflowScope::~OverflowScope() { Overflowed = Overflowed || Outer; }
 
 bool OverflowScope::overflowed() const { return Overflowed; }
 
+void tnt::raiseOverflow() { Overflowed = true; }
+
 int64_t tnt::gcd64(int64_t A, int64_t B) {
   uint64_t G = gcdU(absU(A), absU(B));
   if (G > INT64_MAX) {

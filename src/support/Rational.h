@@ -6,9 +6,12 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Exact rational numbers over 64-bit numerator/denominator. Used by the
-/// simplex LP backend and the Farkas-based synthesis engine. Overflow is
-/// a value, not a crash and not a truncation: see OverflowScope.
+/// Exact rational numbers over 64-bit numerator/denominator, and the
+/// thread's overflow flag that all exact int64 arithmetic here shares.
+/// `Rational` is the input and output type of the Farkas encoding and the
+/// simplex LP, not the LP's inner loop: the tableau is fraction-free
+/// int64 (simplex/Simplex.cpp). Overflow is a value, not a crash and not
+/// a truncation: see OverflowScope.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -126,6 +129,11 @@ public:
 private:
   bool Outer;
 };
+
+/// Raises this thread's overflow flag. For exact int64 arithmetic done
+/// outside Rational, such as the simplex tableau's checked steps, whose
+/// result does not fit.
+void raiseOverflow();
 
 /// Greatest common divisor of the absolute values; gcd(0,0) == 0. The
 /// one result int64 cannot hold, 2^63, raises the overflow flag and

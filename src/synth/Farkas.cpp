@@ -207,13 +207,13 @@ void FarkasSystem::addParamConstraint(const LinExpr &E, LpRel Rel) {
 }
 
 bool FarkasSystem::solve() {
-  if (SC)
-    SC->noteLpSolve();
   IntParams.clear();
   OverflowScope Overflow;
   // A system the encoding could not state exactly is not solved.
   Simplex::Result R =
       EncodingOverflowed ? Simplex::Result::Overflow : LP.checkFeasible();
+  if (SC)
+    SC->noteLpSolve(EncodingOverflowed ? 0 : LP.pivots());
   if (R == Simplex::Result::Infeasible)
     return false;
   bool Ok = R == Simplex::Result::Feasible;

@@ -125,6 +125,29 @@ TEST(Simplex, OverflowIsAResult) {
   EXPECT_TRUE(Outer.overflowed());
 }
 
+TEST(Simplex, LcmOverflowIsAResult) {
+  // Every coefficient 1/p fits in 64 bits, but the row's integer form
+  // is the row times the lcm of its denominators, the primorial 53#,
+  // which does not: the solve must stop with Overflow, publish no model
+  // and flag the caller's scope. Without 1/53 the lcm, 47#, fits.
+  const std::vector<int64_t> Primes = {2,  3,  5,  7,  11, 13, 17, 19,
+                                       23, 29, 31, 37, 41, 43, 47, 53};
+  for (size_t Count : {Primes.size() - 1, Primes.size()}) {
+    OverflowScope Outer;
+    Simplex S;
+    std::vector<LinTerm> Terms;
+    for (size_t I = 0; I < Count; ++I)
+      Terms.push_back({S.addVar("x" + std::to_string(I), /*NonNeg=*/true),
+                       Rational(1, Primes[I])});
+    S.addRow(Terms, LpRel::Eq, Rational(1));
+    bool Fits = Count < Primes.size();
+    EXPECT_EQ(S.checkFeasible(), Fits ? Simplex::Result::Feasible
+                                      : Simplex::Result::Overflow);
+    EXPECT_EQ(S.value(0), Fits ? Rational(2) : Rational(0));
+    EXPECT_EQ(Outer.overflowed(), !Fits);
+  }
+}
+
 //===----------------------------------------------------------------------===//
 // Reference equivalence
 //===----------------------------------------------------------------------===//
@@ -135,7 +158,9 @@ namespace {
 /// every pivot multiplies through every column, phase 1 runs to
 /// optimality, and zero artificials left in the basis are then driven
 /// out. Simplex must take the same Bland pivots and return the same
-/// vertex.
+/// vertex: pivots() counts the pivots made before the objective reached
+/// zero, the ones Simplex makes too. A rational that leaves 64 bits
+/// stops the solve with Overflow.
 class ReferenceSimplex {
 public:
   LVar addVar(bool NonNeg) {
@@ -148,6 +173,7 @@ public:
   }
   Simplex::Result checkFeasible();
   Rational value(LVar V) const { return Solution.at(V); }
+  uint64_t pivots() const { return Pivots; }
 
 private:
   struct Row {
@@ -156,11 +182,13 @@ private:
     Rational Rhs;
   };
   void pivot(size_t Row, size_t Col);
-  void optimize(std::vector<Rational> &Z, Rational &Z0);
+  void optimize(std::vector<Rational> &Z, Rational &Z0,
+                const OverflowScope &Overflow);
 
   std::vector<bool> NonNegs;
   std::vector<Row> Rows;
   std::vector<Rational> Solution;
+  uint64_t Pivots = 0;
   size_t M = 0, TotalCols = 0;
   std::vector<std::vector<Rational>> A;
   std::vector<Rational> B;
@@ -185,7 +213,8 @@ void ReferenceSimplex::pivot(size_t Row, size_t Col) {
   Basis[Row] = Col;
 }
 
-void ReferenceSimplex::optimize(std::vector<Rational> &Z, Rational &Z0) {
+void ReferenceSimplex::optimize(std::vector<Rational> &Z, Rational &Z0,
+                                const OverflowScope &Overflow) {
   for (size_t I = 0; I < M; ++I) {
     Rational F = Z[Basis[I]];
     if (F.isZero())
@@ -194,7 +223,7 @@ void ReferenceSimplex::optimize(std::vector<Rational> &Z, Rational &Z0) {
       Z[J] -= F * A[I][J];
     Z0 += F * B[I];
   }
-  for (;;) {
+  while (!Overflow.overflowed()) {
     size_t Enter = TotalCols;
     for (size_t J = 0; J < TotalCols; ++J)
       if (Z[J].isPos()) {
@@ -216,6 +245,7 @@ void ReferenceSimplex::optimize(std::vector<Rational> &Z, Rational &Z0) {
       }
     }
     ASSERT_NE(Leave, M) << "the phase-1 objective is bounded";
+    Pivots += !Z0.isZero();
     pivot(Leave, Enter);
     Rational F = Z[Enter];
     for (size_t J = 0; J < TotalCols; ++J)
@@ -225,6 +255,7 @@ void ReferenceSimplex::optimize(std::vector<Rational> &Z, Rational &Z0) {
 }
 
 Simplex::Result ReferenceSimplex::checkFeasible() {
+  OverflowScope Overflow;
   std::vector<size_t> Pos, Neg;
   size_t NextCol = 0;
   for (bool NonNeg : NonNegs) {
@@ -265,7 +296,9 @@ Simplex::Result ReferenceSimplex::checkFeasible() {
   for (size_t I = 0; I < M; ++I)
     Z[StructCols + I] = Rational(-1);
   Rational Z0;
-  optimize(Z, Z0);
+  optimize(Z, Z0, Overflow);
+  if (Overflow.overflowed())
+    return Simplex::Result::Overflow;
   if (!Z0.isZero())
     return Simplex::Result::Infeasible;
   for (size_t I = 0; I < M; ++I) {
@@ -285,7 +318,8 @@ Simplex::Result ReferenceSimplex::checkFeasible() {
   for (LVar V = 0; V < NonNegs.size(); ++V)
     Solution.push_back(NonNegs[V] ? ColVal[Pos[V]]
                                   : ColVal[Pos[V]] - ColVal[Neg[V]]);
-  return Simplex::Result::Feasible;
+  return Overflow.overflowed() ? Simplex::Result::Overflow
+                               : Simplex::Result::Feasible;
 }
 
 struct LpRow {
@@ -343,52 +377,154 @@ std::vector<LpRow> randomFarkasRows(std::mt19937 &Rng, size_t NumVars) {
   return Rows;
 }
 
+/// Solves \p Rows with Simplex and ReferenceSimplex and requires the
+/// same answer after the same number of pivots and, when feasible, the
+/// same value for every variable, with every row satisfied. Past the
+/// 64-bit domain of either tableau (Overflow) the answers cannot be
+/// compared, but a model Simplex returns must still satisfy every row.
+/// Sets \p Got to Simplex's answer, or to Overflow when either
+/// overflowed.
+void solveBoth(const std::vector<bool> &NonNeg, const std::vector<LpRow> &Rows,
+               int Round, Simplex::Result &Got) {
+  Simplex S;
+  ReferenceSimplex Ref;
+  for (size_t V = 0; V < NonNeg.size(); ++V) {
+    S.addVar("v" + std::to_string(V), NonNeg[V]);
+    Ref.addVar(NonNeg[V]);
+  }
+  for (const LpRow &R : Rows) {
+    S.addRow(R.Terms, R.Rel, R.Rhs);
+    Ref.addRow(R.Terms, R.Rel, R.Rhs);
+  }
+  Simplex::Result Mine = S.checkFeasible();
+  Simplex::Result Want;
+  ASSERT_NO_FATAL_FAILURE(Want = Ref.checkFeasible());
+  bool Comparable = Mine != Simplex::Result::Overflow &&
+                    Want != Simplex::Result::Overflow;
+  Got = Comparable ? Mine : Simplex::Result::Overflow;
+  if (Comparable) {
+    ASSERT_EQ(Mine, Want) << "round " << Round;
+    ASSERT_EQ(S.pivots(), Ref.pivots()) << "round " << Round;
+  }
+  if (Mine != Simplex::Result::Feasible)
+    return;
+  for (LVar V = 0; V < NonNeg.size(); ++V) {
+    if (Comparable) {
+      ASSERT_EQ(S.value(V), Ref.value(V))
+          << "round " << Round << " var " << V;
+    }
+    ASSERT_TRUE(!NonNeg[V] || !S.value(V).isNeg()) << "round " << Round;
+  }
+  for (const LpRow &R : Rows) {
+    Rational Lhs;
+    for (const LinTerm &T : R.Terms)
+      Lhs += T.Coef * S.value(T.Var);
+    bool Holds = R.Rel == LpRel::Eq   ? Lhs == R.Rhs
+                 : R.Rel == LpRel::Le ? Lhs <= R.Rhs
+                                      : Lhs >= R.Rhs;
+    ASSERT_TRUE(Holds) << "round " << Round << ": " << Lhs.str() << " vs "
+                       << R.Rhs.str();
+  }
+}
+
+/// Column signs: each column is free with chance \p Free in \p Of.
+std::vector<bool> randomNonNeg(std::mt19937 &Rng, size_t NumVars, int Free,
+                               int Of) {
+  std::vector<bool> NonNeg;
+  for (size_t V = 0; V < NumVars; ++V)
+    NonNeg.push_back(std::uniform_int_distribution<int>(0, Of - 1)(Rng) >=
+                     Free);
+  return NonNeg;
+}
+
+/// Answers of solveBoth by kind.
+struct Tally {
+  unsigned Feasible = 0, Infeasible = 0, Overflow = 0;
+  void add(Simplex::Result R) {
+    ++(R == Simplex::Result::Feasible     ? Feasible
+       : R == Simplex::Result::Infeasible ? Infeasible
+                                          : Overflow);
+  }
+};
+
 } // namespace
 
 TEST(SimplexReference, SamePivotsSameVertex) {
   std::mt19937 Rng(20150613);
-  unsigned Feasible = 0, Infeasible = 0;
+  Tally Answers;
   for (int Round = 0; Round < 3000; ++Round) {
     size_t NumVars = std::uniform_int_distribution<size_t>(1, 7)(Rng);
-    std::vector<bool> NonNeg;
-    for (size_t V = 0; V < NumVars; ++V)
-      NonNeg.push_back(std::uniform_int_distribution<int>(0, 1)(Rng) == 1);
+    std::vector<bool> NonNeg = randomNonNeg(Rng, NumVars, 1, 2);
     std::vector<LpRow> Rows = randomFarkasRows(Rng, NumVars);
-
-    Simplex S;
-    ReferenceSimplex Ref;
-    for (size_t V = 0; V < NumVars; ++V) {
-      S.addVar("v" + std::to_string(V), NonNeg[V]);
-      Ref.addVar(NonNeg[V]);
-    }
-    for (const LpRow &R : Rows) {
-      S.addRow(R.Terms, R.Rel, R.Rhs);
-      Ref.addRow(R.Terms, R.Rel, R.Rhs);
-    }
-    Simplex::Result Got = S.checkFeasible();
-    Simplex::Result Want = Ref.checkFeasible();
-    ASSERT_EQ(Got, Want) << "round " << Round;
-    if (Got != Simplex::Result::Feasible) {
-      ++Infeasible;
-      continue;
-    }
-    ++Feasible;
-    for (LVar V = 0; V < NumVars; ++V) {
-      ASSERT_EQ(S.value(V), Ref.value(V)) << "round " << Round << " var " << V;
-      ASSERT_TRUE(!NonNeg[V] || !S.value(V).isNeg()) << "round " << Round;
-    }
-    for (const LpRow &R : Rows) {
-      Rational Lhs;
-      for (const LinTerm &T : R.Terms)
-        Lhs += T.Coef * S.value(T.Var);
-      bool Holds = R.Rel == LpRel::Eq   ? Lhs == R.Rhs
-                   : R.Rel == LpRel::Le ? Lhs <= R.Rhs
-                                        : Lhs >= R.Rhs;
-      ASSERT_TRUE(Holds) << "round " << Round << ": " << Lhs.str()
-                         << " vs " << R.Rhs.str();
-    }
+    Simplex::Result Got;
+    ASSERT_NO_FATAL_FAILURE(solveBoth(NonNeg, Rows, Round, Got));
+    Answers.add(Got);
   }
   // Both answers must be well represented for the check to mean much.
-  EXPECT_GT(Feasible, 500u);
-  EXPECT_GT(Infeasible, 200u);
+  EXPECT_GT(Answers.Feasible, 500u);
+  EXPECT_GT(Answers.Infeasible, 200u);
+  EXPECT_EQ(Answers.Overflow, 0u);
+}
+
+TEST(SimplexReference, RankingShapedSystems) {
+  // The shape of synthesizeRanking's strict LPs, where nearly all of the
+  // Fig. 11 LP time goes: 8-30 equality rows over free and non-negative
+  // columns, coefficients in [-3, 3], every right-hand side 0 but one,
+  // which is -1.
+  std::mt19937 Rng(20150614);
+  auto Pick = [&Rng](int Lo, int Hi) {
+    return std::uniform_int_distribution<int>(Lo, Hi)(Rng);
+  };
+  Tally Answers;
+  for (int Round = 0; Round < 300; ++Round) {
+    int NumRows = Pick(8, 30);
+    size_t NumVars = static_cast<size_t>(Pick(NumRows - 2, 2 * NumRows));
+    std::vector<bool> NonNeg = randomNonNeg(Rng, NumVars, 1, 5);
+    int Strict = Pick(0, NumRows - 1);
+    std::vector<LpRow> Rows;
+    for (int I = 0; I < NumRows; ++I) {
+      LpRow R{{}, LpRel::Eq, Rational(I == Strict ? -1 : 0)};
+      int PerRow = Pick(2, 5);
+      for (LVar V = 0; V < NumVars; ++V)
+        if (Pick(1, static_cast<int>(NumVars)) <= PerRow)
+          R.Terms.push_back({V, Rational(Pick(-3, 3))});
+      Rows.push_back(R);
+    }
+    Simplex::Result Got;
+    ASSERT_NO_FATAL_FAILURE(solveBoth(NonNeg, Rows, Round, Got));
+    Answers.add(Got);
+  }
+  EXPECT_GT(Answers.Feasible, 75u);
+  EXPECT_GT(Answers.Infeasible, 75u);
+  EXPECT_EQ(Answers.Overflow, 0u);
+}
+
+TEST(SimplexReference, FractionalRowsScaleByLcm) {
+  // No production caller passes fractions, but the integer rows must
+  // still be the rational rows times the lcm of their denominators.
+  std::mt19937 Rng(20150615);
+  auto Pick = [&Rng](int Lo, int Hi) {
+    return std::uniform_int_distribution<int>(Lo, Hi)(Rng);
+  };
+  Tally Answers;
+  for (int Round = 0; Round < 2000; ++Round) {
+    size_t NumVars = std::uniform_int_distribution<size_t>(1, 7)(Rng);
+    std::vector<bool> NonNeg = randomNonNeg(Rng, NumVars, 1, 2);
+    std::vector<LpRow> Rows = randomFarkasRows(Rng, NumVars);
+    for (LpRow &R : Rows) {
+      for (LinTerm &T : R.Terms)
+        if (Pick(0, 1))
+          T.Coef = T.Coef / Rational(Pick(2, 12));
+      if (Pick(0, 1))
+        R.Rhs = Rational(Pick(-12, 12), Pick(2, 12));
+    }
+    Simplex::Result Got;
+    ASSERT_NO_FATAL_FAILURE(solveBoth(NonNeg, Rows, Round, Got));
+    Answers.add(Got);
+  }
+  EXPECT_GT(Answers.Feasible, 300u);
+  EXPECT_GT(Answers.Infeasible, 200u);
+  // Products of denominators up to 12 leave 64 bits in a few rounds, on
+  // one side or both; those rounds check only Simplex's model, if any.
+  EXPECT_LT(Answers.Overflow, 20u);
 }

@@ -330,6 +330,7 @@ int runBatch(const std::string &Target, const AnalyzerConfig &Cli,
               << " hits=" << S.CacheHits << " misses=" << S.CacheMisses
               << " hit_rate=" << rate(S.CacheHits, S.CacheMisses)
               << " lp_solves=" << S.LpSolves
+              << " lp_pivots=" << S.LpPivots
               << " lp_overflows=" << S.LpOverflows << "\n";
     std::cout << "local dnf memo: queries=" << S.DnfQueries
               << " hits=" << S.DnfHits << " misses=" << S.DnfMisses
@@ -921,6 +922,7 @@ int main(int Argc, char **Argv) {
               << " cache_misses=" << S.CacheMisses
               << " cache_evictions=" << S.CacheEvictions
               << " lp_solves=" << S.LpSolves
+              << " lp_pivots=" << S.LpPivots
               << " lp_overflows=" << S.LpOverflows
               << " hit_rate=" << rate(S.CacheHits, S.CacheMisses)
               << "\n";
