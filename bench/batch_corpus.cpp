@@ -8,7 +8,7 @@
 //
 //   bench_batch_corpus [--json <path>] [--programs <n>]
 //
-// Also measures the analysis-server front end: request throughput over
+// Also measures the analysis server: request throughput over
 // the NDJSON protocol for a cold pass (every request a fresh corpus
 // variant) and a warm pass (the same requests replayed against the now
 // warm tier), plus the epoch-reclamation counters. The cond_term
@@ -26,7 +26,6 @@
 
 #include "api/AnalysisServer.h"
 #include "api/BatchAnalyzer.h"
-#include "api/ConcurrentServer.h"
 #include "store/SpecStore.h"
 #include "support/Json.h"
 #include "support/Trace.h"
@@ -96,8 +95,9 @@ struct ServerSample {
 };
 
 /// Server throughput: \p N cold requests (unique corpus variants, the
-/// unbounded-stream regime) then the same N replayed warm. Uses the
-/// real handleLine protocol path.
+/// unbounded-stream regime) then the same N replayed warm, from one
+/// in-process client (submitAndWait, so each request includes the
+/// hand-off to the worker pool).
 ServerSample runServer(unsigned N) {
   using Clock = std::chrono::steady_clock;
   ServerOptions SO;
@@ -116,10 +116,10 @@ ServerSample runServer(unsigned N) {
   S.Requests = N;
   auto T0 = Clock::now();
   for (const std::string &R : Requests)
-    (void)Server.handleLine(R);
+    (void)Server.submitAndWait(R);
   auto T1 = Clock::now();
   for (const std::string &R : Requests)
-    (void)Server.handleLine(R);
+    (void)Server.submitAndWait(R);
   auto T2 = Clock::now();
 
   S.ColdMillis = std::chrono::duration<double, std::milli>(T1 - T0).count();
@@ -149,7 +149,7 @@ struct ConcSample {
   double ShedRate = 0; ///< Saturation run: sheds / submissions.
 };
 
-/// The multi-client front end: the same unique-variant request stream
+/// The multi-client regime: the same unique-variant request stream
 /// pushed by 1, 4, and 16 client threads through submitAndWait (a
 /// fresh server per point, so every point measures the cold
 /// concurrent regime), then a deliberately oversubscribed point
@@ -165,7 +165,7 @@ ConcSample runConcurrentServer(unsigned N) {
 
   ConcSample S;
   S.Requests = N;
-  auto drive = [&](ConcurrentAnalysisServer &Server, unsigned Clients) {
+  auto drive = [&](AnalysisServer &Server, unsigned Clients) {
     std::vector<std::thread> Threads;
     auto T0 = Clock::now();
     for (unsigned C = 0; C < Clients; ++C)
@@ -180,10 +180,10 @@ ConcSample runConcurrentServer(unsigned N) {
   };
 
   for (unsigned Clients : {1u, 4u, 16u}) {
-    ConcurrentServerOptions CO;
-    CO.Workers = 4;
-    CO.Server.ReclaimEvery = 32;
-    ConcurrentAnalysisServer Server(CO);
+    ServerOptions SO;
+    SO.Workers = 4;
+    SO.ReclaimEvery = 32;
+    AnalysisServer Server(SO);
     ConcClientSample P;
     P.Clients = Clients;
     P.Millis = drive(Server, Clients);
@@ -193,10 +193,10 @@ ConcSample runConcurrentServer(unsigned N) {
   }
 
   {
-    ConcurrentServerOptions CO;
-    CO.Workers = 1;
-    CO.QueueDepth = 4;
-    ConcurrentAnalysisServer Server(CO);
+    ServerOptions SO;
+    SO.Workers = 1;
+    SO.QueueDepth = 4;
+    AnalysisServer Server(SO);
     (void)drive(Server, 16);
     S.ShedRate = double(Server.shedCount()) / N;
   }

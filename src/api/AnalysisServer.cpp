@@ -6,52 +6,117 @@
 #include "api/Pipeline.h"
 #include "arith/Var.h"
 #include "store/SpecStore.h"
-#include "support/Json.h"
 #include "support/Metrics.h"
 #include "support/Trace.h"
+#include "support/UnixSocket.h"
 
 #include <algorithm>
 #include <atomic>
-#include <chrono>
 #include <cstdio>
 #include <fstream>
+#include <future>
 #include <iostream>
-#include <istream>
-#include <ostream>
 #include <sstream>
+#include <thread>
 
 using namespace tnt;
 
 namespace {
 
+using Clock = std::chrono::steady_clock;
+
 /// Live servers with reclamation enabled (see AnalysisServer.h —
 /// reclamation is only sound for a sole owner).
 std::atomic<unsigned> LiveReclaimers{0};
 
+uint64_t microsSince(Clock::time_point T0) {
+  return static_cast<uint64_t>(
+      std::chrono::duration_cast<std::chrono::microseconds>(Clock::now() -
+                                                            T0)
+          .count());
+}
+
+/// The request id rendered for echoing: raw number lexeme, quoted
+/// string, or "null" when absent/other.
+std::string idText(const json::Value &Req) {
+  const json::Value *Id = Req.field("id");
+  if (Id == nullptr)
+    return "null";
+  if (Id->isNumber())
+    return Id->rawNumber();
+  if (Id->isString())
+    return json::quoted(Id->asString());
+  return "null";
+}
+
+RequestOutcome errorOutcome(const std::string &Msg) {
+  RequestOutcome O;
+  O.Failed = true;
+  O.Body = "\"ok\":false,\"error\":" + json::quoted(Msg);
+  return O;
+}
+
+/// A complete {"id":...,"ok":false,"error":...} response line.
+std::string errorResponse(const std::string &IdText, const std::string &Msg) {
+  return "{\"id\":" + IdText + "," + errorOutcome(Msg).Body + "}";
+}
+
+/// Decodes ONE program-request object — "program" or "path" plus
+/// optional "entry", with the type checks and the \p AllowPaths gate —
+/// and runs it via runProgramRequest. Returns nullopt when the object
+/// carries neither "program" nor "path". Standalone requests and
+/// analyze-batch elements both decode here, which keeps batch entries
+/// byte-identical to standalone responses.
+std::optional<RequestOutcome> decodeAndRunRequest(const json::Value &Req,
+                                                  const AnalyzerConfig &Config,
+                                                  GlobalSolverCache *Tier,
+                                                  bool AllowPaths) {
+  const json::Value *Prog = Req.field("program");
+  const json::Value *Path = Req.field("path");
+  if (Prog == nullptr && Path == nullptr)
+    return std::nullopt;
+  std::string Entry = "main";
+  if (const json::Value *E = Req.field("entry")) {
+    if (!E->isString())
+      return errorOutcome("\"entry\" must be a string");
+    Entry = E->asString();
+  }
+  if (Prog != nullptr) {
+    if (!Prog->isString())
+      return errorOutcome("\"program\" must be a string");
+    return runProgramRequest(Prog->asString(), Entry, Config, Tier);
+  }
+  if (!AllowPaths)
+    return errorOutcome("path requests are disabled");
+  if (!Path->isString())
+    return errorOutcome("\"path\" must be a string");
+  std::ifstream In(Path->asString());
+  if (!In)
+    return errorOutcome("cannot open " + Path->asString());
+  std::stringstream Buf;
+  Buf << In.rdbuf();
+  return runProgramRequest(Buf.str(), Entry, Config, Tier);
+}
+
 } // namespace
 
 AnalysisServer::AnalysisServer(ServerOptions Options)
-    : Opt(std::move(Options)), Batch([&] {
-        BatchOptions BO;
-        BO.Program = Opt.Program;
-        BO.GlobalTier = Opt.GlobalTier;
-        BO.GlobalSatCapacity = Opt.GlobalSatCapacity;
-        BO.GlobalDnfCapacity = Opt.GlobalDnfCapacity;
-        return BO;
-      }()) {
-  // Persistent spec store: an externally owned one wins; otherwise a
-  // configured StorePath loads (or cold-starts) a private store. The
-  // per-request config carries the pointer, and the loaded sat
-  // snapshot warm-starts the solver tier. Store entries are plain
-  // strings — no interned pointers — so epoch reclamation is
-  // unaffected by persistence.
-  if (Opt.Store != nullptr) {
-    Store = Opt.Store;
-  } else if (!Opt.StorePath.empty()) {
-    OwnedStore = std::make_unique<SpecStore>(
+    : Opt(std::move(Options)),
+      Tier(Opt.GlobalTier ? std::make_unique<GlobalSolverCache>(
+                                Opt.GlobalSatCapacity, Opt.GlobalDnfCapacity)
+                          : nullptr),
+      Pool(std::max(1u, Opt.Workers)) {
+  Opt.Workers = std::max(1u, Opt.Workers);
+  // Persistent spec store: a configured StorePath loads (or
+  // cold-starts) a private store. The per-request config carries the
+  // pointer, and the loaded sat snapshot warm-starts the solver tier.
+  // Store entries are plain strings — no interned pointers — so epoch
+  // reclamation is unaffected by persistence.
+  if (!Opt.StorePath.empty()) {
+    Store = std::make_unique<SpecStore>(
         SpecStore::configFingerprint(Opt.Program));
     std::string Err;
-    if (!OwnedStore->load(Opt.StorePath, &Err)) {
+    if (!Store->load(Opt.StorePath, &Err)) {
       // Corrupt file: start cold, but say so, and move the file aside
       // so the shutdown save cannot destroy the evidence — an
       // expected warm start silently degrading to cold is exactly the
@@ -66,16 +131,13 @@ AnalysisServer::AnalysisServer(ServerOptions Options)
         std::cerr << "spec store: " << Err << " — starting cold; could "
                   << "not move the corrupt file aside, persistence "
                   << "DISABLED to preserve it\n";
-        Opt.StorePath.clear(); // saveStore() becomes a no-op.
+        Opt.StorePath.clear(); // Saving becomes a no-op.
       }
-      OwnedStore = std::make_unique<SpecStore>(
+      Store = std::make_unique<SpecStore>(
           SpecStore::configFingerprint(Opt.Program));
     }
-    Store = OwnedStore.get();
-  }
-  if (Store != nullptr) {
-    Opt.Program.Store = Store;
-    if (GlobalSolverCache *Tier = Batch.globalTier())
+    Opt.Program.Store = Store.get();
+    if (Tier)
       Tier->importSatSnapshot(Store->satSnapshot());
   }
   // Everything interned before this point (constant singletons, any
@@ -86,63 +148,15 @@ AnalysisServer::AnalysisServer(ServerOptions Options)
     LiveReclaimers.fetch_add(1);
     ArithIntern::global().beginEpochs();
   }
+  NextReclaimAt = Opt.ReclaimEvery;
 }
 
 AnalysisServer::~AnalysisServer() {
+  requestShutdown();
+  waitIdle();
+  Pool.wait();
   if (Reclaiming)
     LiveReclaimers.fetch_sub(1);
-}
-
-std::string tnt::proto::idText(const json::Value &Req) {
-  const json::Value *Id = Req.field("id");
-  if (Id == nullptr)
-    return "null";
-  if (Id->isNumber())
-    return Id->rawNumber();
-  if (Id->isString())
-    return json::quoted(Id->asString());
-  return "null";
-}
-
-std::string tnt::proto::errorResponse(const std::string &IdText,
-                                      const std::string &Msg) {
-  return "{\"id\":" + IdText + ",\"ok\":false,\"error\":" +
-         json::quoted(Msg) + "}";
-}
-
-namespace {
-using tnt::proto::errorResponse;
-using tnt::proto::idText;
-} // namespace
-
-void AnalysisServer::reclaimNow() {
-  // Sole-owner gate: sweeping everything outside THIS server's tier is
-  // only sound when no other live tier holds interned pointers —
-  // whether it belongs to a sibling server (reclaiming or not) or to
-  // a bare BatchAnalyzer/GlobalSolverCache in the host process. With
-  // any other tier alive, stand down (append-only mode) rather than
-  // free keys from under it: tier maps compare keys by pointer, so a
-  // swept key re-interned at a recycled address could alias a stale
-  // entry. The gate detects TIER owners only — it cannot see a
-  // tier-less analysis running concurrently on another host thread;
-  // not dereferencing per-request pointers across an epoch boundary
-  // is the caller contract ArithIntern::reclaim documents, and the
-  // server itself honors it by handling requests strictly serially.
-  const size_t OwnTiers = Batch.globalTier() != nullptr ? 1 : 0;
-  if (!Reclaiming || LiveReclaimers.load() != 1 ||
-      GlobalSolverCache::liveCount() != OwnTiers)
-    return;
-  // The process-wide default context is the one SolverContext a host
-  // process might feed through the legacy Solver facade between
-  // requests; its caches hold interned pointers, so drop them before
-  // the sweep rather than listing them as roots (they are caches — a
-  // refill is always sound).
-  SolverContext::defaultCtx().clearCache();
-  EpochRoots Roots;
-  if (GlobalSolverCache *Tier = Batch.globalTier())
-    Tier->collectRoots(Roots);
-  LastReclaim = ArithIntern::global().reclaim(Roots);
-  ++Reclaims;
 }
 
 RequestOutcome tnt::runProgramRequest(const std::string &Source,
@@ -153,10 +167,9 @@ RequestOutcome tnt::runProgramRequest(const std::string &Source,
   O.Ran = true;
 
   // Observability is strictly out-of-band: the span and the execution
-  // histogram never touch O. Both front ends funnel through here, so
-  // "server.request.exec_us" means the same thing serial or concurrent.
+  // histogram never touch O.
   trace::Span ReqSpan("request", "server");
-  auto ExecT0 = std::chrono::steady_clock::now();
+  auto ExecT0 = Clock::now();
 
   // A virgin block lease for this request: every id and spelling the
   // analysis mints is session-local and positional, so the rendered
@@ -196,10 +209,7 @@ RequestOutcome tnt::runProgramRequest(const std::string &Source,
   }
   static metrics::Histogram &ExecUs =
       metrics::Registry::get().histogram("server.request.exec_us");
-  ExecUs.observe(static_cast<uint64_t>(
-      std::chrono::duration_cast<std::chrono::microseconds>(
-          std::chrono::steady_clock::now() - ExecT0)
-          .count()));
+  ExecUs.observe(microsSince(ExecT0));
   // PP and R (every Formula handle of this request) die HERE — nothing
   // of the request outlives its epoch except what promoteTo put in the
   // tier (and, as plain strings, what the spec store captured). The
@@ -207,120 +217,425 @@ RequestOutcome tnt::runProgramRequest(const std::string &Source,
   return O;
 }
 
-std::optional<RequestOutcome>
-tnt::decodeAndRunRequest(const json::Value &Req, const AnalyzerConfig &Config,
-                         GlobalSolverCache *Tier, bool AllowPaths) {
-  auto errorOutcome = [](const std::string &Msg) {
-    RequestOutcome O;
-    O.Failed = true;
-    O.Body = "\"ok\":false,\"error\":" + json::quoted(Msg);
-    return O;
+bool AnalysisServer::shutdownRequested() const {
+  std::lock_guard<std::mutex> L(QM);
+  return ShuttingDown;
+}
+
+uint64_t AnalysisServer::shedCount() const {
+  std::lock_guard<std::mutex> L(QM);
+  return ShedN;
+}
+
+void AnalysisServer::pauseDispatchForTest(bool Paused) {
+  std::lock_guard<std::mutex> L(QM);
+  DispatchPaused = Paused;
+  if (!Paused)
+    pumpLocked();
+}
+
+void AnalysisServer::countError() {
+  std::lock_guard<std::mutex> E(EngineMu);
+  ++Errors;
+}
+
+void AnalysisServer::pumpLocked() {
+  while (!DispatchPaused && !ReclaimPending && !ReclaimInProgress &&
+         InFlight < Opt.Workers && !Queue.empty()) {
+    auto J = std::make_shared<Job>(std::move(Queue.front()));
+    Queue.pop_front();
+    ++InFlight;
+    Pool.submit([this, J] { runJob(*J); });
+  }
+}
+
+void AnalysisServer::waitIdle() {
+  std::unique_lock<std::mutex> L(QM);
+  IdleCv.wait(L, [&] {
+    return Queue.empty() && InFlight == 0 && !ReclaimPending &&
+           !ReclaimInProgress;
+  });
+}
+
+void AnalysisServer::jobFinished(uint64_t ProgramsRan) {
+  std::unique_lock<std::mutex> L(QM);
+  --InFlight;
+  CompletedPrograms += ProgramsRan;
+  if (NextReclaimAt != 0 && CompletedPrograms >= NextReclaimAt)
+    ReclaimPending = true;
+  if (ReclaimPending && InFlight == 0) {
+    // Quiescence: we are the job that idled the server, so no live
+    // request can reach any reclaimable term. ReclaimPending keeps the
+    // pump paused while the engine lock is taken.
+    ReclaimInProgress = true;
+    L.unlock();
+    {
+      std::lock_guard<std::mutex> E(EngineMu);
+      // Sole-owner gate: sweeping everything outside THIS server's tier
+      // is only sound when no other live tier holds interned pointers —
+      // whether it belongs to a second server (reclaiming or not) or to
+      // a bare BatchAnalyzer/GlobalSolverCache in the host process.
+      // With any other tier alive, stand down (append-only mode) rather
+      // than free keys from under it: tier maps compare keys by
+      // pointer, so a swept key re-interned at a recycled address could
+      // alias a stale entry.
+      const size_t OwnTiers = Tier ? 1 : 0;
+      if (LiveReclaimers.load() == 1 &&
+          GlobalSolverCache::liveCount() == OwnTiers) {
+        // The process-wide default context is the one SolverContext a
+        // host process might feed through the legacy Solver facade
+        // between requests; its caches hold interned pointers, so drop
+        // them before the sweep rather than listing them as roots (they
+        // are caches — a refill is always sound).
+        SolverContext::defaultCtx().clearCache();
+        EpochRoots Roots;
+        if (Tier)
+          Tier->collectRoots(Roots);
+        LastReclaim = ArithIntern::global().reclaim(Roots);
+        ++Reclaims;
+      }
+    }
+    L.lock();
+    ReclaimInProgress = false;
+    ReclaimPending = false;
+    NextReclaimAt =
+        (CompletedPrograms / Opt.ReclaimEvery + 1) * Opt.ReclaimEvery;
+  }
+  pumpLocked();
+  IdleCv.notify_all();
+}
+
+void AnalysisServer::runJob(Job &J) {
+  // Queue wait: dispatch minus admission. Observed before the work so
+  // a long-running job does not hide the wait that preceded it.
+  static metrics::Histogram &QueueUs =
+      metrics::Registry::get().histogram("server.request.queue_us");
+  static metrics::Histogram &TotalUs =
+      metrics::Registry::get().histogram("server.request.total_us");
+  QueueUs.observe(microsSince(J.Enqueued));
+  trace::ScopedTag IdTag("request_id", J.Id);
+
+  std::vector<RequestOutcome> Outcomes;
+  std::string Response = "{\"id\":" + J.Id + ",";
+  const json::Value *Programs = J.Req.field("programs");
+  if (J.Req.field("verb") == nullptr) {
+    // Admission guarantees a "program" or "path" field.
+    Outcomes.push_back(*decodeAndRunRequest(J.Req, Opt.Program, Tier.get(),
+                                            Opt.AllowPaths));
+    Response += Outcomes.back().Body + "}";
+  } else if (Programs == nullptr || !Programs->isArray()) {
+    Outcomes.push_back(
+        errorOutcome("analyze-batch needs a \"programs\" array"));
+    Response += Outcomes.back().Body + "}";
+  } else {
+    // analyze-batch: answered strictly in request order, each element
+    // decoded and analyzed by the same path as a standalone request,
+    // assembled into one response line.
+    Response += "\"ok\":true,\"results\":[";
+    for (const json::Value &Item : Programs->elements()) {
+      std::optional<RequestOutcome> O;
+      if (!Item.isObject())
+        O = errorOutcome("request is not a JSON object");
+      else if (!(O = decodeAndRunRequest(Item, Opt.Program, Tier.get(),
+                                         Opt.AllowPaths)))
+        O = errorOutcome("batch element needs \"program\" or \"path\"");
+      Response += (Outcomes.empty() ? "{" : ",{") + O->Body + "}";
+      Outcomes.push_back(std::move(*O));
+    }
+    Response += "]}";
+  }
+
+  uint64_t ProgramsRan = 0;
+  {
+    std::lock_guard<std::mutex> E(EngineMu);
+    for (const RequestOutcome &O : Outcomes) {
+      ProgramsRan += O.Ran ? 1 : 0;
+      Errors += O.Failed ? 1 : 0;
+      Usage += O.Usage;
+      Cond += O.Cond;
+    }
+    Requests += ProgramsRan;
+  }
+  // Bookkeeping BEFORE the response: once a client's submitAndWait
+  // returns, the server must no longer count the job in flight — a
+  // drain-then-health sequence from that client is otherwise racy.
+  // (The job that crosses the reclaim cadence therefore also delivers
+  // its response after the quiescent reclaim it triggered.)
+  jobFinished(ProgramsRan);
+  TotalUs.observe(microsSince(J.Enqueued));
+  J.Done(std::move(Response));
+}
+
+void AnalysisServer::submitAsync(const std::string &Line, Reply Done) {
+  // Blank lines keep a stream alive without a response.
+  if (Line.find_first_not_of(" \t\r") == std::string::npos) {
+    Done("");
+    return;
+  }
+  std::string Err;
+  std::optional<json::Value> Req = json::parse(Line, &Err);
+  if (!Req || !Req->isObject()) {
+    countError();
+    Done(errorResponse("null", Req ? "request is not a JSON object" : Err));
+    return;
+  }
+  std::string Id = idText(*Req);
+  // Tag any spans the request opens on this thread (trace cat
+  // "server"/"store"/...) with the request id; a no-op unless tracing
+  // is on. Admitted jobs tag their worker thread in runJob.
+  trace::ScopedTag IdTag("request_id", Id);
+  const json::Value *Verb = Req->field("verb");
+  if (Verb != nullptr && !Verb->isString()) {
+    countError();
+    Done(errorResponse(Id, "\"verb\" must be a string"));
+    return;
+  }
+  const std::string V = Verb != nullptr ? Verb->asString() : "";
+
+  // Admission control for analysis work.
+  if (V == "analyze-batch" ||
+      (Verb == nullptr &&
+       (Req->field("program") != nullptr || Req->field("path") != nullptr))) {
+    static metrics::Counter &ShedCount =
+        metrics::Registry::get().counter("server.shed");
+    std::string Refusal;
+    {
+      std::lock_guard<std::mutex> L(QM);
+      if (ShuttingDown) {
+        Refusal = errorResponse(Id, "server is shutting down");
+      } else if (Draining || Queue.size() >= Opt.QueueDepth) {
+        ++ShedN;
+        ShedCount.add(1);
+        Refusal = "{\"id\":" + Id + ",\"ok\":false,\"error\":\"" +
+                  (Draining ? "server draining"
+                            : "server overloaded: queue full") +
+                  "\",\"shed\":true}";
+      } else {
+        Queue.push_back(
+            Job{std::move(*Req), std::move(Id), std::move(Done), Clock::now()});
+        pumpLocked();
+        return;
+      }
+    }
+    Done(std::move(Refusal));
+    return;
+  }
+
+  // Control plane: runs on the submitting thread, never queued — an
+  // overloaded server still answers these.
+  std::string Response;
+  bool Stop = false;
+  if (Verb == nullptr) {
+    countError();
+    Response =
+        errorResponse(Id, "request needs \"program\", \"path\" or \"verb\"");
+  } else if (V == "stats" || V == "metrics") {
+    std::lock_guard<std::mutex> E(EngineMu);
+    Response = V == "stats" ? statsJson(Id) : metricsJson(Id);
+  } else if (V == "health") {
+    std::lock_guard<std::mutex> L(QM);
+    Response = "{\"id\":" + Id + ",\"ok\":true,\"health\":\"ok\",\"workers\":" +
+               std::to_string(Opt.Workers) +
+               ",\"inflight\":" + std::to_string(InFlight) +
+               ",\"queued\":" + std::to_string(Queue.size()) +
+               ",\"shed\":" + std::to_string(ShedN) + "}";
+  } else if (V == "drain") {
+    {
+      std::lock_guard<std::mutex> L(QM);
+      Draining = true;
+    }
+    waitIdle();
+    {
+      std::lock_guard<std::mutex> L(QM);
+      if (!ShuttingDown)
+        Draining = false;
+    }
+    Response = "{\"id\":" + Id + ",\"ok\":true,\"drained\":true}";
+  } else if (V == "shutdown") {
+    {
+      std::lock_guard<std::mutex> L(QM);
+      Stop = !ShuttingDown;
+      Draining = true; // New analysis work sheds while we drain.
+    }
+    if (!Stop) {
+      Response = errorResponse(Id, "server is shutting down");
+    } else {
+      waitIdle();
+      Response = "{\"id\":" + Id + ",\"ok\":true,\"shutdown\":true";
+      std::lock_guard<std::mutex> E(EngineMu);
+      ShutdownSaved = true;
+      std::string SaveErr;
+      if (!saveStoreLocked(&SaveErr)) {
+        // The session's specs could not be persisted; the ack says so
+        // (and stderr records it) instead of exiting clean.
+        std::cerr << "spec store: " << SaveErr << "\n";
+        Response += ",\"store_error\":" + json::quoted(SaveErr);
+      }
+      Response += "}";
+    }
+  } else {
+    countError();
+    Response = errorResponse(Id, "unknown verb '" + V + "'");
+  }
+  // Deliver the shutdown ack BEFORE hanging up the transports:
+  // requestShutdown half-closes every connection fd, so a write after
+  // it is lost — the client would see EOF instead of its ack.
+  Done(std::move(Response));
+  if (Stop)
+    requestShutdown();
+}
+
+std::string AnalysisServer::submitAndWait(const std::string &Line) {
+  std::promise<std::string> P;
+  std::future<std::string> F = P.get_future();
+  submitAsync(Line, [&P](std::string Resp) { P.set_value(std::move(Resp)); });
+  return F.get();
+}
+
+int AnalysisServer::serve(std::istream &In, std::ostream &Out) {
+  std::string Line;
+  while (!shutdownRequested() && std::getline(In, Line)) {
+    std::string Response = submitAndWait(Line);
+    if (!Response.empty()) {
+      Out << Response << "\n";
+      Out.flush();
+    }
+  }
+  return finishServe();
+}
+
+int AnalysisServer::finishServe() {
+  // A serve that ended without a shutdown verb (end of stream, client
+  // hangup, host-driven requestShutdown) still persists the store — it
+  // must not lose the session's inferred specs. A failed save is a
+  // failed serve.
+  std::lock_guard<std::mutex> E(EngineMu);
+  std::string SaveErr;
+  if (ShutdownSaved || saveStoreLocked(&SaveErr))
+    return 0;
+  std::cerr << "spec store: " << SaveErr << "\n";
+  return 1;
+}
+
+void AnalysisServer::requestShutdown() {
+  std::vector<std::shared_ptr<Conn>> Live;
+  {
+    std::lock_guard<std::mutex> L(QM);
+    ShuttingDown = true;
+    Draining = true;
+    if (Listener != nullptr)
+      Listener->wake();
+    for (const std::weak_ptr<Conn> &W : Conns)
+      if (std::shared_ptr<Conn> C = W.lock())
+        Live.push_back(std::move(C));
+  }
+  // Hang up readers outside the lock; their loops exit and close the
+  // fds once outstanding responses are flushed. C->Mu orders this
+  // against the close, so a closed (and maybe reused) fd number is
+  // never shut down.
+  for (const std::shared_ptr<Conn> &C : Live) {
+    std::lock_guard<std::mutex> L(C->Mu);
+    shutdownFd(C->Fd);
+  }
+}
+
+void AnalysisServer::connLoop(std::shared_ptr<Conn> C) {
+  auto Respond = [C](std::string Resp) {
+    if (!Resp.empty()) {
+      Resp += '\n';
+      std::lock_guard<std::mutex> W(C->WriteMu);
+      writeAll(C->Fd, Resp.data(), Resp.size());
+    }
+    {
+      std::lock_guard<std::mutex> L(C->Mu);
+      --C->Outstanding;
+    }
+    C->Cv.notify_all();
   };
-  std::string Entry = "main";
-  if (const json::Value *E = Req.field("entry"))
-    if (E->isString())
-      Entry = E->asString();
-  if (const json::Value *Prog = Req.field("program")) {
-    if (!Prog->isString())
-      return errorOutcome("\"program\" must be a string");
-    return runProgramRequest(Prog->asString(), Entry, Config, Tier);
-  }
-  if (const json::Value *Path = Req.field("path")) {
-    if (!AllowPaths)
-      return errorOutcome("path requests are disabled");
-    if (!Path->isString())
-      return errorOutcome("\"path\" must be a string");
-    std::ifstream In(Path->asString());
-    if (!In)
-      return errorOutcome("cannot open " + Path->asString());
-    std::stringstream Buf;
-    Buf << In.rdbuf();
-    return runProgramRequest(Buf.str(), Entry, Config, Tier);
-  }
-  return std::nullopt;
-}
-
-void AnalysisServer::accumulate(const RequestOutcome &Outcome) {
-  if (Outcome.Ran)
-    ++Requests;
-  if (Outcome.Failed)
-    ++Errors;
-  Usage += Outcome.Usage;
-  Cond += Outcome.Cond;
-}
-
-std::optional<std::string>
-AnalysisServer::decodeAndRun(const json::Value &Req) {
-  auto T0 = std::chrono::steady_clock::now();
-  std::optional<RequestOutcome> Outcome =
-      decodeAndRunRequest(Req, Opt.Program, Batch.globalTier(), Opt.AllowPaths);
-  if (!Outcome)
-    return std::nullopt;
-  if (Outcome->Ran) {
-    // The serial loop admits a request the instant it is read, so its
-    // queue wait is identically zero; recording it anyway keeps the
-    // metrics-verb schema one shape across both front ends.
-    static metrics::Histogram &QueueUs =
-        metrics::Registry::get().histogram("server.request.queue_us");
-    static metrics::Histogram &TotalUs =
-        metrics::Registry::get().histogram("server.request.total_us");
-    QueueUs.observe(0);
-    TotalUs.observe(static_cast<uint64_t>(
-        std::chrono::duration_cast<std::chrono::microseconds>(
-            std::chrono::steady_clock::now() - T0)
-            .count()));
-  }
-  accumulate(*Outcome);
-  // Serial loop: every request completion is a quiescence point.
-  if (Outcome->Ran && Opt.ReclaimEvery != 0 &&
-      Requests % Opt.ReclaimEvery == 0)
-    reclaimNow();
-  return Outcome->Body;
-}
-
-std::string AnalysisServer::handleBatchVerb(const std::string &Id,
-                                            const json::Value &Req) {
-  const json::Value *Programs = Req.field("programs");
-  if (Programs == nullptr || !Programs->isArray()) {
-    ++Errors;
-    return errorResponse(Id, "analyze-batch needs a \"programs\" array");
-  }
-  // Answered strictly in request order, each element decoded and
-  // analyzed by the SAME path as a standalone request (counters and
-  // reclaim cadence included), assembled into one response line.
-  std::string Out = "{\"id\":" + Id + ",\"ok\":true,\"results\":[";
-  bool First = true;
-  for (const json::Value &Item : Programs->elements()) {
-    if (!First)
-      Out += ',';
-    First = false;
-    if (!Item.isObject()) {
-      ++Errors;
-      Out += "{\"ok\":false,\"error\":\"request is not a JSON object\"}";
-      continue;
+  LineReader Reader(C->Fd);
+  std::string Line;
+  while (Reader.readLine(Line)) {
+    {
+      std::lock_guard<std::mutex> L(C->Mu);
+      ++C->Outstanding;
     }
-    std::optional<std::string> Body = decodeAndRun(Item);
-    if (!Body) {
-      ++Errors;
-      Out += "{\"ok\":false,\"error\":\"batch element needs \\\"program\\\" "
-             "or \\\"path\\\"\"}";
-      continue;
-    }
-    Out += "{" + *Body + "}";
+    submitAsync(Line, Respond);
+    if (shutdownRequested())
+      break;
   }
-  return Out + "]}";
+  if (Reader.overlong()) {
+    // A peer that never sends a newline cannot grow the buffer past
+    // the cap; it gets one error line and loses its connection.
+    countError();
+    std::string Resp =
+        errorResponse("null", "request line exceeds " +
+                                  std::to_string(LineReader::MaxLineBytes) +
+                                  " bytes") +
+        "\n";
+    std::lock_guard<std::mutex> W(C->WriteMu);
+    writeAll(C->Fd, Resp.data(), Resp.size());
+  }
+  // EOF (or hangup): wait for in-flight responses of THIS connection
+  // before closing its fd — a worker must never write a closed fd.
+  std::unique_lock<std::mutex> L(C->Mu);
+  C->Cv.wait(L, [&] { return C->Outstanding == 0; });
+  closeFd(C->Fd);
+  C->Fd = -1;
 }
 
-bool AnalysisServer::saveStore(std::string *Err) {
+int AnalysisServer::serveSocket(std::string *Err) {
+  UnixListener L;
+  if (Opt.SocketPath.empty()) {
+    if (Err != nullptr)
+      *Err = "no socket path configured";
+    return 1;
+  }
+  if (!L.bindAndListen(Opt.SocketPath, Err))
+    return 1;
+  {
+    std::lock_guard<std::mutex> G(QM);
+    Listener = &L;
+    if (ShuttingDown)
+      L.wake();
+  }
+  std::vector<std::thread> Readers;
+  for (;;) {
+    int Fd = L.acceptFd();
+    if (Fd < 0)
+      break;
+    auto C = std::make_shared<Conn>();
+    C->Fd = Fd;
+    {
+      std::lock_guard<std::mutex> G(QM);
+      if (ShuttingDown) {
+        closeFd(Fd);
+        break;
+      }
+      Conns.push_back(C);
+    }
+    Readers.emplace_back([this, C] { connLoop(std::move(C)); });
+  }
+  {
+    std::lock_guard<std::mutex> G(QM);
+    Listener = nullptr;
+  }
+  for (std::thread &T : Readers)
+    T.join();
+  waitIdle();
+  L.close();
+  return finishServe();
+}
+
+bool AnalysisServer::saveStoreLocked(std::string *Err) {
   if (Store == nullptr || Opt.StorePath.empty())
     return true;
-  if (GlobalSolverCache *Tier = Batch.globalTier())
+  if (Tier)
     Store->setSatSnapshot(Tier->exportSatSnapshot());
   return Store->save(Opt.StorePath, Err);
 }
 
 std::string AnalysisServer::statsJson(const std::string &Id) const {
-  ServerStats S = stats();
+  ServerStats S = statsLocked();
   std::ostringstream Out;
   Out << "{\"id\":" << Id << ",\"ok\":true,\"stats\":{"
       << "\"requests\":" << S.Requests << ",\"errors\":" << S.Errors
@@ -363,9 +678,9 @@ std::string AnalysisServer::metricsJson(const std::string &Id) const {
   // Refresh the registry from the engine's cumulative counters first,
   // so the snapshot is current however long ago the last bridge ran.
   // Event-driven instruments (request latency histograms, batch group
-  // timings, concurrent-server admission counters) are already in the
-  // registry — they accumulate at event time.
-  ServerStats S = stats();
+  // timings, admission counters) are already in the registry — they
+  // accumulate at event time.
+  ServerStats S = statsLocked();
   metrics::Registry &R = metrics::Registry::get();
   R.setGauge("server.requests", static_cast<int64_t>(S.Requests));
   R.setGauge("server.errors", static_cast<int64_t>(S.Errors));
@@ -388,82 +703,32 @@ std::string AnalysisServer::metricsJson(const std::string &Id) const {
          R.snapshotJson() + "}";
 }
 
-std::string AnalysisServer::handleLine(const std::string &Line) {
-  // Blank lines keep the stream alive without a response.
-  bool AllWs = true;
-  for (char C : Line)
-    if (C != ' ' && C != '\t' && C != '\r')
-      AllWs = false;
-  if (AllWs)
-    return "";
-
-  std::string Err;
-  std::optional<json::Value> Req = json::parse(Line, &Err);
-  if (!Req || !Req->isObject()) {
-    ++Errors;
-    return errorResponse("null",
-                         Req ? "request is not a JSON object" : Err);
-  }
-  std::string Id = idText(*Req);
-  // Tag any spans the request opens (trace cat "server"/"pipeline"/
-  // "solver"/...) with the request id; a no-op unless tracing is on.
-  trace::ScopedTag IdTag("request_id", Id);
-
-  if (const json::Value *Verb = Req->field("verb")) {
-    if (!Verb->isString()) {
-      ++Errors;
-      return errorResponse(Id, "\"verb\" must be a string");
-    }
-    const std::string &V = Verb->asString();
-    if (V == "stats")
-      return statsJson(Id);
-    if (V == "metrics")
-      return metricsJson(Id);
-    if (V == "analyze-batch")
-      return handleBatchVerb(Id, *Req);
-    if (V == "shutdown") {
-      Shutdown = true;
-      std::string SaveErr;
-      if (!saveStore(&SaveErr)) {
-        // The session's specs could not be persisted; the ack says so
-        // (and stderr records it) instead of exiting clean.
-        std::cerr << "spec store: " << SaveErr << "\n";
-        return "{\"id\":" + Id + ",\"ok\":true,\"shutdown\":true," +
-               "\"store_error\":" + json::quoted(SaveErr) + "}";
-      }
-      return "{\"id\":" + Id + ",\"ok\":true,\"shutdown\":true}";
-    }
-    ++Errors;
-    return errorResponse(Id, "unknown verb '" + V + "'");
-  }
-
-  if (std::optional<std::string> Body = decodeAndRun(*Req))
-    return "{\"id\":" + Id + "," + *Body + "}";
-
-  ++Errors;
-  return errorResponse(Id, "request needs \"program\", \"path\" or \"verb\"");
+ServerStats AnalysisServer::stats() const {
+  std::lock_guard<std::mutex> E(EngineMu);
+  return statsLocked();
 }
 
-int AnalysisServer::serve(std::istream &In, std::ostream &Out) {
-  std::string Line;
-  while (!Shutdown && std::getline(In, Line)) {
-    std::string Response = handleLine(Line);
-    if (!Response.empty()) {
-      Out << Response << "\n";
-      Out.flush();
-    }
+ServerStats AnalysisServer::statsLocked() const {
+  ServerStats S;
+  S.Requests = Requests;
+  S.Errors = Errors;
+  S.Reclaims = Reclaims;
+  S.Usage = Usage;
+  S.CondTerm = Cond;
+  S.LastReclaim = LastReclaim;
+  if (Store != nullptr) {
+    SpecStoreStats SS = Store->stats();
+    S.StoreHits = SS.Hits;
+    S.StoreMisses = SS.Misses;
   }
-  // End of stream without a shutdown verb still persists the store —
-  // a client hangup must not lose the session's inferred specs. A
-  // failed save is a failed serve.
-  if (!Shutdown) {
-    std::string SaveErr;
-    if (!saveStore(&SaveErr)) {
-      std::cerr << "spec store: " << SaveErr << "\n";
-      return 1;
-    }
-  }
-  return 0;
+  if (Tier)
+    S.Global = Tier->stats();
+  ArithIntern &I = ArithIntern::global();
+  S.InternExprs = I.exprCount();
+  S.InternConstraints = I.constraintCount();
+  S.InternFormulas = I.formulaCount();
+  S.InternArenaBytes = I.arenaBytes();
+  return S;
 }
 
 std::string tnt::soakRequestJson(uint64_t Id, const std::string &Source) {
@@ -480,27 +745,4 @@ bool tnt::soakSamplesBounded(const std::vector<size_t> &Samples) {
   for (size_t I = Samples.size() - 3; I < Samples.size(); ++I)
     Final = std::max(Final, Samples[I]);
   return Final <= Baseline + Baseline / 4;
-}
-
-ServerStats AnalysisServer::stats() const {
-  ServerStats S;
-  S.Requests = Requests;
-  S.Errors = Errors;
-  S.Reclaims = Reclaims;
-  S.Usage = Usage;
-  S.CondTerm = Cond;
-  S.LastReclaim = LastReclaim;
-  if (Store != nullptr) {
-    SpecStoreStats SS = Store->stats();
-    S.StoreHits = SS.Hits;
-    S.StoreMisses = SS.Misses;
-  }
-  if (const GlobalSolverCache *Tier = Batch.globalTier())
-    S.Global = Tier->stats();
-  ArithIntern &I = ArithIntern::global();
-  S.InternExprs = I.exprCount();
-  S.InternConstraints = I.constraintCount();
-  S.InternFormulas = I.formulaCount();
-  S.InternArenaBytes = I.arenaBytes();
-  return S;
 }

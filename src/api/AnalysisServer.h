@@ -1,4 +1,4 @@
-//===- api/AnalysisServer.h - Persistent analysis front end -----*- C++ -*-===//
+//===- api/AnalysisServer.h - Persistent analysis server --------*- C++ -*-===//
 //
 // Part of the hiptntpp project: a reproduction of "Termination and
 // Non-Termination Specification Inference" (PLDI 2015).
@@ -6,13 +6,24 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The analysis-server front end: a persistent process that reads
-/// newline-delimited JSON requests and streams one response line per
-/// request, keeping one BatchAnalyzer's global solver tier warm across
-/// requests so repeated and similar programs answer from the shared
-/// cache. This is the long-lived regime the paper's reuse argument
-/// points at (specifications inferred once answer future queries
-/// cheaply) and the ROADMAP's north star.
+/// The analysis server: a persistent process that answers
+/// newline-delimited JSON requests, keeping one global solver tier warm
+/// across requests so repeated and similar programs answer from the
+/// shared cache. This is the long-lived regime the paper's reuse
+/// argument points at (specifications inferred once answer future
+/// queries cheaply) and the ROADMAP's north star.
+///
+/// One engine, three ways in. The engine is a bounded admission queue
+/// in front of a worker pool (Workers program requests in flight at
+/// once); the transports only frame lines:
+///
+///   serve(In, Out)   stdin/stdout: submits one line and waits for its
+///                    answer, so responses come back in request order.
+///   serveSocket()    unix-domain socket: a reader thread per
+///                    connection, many requests in flight. Responses to
+///                    one connection may arrive OUT OF REQUEST ORDER, so
+///                    clients correlate them by "id".
+///   submitAndWait()  the same protocol in-process (tests, benches).
 ///
 /// Protocol (one JSON object per line):
 ///
@@ -22,15 +33,29 @@
 ///    "programs": [{"program": ...}, {"path": ...}]}      batch request
 ///   {"id": 4, "verb": "stats"}                           server counters
 ///   {"id": 5, "verb": "metrics"}                         registry snapshot
-///   {"id": 6, "verb": "shutdown"}                        stop serving
+///   {"id": 6, "verb": "health"}                          load snapshot
+///   {"id": 7, "verb": "drain"}                           wait until idle
+///   {"id": 8, "verb": "shutdown"}                        stop serving
 ///
 /// analyze-batch answers one response line carrying a "results" array
 /// with one entry per requested program, in request order; each entry
 /// has the same fields as a single-program response minus the id
 /// ({"ok","entry","verdict","output"} or {"ok":false,"error"}), and
-/// each program is analyzed exactly like a standalone request (same
-/// block numbering, same reclaim cadence), so entries stay
-/// byte-identical to single-program responses of the same sources.
+/// each program is decoded and analyzed exactly like a standalone
+/// request, so entries stay byte-identical to single-program responses
+/// of the same sources.
+///
+/// Admission control. Program work (single requests and analyze-batch
+/// lines) is admitted to a queue of QueueDepth entries; when it is full
+/// the request is LOAD-SHED with a well-formed error object:
+///
+///   {"id":<id>,"ok":false,"error":"server overloaded: queue full",
+///    "shed":true}
+///
+/// Control verbs and malformed lines never queue: they run on the
+/// submitting thread, so an overloaded server still answers health
+/// checks. shutdown drains in-flight work, saves the spec store, acks,
+/// and stops every transport.
 ///
 /// Program responses carry {"id", "ok", "entry", "verdict", "output"}
 /// and are BYTE-IDENTICAL to a fresh single-program analyzeProgram run
@@ -39,36 +64,30 @@
 /// arith/Var.h) on the exact block numbering analyzeProgram uses (root
 /// block 0, group G on block G+1), so the ids and spellings a request
 /// mints are a pure function of the request, independent of server
-/// history, and the shared tier is semantically transparent.
-/// Deliberately, the response contains no times or cache counters —
-/// warmth must be unobservable in it (the soak suite diffs every
-/// response against a fresh run). The session design is also what lets
-/// the CONCURRENT front end (api/ConcurrentServer.h) multiplex many
-/// in-flight requests over one engine without giving up a byte of
-/// determinism: sibling requests cannot observe each other through the
-/// pool.
+/// history and of sibling requests in flight, and the shared tier and
+/// spec store are semantically transparent. Deliberately, the response
+/// contains no times or cache counters — warmth must be unobservable in
+/// it (the soak suites diff responses against fresh runs).
 ///
 /// Epoch-scoped reclamation: without it, a server analyzing an
 /// unbounded program stream grows the process-wide ArithIntern table
-/// with every request. The server runs in ArithIntern epoch mode:
-/// every ReclaimEvery program requests it collects the interned
-/// pointers still reachable from the global tier (both cache
-/// generations) as the retained root set and reclaims everything else
-/// — per-request garbage lives for at most one epoch, and combined
-/// with the tier's capacity rotation the whole footprint is bounded.
-/// Reclamation assumes this server's tier is the only cross-request
-/// owner of interned pointers in the process; while any other
-/// GlobalSolverCache is alive — a sibling server's (reclaiming or
+/// with every request. The server runs in ArithIntern epoch mode: once
+/// every ReclaimEvery completed program requests it collects the
+/// interned pointers still reachable from its tier (both cache
+/// generations) as the retained root set and reclaims everything else.
+/// It reclaims only at QUIESCENCE: dispatch pauses (new jobs keep
+/// queueing) and the job that brings the in-flight count to zero runs
+/// the reclaim, so no request ever spans an epoch boundary — the caller
+/// contract ArithIntern::reclaim documents.
+///
+/// Reclamation also assumes this server's tier is the only
+/// cross-request owner of interned pointers in the process. While any
+/// other GlobalSolverCache is alive — a second server's (reclaiming or
 /// not) or a tier-owning BatchAnalyzer's — the server stands down to
 /// append-only mode until sole ownership returns (tested by
-/// ServerSoakTest). The gate cannot see analyses with no tier running
-/// concurrently on other host threads; a host that does that must
-/// either disable reclamation (ReclaimEvery = 0) or guarantee
-/// QUIESCENCE at every reclaim — no analysis in flight — per
-/// ArithIntern::reclaim's caller contract. The serial serve() loop
-/// gets quiescence for free (strictly one request at a time); the
-/// concurrent front end pauses dispatch and waits for in-flight
-/// requests to drain before calling reclaimNow().
+/// ServerProtocol.ConcurrentReclaimersStandDown). The gate cannot see
+/// tier-less analyses running on other host threads; a host that runs
+/// those must disable reclamation (ReclaimEvery = 0).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -77,14 +96,22 @@
 
 #include "api/BatchAnalyzer.h"
 #include "support/Json.h"
+#include "support/WorkStealingPool.h"
 
+#include <chrono>
+#include <condition_variable>
+#include <deque>
+#include <functional>
 #include <iosfwd>
 #include <memory>
+#include <mutex>
 #include <string>
+#include <vector>
 
 namespace tnt {
 
 class SpecStore;
+class UnixListener;
 
 /// Server configuration.
 struct ServerOptions {
@@ -102,11 +129,16 @@ struct ServerOptions {
   bool AllowPaths = true;
   /// Persistent spec store file: loaded at startup (inferred specs and
   /// the solver sat snapshot warm-start the server), saved atomically
-  /// on shutdown / end of stream. Empty disables persistence.
+  /// on shutdown / end of serve. Empty disables persistence.
   std::string StorePath;
-  /// Alternatively, an externally owned store (tests; overrides
-  /// StorePath's loading — saving still goes to StorePath if set).
-  SpecStore *Store = nullptr;
+  /// Maximum program requests in flight at once (also the worker-pool
+  /// size). 0 is clamped to 1.
+  unsigned Workers = 4;
+  /// Bounded admission queue: program requests beyond the in-flight
+  /// cap wait here; when it is full they are load-shed.
+  size_t QueueDepth = 64;
+  /// serveSocket() endpoint. Unused by the other transports.
+  std::string SocketPath;
 };
 
 /// A stats() snapshot (also served by the "stats" verb).
@@ -134,10 +166,7 @@ struct ServerStats {
 };
 
 /// One program request's result: the rendered response body plus the
-/// counters the engine folds into its totals. Produced by
-/// runProgramRequest / decodeAndRunRequest, consumed by
-/// AnalysisServer::accumulate — the one shape both the serial and the
-/// concurrent front end speak.
+/// counters the server folds into its totals.
 struct RequestOutcome {
   /// Response-body fields (no braces, no id) — an "ok":true program
   /// body or an "ok":false error body.
@@ -154,44 +183,21 @@ struct RequestOutcome {
 /// Analyzes one program source exactly like a fresh single-program run
 /// — root block 0, group G on block G+1, executed serially on the
 /// calling thread inside a FRESH VarPool session — and renders the
-/// response body. This is the single analysis path behind the serial
-/// server, the concurrent server's workers, and the byte-identity
-/// reference runs of the soak suites. Thread-safe: concurrent calls
-/// share only the internally synchronized tier, store and intern
-/// table. The caller owns epoch discipline: the request's interned
-/// terms may be reclaimed at the next epoch boundary, so no reclaim
-/// may run while a call is in flight (quiescence).
+/// response body. This is the single analysis path behind the server's
+/// workers and the byte-identity reference runs of the soak suites.
+/// Thread-safe: concurrent calls share only the internally
+/// synchronized tier, store and intern table. The caller owns epoch
+/// discipline: the request's interned terms may be reclaimed at the
+/// next epoch boundary, so no reclaim may run while a call is in
+/// flight (quiescence).
 RequestOutcome runProgramRequest(const std::string &Source,
                                  const std::string &Entry,
                                  const AnalyzerConfig &Config,
                                  GlobalSolverCache *Tier);
 
-/// Decodes ONE program-request object — "program" or "path" plus
-/// optional "entry", with the type checks and the \p AllowPaths gate —
-/// and runs it via runProgramRequest. Returns nullopt when the object
-/// carries neither key (the caller owns that error's wording: a
-/// top-level request may still have a "verb"). The single decode path
-/// is what keeps analyze-batch elements and concurrent-server
-/// responses byte-identical to standalone serial responses.
-std::optional<RequestOutcome> decodeAndRunRequest(const json::Value &Req,
-                                                  const AnalyzerConfig &Config,
-                                                  GlobalSolverCache *Tier,
-                                                  bool AllowPaths);
-
-namespace proto {
-/// The request id rendered for echoing: raw number lexeme, quoted
-/// string, or "null" when absent/other.
-std::string idText(const json::Value &Req);
-/// A complete {"id":...,"ok":false,"error":...} response line.
-std::string errorResponse(const std::string &IdText, const std::string &Msg);
-} // namespace proto
-
-/// The persistent front end. One instance owns one BatchAnalyzer whose
-/// global tier stays warm for the server's lifetime. serve() handles
-/// requests strictly one at a time; ConcurrentAnalysisServer wraps an
-/// instance to multiplex many in-flight requests over the same engine
-/// (cross-request cache reuse is where the service wins either way;
-/// concurrency adds throughput, sessions keep it unobservable).
+/// The analysis server. Owns the warm tier, the spec store, the engine
+/// counters and the worker pool; thread-safe throughout (submitAndWait
+/// may be called from any number of threads).
 class AnalysisServer {
 public:
   explicit AnalysisServer(ServerOptions Options = {});
@@ -200,94 +206,127 @@ public:
   AnalysisServer(const AnalysisServer &) = delete;
   AnalysisServer &operator=(const AnalysisServer &) = delete;
 
+  /// Handles one protocol line and returns the response (no trailing
+  /// newline; empty for blank lines). Program lines block the CALLER
+  /// until their job completes (or sheds); the server keeps serving
+  /// other callers meanwhile.
+  std::string submitAndWait(const std::string &Line);
+
   /// Reads newline-delimited requests from \p In until EOF or a
-  /// shutdown verb, writing one response line per request to \p Out
-  /// (flushed per line). Returns 0, or 1 when persisting the spec
-  /// store at end of stream failed (shutdown-verb save failures are
-  /// reported in the ack and on stderr instead — the ack was promised
-  /// to the client either way).
+  /// shutdown, writing one response line per request to \p Out in
+  /// request order (flushed per line). Returns 0, or 1 when persisting
+  /// the spec store at end of stream failed (shutdown-verb save
+  /// failures are reported in the ack and on stderr instead — the ack
+  /// was promised to the client either way).
   int serve(std::istream &In, std::ostream &Out);
 
-  /// Handles one request line and returns the response (no trailing
-  /// newline; empty for blank input lines). Exposed so tests and the
-  /// smoke driver can exercise the exact protocol path in-process.
-  std::string handleLine(const std::string &Line);
+  /// Binds Options.SocketPath and serves connections until a shutdown
+  /// verb arrives (from any transport) or requestShutdown() is called.
+  /// Returns 0, or 1 when binding failed (\p Err set) or the
+  /// end-of-serve store save failed.
+  int serveSocket(std::string *Err = nullptr);
 
-  /// True once a shutdown verb has been handled.
-  bool shutdownRequested() const { return Shutdown; }
+  /// Stops every transport: wakes the listener, hangs up readers,
+  /// sheds new work. Does NOT save the store (that belongs to the
+  /// shutdown verb / end-of-serve path). Safe from any thread.
+  void requestShutdown();
 
+  /// True once a shutdown verb was handled or requestShutdown() ran.
+  bool shutdownRequested() const;
+
+  /// Engine counters (requests, errors, reclaims, tier, cond-term...).
   ServerStats stats() const;
 
-  /// The warm tier (null when disabled).
-  GlobalSolverCache *globalTier() { return Batch.globalTier(); }
+  /// Program requests rejected by admission control.
+  uint64_t shedCount() const;
 
-  /// The spec store (null when persistence is off).
-  SpecStore *specStore() { return Store; }
-
-  /// Saves the spec store (and the tier's sat snapshot) to the
-  /// configured StorePath; no-op without one. Called on shutdown and
-  /// at end of stream; exposed for hosts that serve() other loops.
-  bool saveStore(std::string *Err = nullptr);
-
-  /// Forces an epoch boundary now (normally driven by ReclaimEvery).
-  /// Caller must guarantee quiescence: no analysis in flight.
-  void reclaimNow();
-
-  /// Folds one request outcome into the server's counters (requests,
-  /// errors, solver usage, cond-term). Does NOT drive the reclaim
-  /// cadence — the serial path does that right after, the concurrent
-  /// front end at its next quiescence point. Not internally locked;
-  /// the concurrent front end serializes calls under its engine lock.
-  void accumulate(const RequestOutcome &Outcome);
-
-  /// Program requests handled so far (drives the reclaim cadence).
-  uint64_t requestCount() const { return Requests; }
-
-  /// The effective options (Program.Store is patched to the loaded
-  /// store) — the concurrent front end runs its workers off these.
-  const ServerOptions &options() const { return Opt; }
-
-  /// The complete stats-verb response line (shared with the concurrent
-  /// front end's stats verb, so both report identical shapes).
-  std::string statsJson(const std::string &IdText) const;
-
-  /// The complete metrics-verb response line:
-  /// {"id":...,"ok":true,"metrics":<registry snapshot>}. Bridges the
-  /// engine's cumulative counters (server.*, solver.*, tier.*,
-  /// cond_term.*, spec_store.*) into the process-wide metrics registry
-  /// (support/Metrics.h) and snapshots it — so the one response also
-  /// carries every event-driven instrument (request latency
-  /// histograms, batch timings, concurrent-server admission counters).
-  /// The concurrent front end routes its metrics verb here too.
-  std::string metricsJson(const std::string &IdText) const;
+  /// Test hook: true freezes dispatch (jobs queue but never start), so
+  /// a test can fill the bounded queue and observe a deterministic
+  /// shed; false resumes and dispatches the backlog.
+  void pauseDispatchForTest(bool Paused);
 
 private:
-  /// Decodes and runs one program-request object via
-  /// decodeAndRunRequest, folds the outcome and drives the reclaim
-  /// cadence; nullopt when the object has neither "program" nor
-  /// "path".
-  std::optional<std::string> decodeAndRun(const json::Value &Req);
-  std::string handleBatchVerb(const std::string &IdText,
-                              const json::Value &Req);
+  using Reply = std::function<void(std::string)>;
+  struct Job {
+    json::Value Req; ///< A program request or an analyze-batch line.
+    std::string Id;  ///< Its rendered id.
+    Reply Done;
+    /// Admission time — the anchor for the queue-wait and total-latency
+    /// histograms ("server.request.queue_us" / "...total_us"). Purely
+    /// observational; never feeds a response.
+    std::chrono::steady_clock::time_point Enqueued;
+  };
+  /// Per-connection state shared between its reader thread and the
+  /// worker-side response writers.
+  struct Conn {
+    int Fd = -1;
+    std::mutex WriteMu;     ///< One response line at a time.
+    std::mutex Mu;          ///< Guards Outstanding and closing Fd.
+    std::condition_variable Cv;
+    unsigned Outstanding = 0; ///< Lines submitted, response not yet sent.
+  };
 
-  ServerOptions Opt;
-  std::unique_ptr<SpecStore> OwnedStore; ///< When StorePath is set.
-  SpecStore *Store = nullptr;
-  BatchAnalyzer Batch; ///< Owns the warm global tier.
+  /// The dispatcher: classifies one line, admits program work to the
+  /// queue and answers everything else on the calling thread. \p Done
+  /// receives the response exactly once (synchronously for control and
+  /// shed paths).
+  void submitAsync(const std::string &Line, Reply Done);
+  /// Runs one admitted job on a pool thread.
+  void runJob(Job &J);
+  /// Bookkeeping after a job: in-flight count, reclaim at quiescence,
+  /// dispatch pump.
+  void jobFinished(uint64_t ProgramsRan);
+  /// Dispatches queued jobs while capacity allows (QM held).
+  void pumpLocked();
+  /// Blocks until no job is queued, in flight, or reclaiming.
+  void waitIdle();
+  void connLoop(std::shared_ptr<Conn> C);
+  /// The end-of-serve store save of both transports, skipped when a
+  /// shutdown verb already saved. Returns the serve's exit code.
+  int finishServe();
+  void countError();
+  // The four below run with EngineMu held.
+  bool saveStoreLocked(std::string *Err);
+  ServerStats statsLocked() const;
+  std::string statsJson(const std::string &Id) const;
+  std::string metricsJson(const std::string &Id) const;
+
+  ServerOptions Opt; ///< Program.Store is patched to the loaded store.
+  std::unique_ptr<SpecStore> Store; ///< When StorePath is set.
+  std::unique_ptr<GlobalSolverCache> Tier; ///< Null when disabled.
+  /// Reclamation was enabled at construction; the sole-owner gate is
+  /// checked again at every reclaim (see file comment).
+  bool Reclaiming = false;
+
+  /// Serializes every touch of the engine state below: counter folds,
+  /// stats, store saves, reclaims. Analysis itself runs outside it —
+  /// runProgramRequest only shares internally synchronized state.
+  mutable std::mutex EngineMu;
   uint64_t Requests = 0;
   uint64_t Errors = 0;
   uint64_t Reclaims = 0;
   SolverStats Usage;
   CondTermStats Cond;
   ReclaimStats LastReclaim;
-  bool Shutdown = false;
-  /// True when this server was constructed with reclamation enabled.
-  /// reclaimNow() additionally checks at reclaim time that this is the
-  /// process's ONLY live reclaiming server and that no other
-  /// GlobalSolverCache instance exists (see file comment); otherwise
-  /// it stands down — the table then just grows, exactly as in
-  /// one-shot mode.
-  bool Reclaiming = false;
+  bool ShutdownSaved = false; ///< The shutdown verb ran its store save.
+
+  mutable std::mutex QM; ///< Queue + dispatch + transport registry.
+  std::condition_variable IdleCv;
+  std::deque<Job> Queue;
+  unsigned InFlight = 0;
+  bool DispatchPaused = false;
+  bool Draining = false;
+  bool ShuttingDown = false;
+  bool ReclaimPending = false;
+  bool ReclaimInProgress = false;
+  uint64_t CompletedPrograms = 0;
+  uint64_t NextReclaimAt = 0; ///< 0: reclamation disabled.
+  uint64_t ShedN = 0;
+  UnixListener *Listener = nullptr; ///< Live only inside serveSocket.
+  std::vector<std::weak_ptr<Conn>> Conns;
+
+  /// Last: its workers run jobs against everything above.
+  WorkStealingPool Pool;
 };
 
 /// One NDJSON program-request line for the server protocol, shared by

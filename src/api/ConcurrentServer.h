@@ -1,4 +1,4 @@
-//===- api/ConcurrentServer.h - Multi-client analysis front end -*- C++ -*-===//
+//===- api/ConcurrentServer.h - Old server names ----------------*- C++ -*-===//
 //
 // Part of the hiptntpp project: a reproduction of "Termination and
 // Non-Termination Specification Inference" (PLDI 2015).
@@ -6,54 +6,10 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The concurrent front end over AnalysisServer: one engine (warm
-/// tier, spec store, reclaim gate, counters), many clients, N program
-/// requests in flight at once on a shared WorkStealingPool.
-///
-/// Transports. serveSocket() listens on a unix-domain socket; each
-/// connection gets a reader thread and speaks the same NDJSON protocol
-/// as the serial stdin mode, plus two concurrent-only verbs:
-///
-///   {"id": 7, "verb": "health"}   liveness + load snapshot
-///   {"id": 8, "verb": "drain"}    block until queue and workers idle
-///
-/// submitAndWait() is the same protocol in-process (tests, bench).
-/// Responses to one connection may arrive OUT OF REQUEST ORDER — that
-/// is what multiplexing means — so clients correlate by "id". The
-/// serial in-order guarantee belongs to `hiptnt --serve` alone.
-///
-/// Admission control. Program work (single requests and analyze-batch
-/// lines) is admitted to a bounded queue and dispatched to at most
-/// Workers in-flight jobs; when the queue is full the request is
-/// LOAD-SHED deterministically with a well-formed error object:
-///
-///   {"id":<id>,"ok":false,"error":"server overloaded: queue full",
-///    "shed":true}
-///
-/// Control verbs (stats, health, drain, shutdown, malformed lines)
-/// never queue: they run on the submitting thread, so an overloaded
-/// server still answers health checks. shutdown drains in-flight work,
-/// then delegates to the engine (store save + ack) and stops every
-/// transport.
-///
-/// Why concurrent responses stay byte-identical to serial fresh-context
-/// runs: every program request runs inside its own VarPool session
-/// (runProgramRequest), so the ids and spellings it mints are
-/// positional — a pure function of the request — and sibling requests
-/// cannot observe each other through the pool; the shared tier and
-/// spec store are semantically transparent by construction (answers
-/// are pure functions of structure; first-writer-wins merges affect
-/// residency, never values). Scheduling affects only which requests
-/// compute answers and which reuse them.
-///
-/// Reclamation under concurrency: epoch reclamation must never sweep a
-/// formula a live request can still reach, so the front end reclaims
-/// only at QUIESCENCE points — once the completed-program count
-/// crosses the engine's ReclaimEvery cadence, dispatch pauses (new
-/// jobs keep queueing) and the job that brings the in-flight count to
-/// zero performs the reclaim, then dispatch resumes. In-flight
-/// requests therefore never span an epoch boundary, which is exactly
-/// the caller contract ArithIntern::reclaim documents.
+/// The names the multi-client front end had before it became the one
+/// AnalysisServer (api/AnalysisServer.h). Kept only for
+/// perfbench/driver.cpp, which still spells them; new code uses the
+/// AnalysisServer names.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -61,144 +17,11 @@
 #define TNT_API_CONCURRENTSERVER_H
 
 #include "api/AnalysisServer.h"
-#include "support/WorkStealingPool.h"
-
-#include <chrono>
-#include <condition_variable>
-#include <deque>
-#include <functional>
-#include <memory>
-#include <mutex>
-#include <string>
-#include <thread>
-#include <vector>
 
 namespace tnt {
 
-class UnixListener;
-
-/// Configuration of the concurrent front end.
-struct ConcurrentServerOptions {
-  /// Engine configuration (per-request analyzer knobs, tier, store,
-  /// reclaim cadence) — identical semantics to the serial server.
-  ServerOptions Server;
-  /// Maximum program requests in flight at once (also the worker-pool
-  /// size). 0 is clamped to 1.
-  unsigned Workers = 4;
-  /// Bounded admission queue: program requests beyond the in-flight
-  /// cap wait here; when it is full they are load-shed.
-  size_t QueueDepth = 64;
-  /// serveSocket() endpoint. Unused by submitAndWait().
-  std::string SocketPath;
-};
-
-/// The multi-client front end. Owns the engine and the worker pool;
-/// thread-safe throughout (submitAndWait may be called from any number
-/// of threads, which is precisely the point).
-class ConcurrentAnalysisServer {
-public:
-  explicit ConcurrentAnalysisServer(ConcurrentServerOptions Options = {});
-  ~ConcurrentAnalysisServer();
-
-  ConcurrentAnalysisServer(const ConcurrentAnalysisServer &) = delete;
-  ConcurrentAnalysisServer &operator=(const ConcurrentAnalysisServer &) =
-      delete;
-
-  /// Handles one protocol line and returns the response (empty for
-  /// blank lines) — the in-process client API. Program lines block the
-  /// CALLER until their job completes (or sheds); the server keeps
-  /// accepting other clients' work meanwhile.
-  std::string submitAndWait(const std::string &Line);
-
-  /// Binds Options.SocketPath and serves connections until a shutdown
-  /// verb arrives (from any transport) or requestShutdown() is called.
-  /// Returns 0, or 1 when binding failed (\p Err set) or the
-  /// end-of-serve store save failed.
-  int serveSocket(std::string *Err = nullptr);
-
-  /// Stops every transport: wakes the listener, hangs up readers,
-  /// drains in-flight work. Does NOT save the store (that belongs to
-  /// the shutdown verb / end-of-serve path). Safe from any thread.
-  void requestShutdown();
-
-  /// True once a shutdown verb was handled or requestShutdown() ran.
-  bool shutdownRequested() const;
-
-  /// Engine counters (requests, errors, reclaims, tier, cond-term...).
-  ServerStats stats() const;
-
-  /// Program requests rejected by admission control.
-  uint64_t shedCount() const;
-
-  /// The engine, for tests that inspect the tier or store directly.
-  /// Do NOT call engine methods that analyze while jobs are in flight
-  /// (the front end owns the engine lock discipline).
-  AnalysisServer &engine() { return Engine; }
-
-  /// Test hook: true freezes dispatch (jobs queue but never start), so
-  /// a test can fill the bounded queue and observe a deterministic
-  /// shed; false resumes and dispatches the backlog.
-  void pauseDispatchForTest(bool Paused);
-
-private:
-  struct Job {
-    std::string Line;
-    std::function<void(std::string)> Done;
-    /// Admission time — the anchor for the queue-wait and total-latency
-    /// histograms ("server.request.queue_us" / "...total_us"). Purely
-    /// observational; never feeds a response.
-    std::chrono::steady_clock::time_point Enqueued;
-  };
-  /// Per-connection state shared between its reader thread and the
-  /// worker-side response writers.
-  struct Conn {
-    int Fd = -1;
-    std::mutex WriteMu;     ///< One response line at a time.
-    std::mutex Mu;          ///< Guards Outstanding.
-    std::condition_variable Cv;
-    unsigned Outstanding = 0; ///< Jobs admitted, response not yet sent.
-  };
-
-  /// Classifies and routes one line: control verbs inline, program
-  /// work through admission control. \p Done receives the response
-  /// exactly once (synchronously for control/shed paths).
-  void submitAsync(const std::string &Line,
-                   std::function<void(std::string)> Done);
-  /// Runs one admitted job on a pool thread.
-  void runJob(const Job &J);
-  /// Bookkeeping after a job: in-flight count, reclaim-at-quiescence,
-  /// dispatch pump.
-  void jobFinished(uint64_t ProgramsRan);
-  /// Dispatches queued jobs while capacity allows (QM held).
-  void pumpLocked();
-  /// Blocks until no job is queued, in flight, or reclaiming.
-  void waitIdle();
-  void connLoop(std::shared_ptr<Conn> C);
-
-  ConcurrentServerOptions Opt;
-  AnalysisServer Engine;
-  /// Serializes every touch of the engine: counter folds, stats,
-  /// control verbs, reclaims, store saves. Analysis itself runs
-  /// outside it — runProgramRequest only shares internally
-  /// synchronized state.
-  mutable std::mutex EngineMu;
-  WorkStealingPool Pool;
-
-  mutable std::mutex QM; ///< Queue + dispatch + transport registry.
-  std::condition_variable IdleCv;
-  std::deque<Job> Queue;
-  unsigned InFlight = 0;
-  bool DispatchPaused = false;
-  bool Draining = false;
-  bool ShuttingDown = false;
-  bool ReclaimPending = false;
-  bool ReclaimInProgress = false;
-  uint64_t CompletedPrograms = 0;
-  uint64_t NextReclaimAt = 0; ///< 0: reclamation disabled.
-  uint64_t ShedN = 0;
-  UnixListener *Listener = nullptr; ///< Live only inside serveSocket.
-  std::vector<std::weak_ptr<Conn>> Conns;
-};
+using ConcurrentServerOptions = ServerOptions;
+using ConcurrentAnalysisServer = AnalysisServer;
 
 } // namespace tnt
 

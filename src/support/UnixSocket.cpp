@@ -163,37 +163,37 @@ bool tnt::writeAll(int Fd, const char *Data, size_t N) {
 }
 
 bool LineReader::readLine(std::string &Out) {
-  for (;;) {
-    size_t Nl = Buf.find('\n', Pos);
-    if (Nl != std::string::npos) {
-      Out.assign(Buf, Pos, Nl - Pos);
+  while (!Overlong) {
+    size_t Nl = Buf.find('\n', Scan);
+    size_t End = Nl == std::string::npos ? Buf.size() : Nl;
+    if (End - Pos > MaxLineBytes) {
+      Overlong = true;
+      Buf.clear();
+      Pos = Scan = 0;
+      break;
+    }
+    if (Nl != std::string::npos || (Eof && Pos < Buf.size())) {
+      Out.assign(Buf, Pos, End - Pos);
       if (!Out.empty() && Out.back() == '\r')
         Out.pop_back();
-      Pos = Nl + 1;
+      Pos = Scan = Nl == std::string::npos ? Buf.size() : Nl + 1;
       // Compact once the consumed prefix dominates, keeping the buffer
       // proportional to the unread tail.
       if (Pos > 4096 && Pos * 2 > Buf.size()) {
         Buf.erase(0, Pos);
-        Pos = 0;
+        Pos = Scan = 0;
       }
       return true;
     }
-    if (Eof) {
-      if (Pos < Buf.size()) {
-        Out.assign(Buf, Pos, Buf.size() - Pos);
-        if (!Out.empty() && Out.back() == '\r')
-          Out.pop_back();
-        Pos = Buf.size();
-        return true;
-      }
-      return false;
-    }
+    if (Eof)
+      break;
+    // Only the bytes read next can hold the newline.
+    Scan = Buf.size();
     char Chunk[4096];
     ssize_t R = ::read(Fd, Chunk, sizeof(Chunk));
     if (R < 0) {
-      if (errno == EINTR)
-        continue;
-      Eof = true;
+      if (errno != EINTR)
+        Eof = true;
       continue;
     }
     if (R == 0) {
@@ -202,6 +202,7 @@ bool LineReader::readLine(std::string &Out) {
     }
     Buf.append(Chunk, static_cast<size_t>(R));
   }
+  return false;
 }
 
 void tnt::closeFd(int Fd) {

@@ -11,7 +11,7 @@
 /// be woken from another thread (self-pipe + poll — portable, no
 /// reliance on shutdown-on-listener semantics), a buffered
 /// line-at-a-time reader, and a write-fully helper. Nothing here knows
-/// about the protocol; api/ConcurrentServer.cpp composes these into
+/// about the protocol; api/AnalysisServer.cpp composes these into
 /// per-connection sessions.
 ///
 //===----------------------------------------------------------------------===//
@@ -72,18 +72,29 @@ bool writeAll(int Fd, const char *Data, size_t N);
 /// owned by the caller). One reader per fd.
 class LineReader {
 public:
+  /// The longest line readLine delivers. A peer that sends more bytes
+  /// without a newline cannot grow the buffer further: the reader stops
+  /// and reports overlong().
+  static constexpr size_t MaxLineBytes = size_t(16) << 20;
+
   explicit LineReader(int Fd) : Fd(Fd) {}
 
   /// Reads the next '\n'-terminated line (terminator stripped, "\r"
-  /// too) into \p Out. False on EOF/error; a final unterminated chunk
-  /// before EOF is delivered as a last line.
+  /// too) into \p Out. False on EOF/error or once a line exceeds
+  /// MaxLineBytes; a final unterminated chunk before EOF is delivered
+  /// as a last line.
   bool readLine(std::string &Out);
+
+  /// True once readLine stopped at a line longer than MaxLineBytes.
+  bool overlong() const { return Overlong; }
 
 private:
   int Fd;
   std::string Buf;
-  size_t Pos = 0;
+  size_t Pos = 0;  ///< Start of the unread tail.
+  size_t Scan = 0; ///< Bytes before Scan hold no newline past Pos.
   bool Eof = false;
+  bool Overlong = false;
 };
 
 /// close(2) wrapper (EINTR-safe no-op on -1), so callers do not need

@@ -1,10 +1,11 @@
 //===- tests/ConcurrentServerTest.cpp - multi-client front end --*- C++ -*-===//
 //
-// The regression fence for the concurrent analysis server
-// (api/ConcurrentServer.h): the multi-client, multiplexed front end
-// must be protocol-compatible with the serial server AND byte-identical
-// to fresh-context runs — concurrency may change which requests compute
-// answers and which reuse them, never the bytes of any response.
+// The regression fence for the analysis server under concurrency
+// (api/AnalysisServer.h): many clients multiplexed over the worker
+// pool must get the same protocol bytes as one client AND responses
+// byte-identical to fresh-context runs — concurrency may change which
+// requests compute answers and which reuse them, never the bytes of
+// any response.
 //
 //  * Stress: K=8 client threads race program requests over a small
 //    worker pool with a tight reclaim cadence, so epoch reclamation
@@ -18,14 +19,14 @@
 //    error object; drain and health verbs.
 //
 //  * Transport: the unix-domain socket loop with concurrent clients,
-//    responses correlated by id.
+//    responses correlated by id, and its line-length cap.
 //
 // The suites run under TSan in CI (tsan-concurrency job) — the
 // scheduler races here are the point, not an accident.
 //
 //===----------------------------------------------------------------------===//
 
-#include "api/ConcurrentServer.h"
+#include "api/AnalysisServer.h"
 #include "arith/Var.h"
 #include "support/Json.h"
 #include "support/UnixSocket.h"
@@ -38,6 +39,8 @@
 #include <filesystem>
 #include <map>
 #include <thread>
+
+#include <sys/socket.h>
 
 using namespace tnt;
 
@@ -90,14 +93,14 @@ void expectMatchesFresh(const std::string &Response, const std::string &Src,
 } // namespace
 
 TEST(ServerConcurrent, MultiClientByteIdenticalToSerialFreshRuns) {
-  ConcurrentServerOptions CO;
+  ServerOptions CO;
   CO.Workers = 4;
   CO.QueueDepth = 64;
   // Tight cadence: quiescent reclaim epochs must interleave with the
   // client races, not happen once at the end.
-  CO.Server.ReclaimEvery = 10;
-  CO.Server.GlobalSatCapacity = 1u << 9;
-  CO.Server.GlobalDnfCapacity = 1u << 6;
+  CO.ReclaimEvery = 10;
+  CO.GlobalSatCapacity = 1u << 9;
+  CO.GlobalDnfCapacity = 1u << 6;
 
   constexpr unsigned Clients = 8;
   constexpr unsigned PerClient = 6;
@@ -112,7 +115,7 @@ TEST(ServerConcurrent, MultiClientByteIdenticalToSerialFreshRuns) {
     Sources[Idx] = soakVariantSource(Items[Idx % Items.size()].Source, Idx);
 
   {
-    ConcurrentAnalysisServer Server(CO);
+    AnalysisServer Server(CO);
     std::vector<std::thread> Threads;
     for (unsigned C = 0; C < Clients; ++C)
       Threads.emplace_back([&, C] {
@@ -137,7 +140,7 @@ TEST(ServerConcurrent, MultiClientByteIdenticalToSerialFreshRuns) {
   // Every concurrent response equals a fresh serial session run —
   // computed AFTER the races, so the comparisons cannot perturb them.
   for (unsigned Idx = 0; Idx < Clients * PerClient; ++Idx)
-    expectMatchesFresh(Responses[Idx], Sources[Idx], CO.Server.Program, Idx);
+    expectMatchesFresh(Responses[Idx], Sources[Idx], CO.Program, Idx);
 
   // The carve-out retirement fences: no request fell back to the
   // shared global-id region, and no request-local spelling leaked into
@@ -147,9 +150,9 @@ TEST(ServerConcurrent, MultiClientByteIdenticalToSerialFreshRuns) {
 }
 
 TEST(ServerConcurrent, BatchVerbMatchesSerialServer) {
-  // analyze-batch through the concurrent front end produces the same
-  // response body a fresh serial server produces for the same line —
-  // batch elements run per-request sessions in both.
+  // analyze-batch through the worker pool produces exactly the response
+  // the serial, tier-less runProgramRequest bodies assemble for the
+  // same line — batch elements run per-request sessions either way.
   std::vector<BatchItem> Items = corpusBatchItems(3);
   std::string Line = "{\"id\":7,\"verb\":\"analyze-batch\",\"programs\":[";
   for (size_t I = 0; I < Items.size(); ++I)
@@ -157,18 +160,25 @@ TEST(ServerConcurrent, BatchVerbMatchesSerialServer) {
             ("{\"program\":" + json::quoted(Items[I].Source) + "}");
   Line += "]}";
 
-  ConcurrentAnalysisServer Conc{ConcurrentServerOptions{}};
+  ServerOptions SO;
+  AnalysisServer Conc(SO);
   std::string ConcResp = Conc.submitAndWait(Line);
-  AnalysisServer Serial{ServerOptions{}};
-  EXPECT_EQ(ConcResp, Serial.handleLine(Line));
+  std::string Serial = "{\"id\":7,\"ok\":true,\"results\":[";
+  for (size_t I = 0; I < Items.size(); ++I)
+    Serial += (I ? ",{" : "{") +
+              runProgramRequest(Items[I].Source, "main", SO.Program, nullptr)
+                  .Body +
+              "}";
+  Serial += "]}";
+  EXPECT_EQ(ConcResp, Serial);
   EXPECT_EQ(Conc.stats().Requests, Items.size());
 }
 
 TEST(ServerConcurrent, DeterministicLoadShedAndRecovery) {
-  ConcurrentServerOptions CO;
+  ServerOptions CO;
   CO.Workers = 1;
   CO.QueueDepth = 2;
-  ConcurrentAnalysisServer Server(CO);
+  AnalysisServer Server(CO);
 
   const char *Src = "int main(int n) { return n; }";
 
@@ -220,9 +230,9 @@ TEST(ServerConcurrent, DeterministicLoadShedAndRecovery) {
 }
 
 TEST(ServerConcurrent, DrainAndHealthVerbs) {
-  ConcurrentServerOptions CO;
+  ServerOptions CO;
   CO.Workers = 2;
-  ConcurrentAnalysisServer Server(CO);
+  AnalysisServer Server(CO);
 
   std::string H = Server.submitAndWait("{\"id\":1,\"verb\":\"health\"}");
   std::optional<json::Value> R = json::parse(H);
@@ -263,10 +273,10 @@ TEST(ServerConcurrent, SocketTransportMultiClientAndShutdown) {
   std::string Path = ::testing::TempDir() + "tnt_conc_server.sock";
   std::filesystem::remove(Path);
 
-  ConcurrentServerOptions CO;
+  ServerOptions CO;
   CO.Workers = 4;
   CO.SocketPath = Path;
-  ConcurrentAnalysisServer Server(CO);
+  AnalysisServer Server(CO);
   std::thread ServerThread([&Server] {
     std::string Err;
     EXPECT_EQ(Server.serveSocket(&Err), 0) << Err;
@@ -349,6 +359,62 @@ TEST(ServerConcurrent, SocketTransportMultiClientAndShutdown) {
   for (unsigned C = 0; C < Clients; ++C) {
     ASSERT_EQ(ByClient[C].size(), size_t(PerClient)) << "client " << C;
     for (const auto &[Idx, Resp] : ByClient[C])
-      expectMatchesFresh(Resp, Sources[Idx], CO.Server.Program, Idx);
+      expectMatchesFresh(Resp, Sources[Idx], CO.Program, Idx);
   }
+}
+
+TEST(ServerConcurrent, OverlongSocketLineIsAnError) {
+  // A client that never sends a newline must not grow the server's
+  // line buffer without bound: past LineReader::MaxLineBytes it gets
+  // one error line and loses its connection, while other connections
+  // keep being served.
+  std::string Path = ::testing::TempDir() + "tnt_overlong.sock";
+  std::filesystem::remove(Path);
+  ServerOptions SO;
+  SO.Workers = 2;
+  SO.SocketPath = Path;
+  AnalysisServer Server(SO);
+  std::thread ServerThread([&Server] {
+    std::string Err;
+    EXPECT_EQ(Server.serveSocket(&Err), 0) << Err;
+  });
+  for (int Spin = 0; Spin < 2000 && !std::filesystem::exists(Path); ++Spin)
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  ASSERT_TRUE(std::filesystem::exists(Path)) << "socket never bound";
+
+  {
+    std::string Err;
+    int Fd = unixConnect(Path, &Err);
+    ASSERT_GE(Fd, 0) << Err;
+    std::string Flood(LineReader::MaxLineBytes + 1, 'x');
+    // The server may hang up before the last bytes land; a short write
+    // is fine, the error line is what matters.
+    (void)writeAll(Fd, Flood.data(), Flood.size());
+    ::shutdown(Fd, SHUT_WR);
+    LineReader Reader(Fd);
+    std::string Line;
+    ASSERT_TRUE(Reader.readLine(Line));
+    EXPECT_EQ(Line, "{\"id\":null,\"ok\":false,"
+                    "\"error\":\"request line exceeds 16777216 bytes\"}");
+    EXPECT_FALSE(Reader.readLine(Line)) << "connection stayed open: " << Line;
+    closeFd(Fd);
+  }
+  EXPECT_EQ(Server.stats().Errors, 1u);
+
+  {
+    std::string Err;
+    int Fd = unixConnect(Path, &Err);
+    ASSERT_GE(Fd, 0) << Err;
+    const char *Src = "int main(int n) { return n; }";
+    std::string Req = soakRequestJson(2, Src) + "\n";
+    ASSERT_TRUE(writeAll(Fd, Req.data(), Req.size()));
+    LineReader Reader(Fd);
+    std::string Line;
+    ASSERT_TRUE(Reader.readLine(Line));
+    expectMatchesFresh(Line, Src, SO.Program, 2);
+    closeFd(Fd);
+  }
+
+  Server.requestShutdown();
+  ServerThread.join();
 }

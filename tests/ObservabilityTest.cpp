@@ -13,14 +13,13 @@
 //  * The load-bearing invariant: observability is OUT-OF-BAND. Batch
 //    analysis output (rendered outcomes and the category table) is
 //    byte-identical with tracing + profiling on or off, at 1/2/4/8
-//    threads; and the metrics verb answers the same schema on both the
-//    serial and the concurrent server front end.
+//    threads; and the metrics verb answers the same schema in-process
+//    and over the server's serve() stream.
 //
 //===----------------------------------------------------------------------===//
 
 #include "api/AnalysisServer.h"
 #include "api/BatchAnalyzer.h"
-#include "api/ConcurrentServer.h"
 #include "support/Json.h"
 #include "support/Metrics.h"
 #include "support/Trace.h"
@@ -341,19 +340,25 @@ TEST(Observability, MetricsVerbSameSchemaOnBothFrontEnds) {
     ASSERT_NE(Hists->field("server.request.total_us"), nullptr);
   };
 
+  // One server, driven in-process and then over the serve() stream.
+  AnalysisServer Server;
+  const std::string ProgLine =
+      "{\"id\":1,\"program\":" + json::quoted(Prog) + "}";
+  const std::string MetricsLine = "{\"id\":2,\"verb\":\"metrics\"}";
   {
-    AnalysisServer Server;
-    std::string R1 = Server.handleLine(
-        "{\"id\":1,\"program\":" + json::quoted(Prog) + "}");
+    std::string R1 = Server.submitAndWait(ProgLine);
     ASSERT_NE(R1.find("\"ok\":true"), std::string::npos) << R1;
-    checkMetricsResponse(Server.handleLine("{\"id\":2,\"verb\":\"metrics\"}"));
+    checkMetricsResponse(Server.submitAndWait(MetricsLine));
   }
   {
-    ConcurrentAnalysisServer Server;
-    std::string R1 = Server.submitAndWait(
-        "{\"id\":1,\"program\":" + json::quoted(Prog) + "}");
+    std::istringstream In(ProgLine + "\n" + MetricsLine + "\n");
+    std::ostringstream Out;
+    ASSERT_EQ(Server.serve(In, Out), 0);
+    std::istringstream Lines(Out.str());
+    std::string R1, R2;
+    ASSERT_TRUE(std::getline(Lines, R1) && std::getline(Lines, R2))
+        << Out.str();
     ASSERT_NE(R1.find("\"ok\":true"), std::string::npos) << R1;
-    checkMetricsResponse(
-        Server.submitAndWait("{\"id\":2,\"verb\":\"metrics\"}"));
+    checkMetricsResponse(R2);
   }
 }

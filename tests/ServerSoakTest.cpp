@@ -12,12 +12,12 @@
 //    give a steady state).
 //
 //  * Protocol: stats/shutdown verbs, path requests, malformed input,
-//    blank lines.
+//    blank lines, and the serve() stream loop.
 //
-// The soak runs the server strictly in-process (handleLine) so the
-// fresh-run comparisons interleave deterministically with the server's
-// epochs; the ctest server-smoke label drives the same protocol through
-// the real stdin/stdout loop via `hiptnt --serve-smoke`.
+// The soak runs the server in-process from one client (submitAndWait)
+// so the fresh-run comparisons interleave deterministically with the
+// server's epochs; the ctest server-smoke label drives the same
+// protocol from eight clients via `hiptnt --serve-smoke`.
 //
 //===----------------------------------------------------------------------===//
 
@@ -58,7 +58,7 @@ TEST(ServerSoak, ThousandRequestsByteIdenticalAndBounded) {
     // helper: every request mints interned terms no other request
     // shares, i.e. the garbage reclamation exists to collect.
     std::string Src = soakVariantSource(Items[I % Items.size()].Source, I);
-    std::string Line = Server.handleLine(soakRequestJson(I, Src));
+    std::string Line = Server.submitAndWait(soakRequestJson(I, Src));
     std::optional<json::Value> Resp = json::parse(Line);
     ASSERT_TRUE(Resp && Resp->isObject()) << Line;
     const json::Value *Ok = Resp->field("ok");
@@ -87,7 +87,7 @@ TEST(ServerSoak, ThousandRequestsByteIdenticalAndBounded) {
           << "request " << I;
     }
     if ((I + 1) % SO.ReclaimEvery == 0) {
-      // Epoch boundary (the reclaim ran inside handleLine above):
+      // Epoch boundary (the reclaim ran inside submitAndWait above):
       // sample the interned-term counts and the RSS proxy.
       ArithIntern &In = ArithIntern::global();
       FormulaSamples.push_back(In.formulaCount());
@@ -147,7 +147,7 @@ TEST(ServerSoak, UniqueIdentifiersLeaveSharedPoolFlat) {
     std::string Src = "int " + F + "(int " + V + ") { if (" + V +
                       " <= 0) return 0; else return " + F + "(" + V +
                       " - 1); } int main(int n) { return " + F + "(n); }";
-    std::string Line = Server.handleLine(soakRequestJson(I, Src));
+    std::string Line = Server.submitAndWait(soakRequestJson(I, Src));
     std::optional<json::Value> Resp = json::parse(Line);
     ASSERT_TRUE(Resp && Resp->isObject()) << Line;
     ASSERT_TRUE(Resp->field("ok")->asBool()) << Line;
@@ -168,58 +168,66 @@ TEST(ServerProtocol, StatsShutdownAndErrors) {
 
   // Malformed JSON.
   std::optional<json::Value> R =
-      json::parse(Server.handleLine("{not json"));
+      json::parse(Server.submitAndWait("{not json"));
   ASSERT_TRUE(R.has_value());
   EXPECT_FALSE(R->field("ok")->asBool());
 
   // Not an object.
-  R = json::parse(Server.handleLine("[1,2]"));
+  R = json::parse(Server.submitAndWait("[1,2]"));
   ASSERT_TRUE(R.has_value());
   EXPECT_FALSE(R->field("ok")->asBool());
 
   // Missing payload.
-  R = json::parse(Server.handleLine("{\"id\":7}"));
+  R = json::parse(Server.submitAndWait("{\"id\":7}"));
   ASSERT_TRUE(R.has_value());
   EXPECT_FALSE(R->field("ok")->asBool());
   EXPECT_EQ(R->field("id")->rawNumber(), "7");
 
   // Blank lines produce no response.
-  EXPECT_EQ(Server.handleLine(""), "");
-  EXPECT_EQ(Server.handleLine("   \t"), "");
+  EXPECT_EQ(Server.submitAndWait(""), "");
+  EXPECT_EQ(Server.submitAndWait("   \t"), "");
 
   // Number lexemes strtod tolerates but JSON forbids ("01", "1.") are
   // rejected at parse time — the raw id lexeme is echoed verbatim into
   // responses, so accepting them would emit invalid response JSON.
-  R = json::parse(Server.handleLine("{\"id\":01,\"verb\":\"stats\"}"));
+  R = json::parse(Server.submitAndWait("{\"id\":01,\"verb\":\"stats\"}"));
   ASSERT_TRUE(R.has_value()); // The response itself is valid JSON...
   EXPECT_FALSE(R->field("ok")->asBool()); // ...and reports the error.
-  R = json::parse(Server.handleLine("{\"id\":1.,\"verb\":\"stats\"}"));
+  R = json::parse(Server.submitAndWait("{\"id\":1.,\"verb\":\"stats\"}"));
   ASSERT_TRUE(R.has_value());
   EXPECT_FALSE(R->field("ok")->asBool());
 
   // A parse-broken program is an error response, not a crash.
-  R = json::parse(Server.handleLine(
+  R = json::parse(Server.submitAndWait(
       "{\"id\":8,\"program\":\"int main( {\"}"));
   ASSERT_TRUE(R.has_value());
   EXPECT_FALSE(R->field("ok")->asBool());
   EXPECT_TRUE(R->field("error") != nullptr);
 
+  // A mistyped entry is a type error, not a silent "main".
+  R = json::parse(Server.submitAndWait(
+      "{\"id\":6,\"program\":\"int main(int n) { return n; }\","
+      "\"entry\":5}"));
+  ASSERT_TRUE(R.has_value());
+  EXPECT_FALSE(R->field("ok")->asBool());
+  EXPECT_EQ(R->field("error")->asString(), "\"entry\" must be a string");
+
   // A mistyped verb is a type error, not "unknown verb ''".
-  R = json::parse(Server.handleLine("{\"id\":5,\"verb\":123}"));
+  R = json::parse(Server.submitAndWait("{\"id\":5,\"verb\":123}"));
   ASSERT_TRUE(R.has_value());
   EXPECT_FALSE(R->field("ok")->asBool());
   EXPECT_NE(R->field("error")->asString().find("must be a string"),
             std::string::npos);
 
   // String ids echo back quoted.
-  R = json::parse(Server.handleLine("{\"id\":\"q1\",\"verb\":\"stats\"}"));
+  R = json::parse(Server.submitAndWait("{\"id\":\"q1\",\"verb\":\"stats\"}"));
   ASSERT_TRUE(R.has_value());
   EXPECT_TRUE(R->field("ok")->asBool());
   EXPECT_EQ(R->field("id")->asString(), "q1");
   EXPECT_TRUE(R->field("stats") != nullptr);
 
   // Shutdown flips the flag and acks.
-  R = json::parse(Server.handleLine("{\"id\":9,\"verb\":\"shutdown\"}"));
+  R = json::parse(Server.submitAndWait("{\"id\":9,\"verb\":\"shutdown\"}"));
   ASSERT_TRUE(R.has_value());
   EXPECT_TRUE(R->field("ok")->asBool());
   EXPECT_TRUE(Server.shutdownRequested());
@@ -239,8 +247,8 @@ TEST(ServerProtocol, ConcurrentReclaimersStandDown) {
   AnalysisServer A(SO);
   {
     AnalysisServer B(SO);
-    (void)A.handleLine(soakRequestJson(1, Src));
-    (void)B.handleLine(soakRequestJson(1, Src));
+    (void)A.submitAndWait(soakRequestJson(1, Src));
+    (void)B.submitAndWait(soakRequestJson(1, Src));
     EXPECT_EQ(A.stats().Reclaims, 0u);
     EXPECT_EQ(B.stats().Reclaims, 0u);
   }
@@ -249,16 +257,16 @@ TEST(ServerProtocol, ConcurrentReclaimersStandDown) {
     ServerOptions NoReclaim;
     NoReclaim.ReclaimEvery = 0;
     AnalysisServer C(NoReclaim);
-    (void)A.handleLine(soakRequestJson(2, Src));
+    (void)A.submitAndWait(soakRequestJson(2, Src));
     EXPECT_EQ(A.stats().Reclaims, 0u);
   }
   {
     // So is a bare tier with no server around it.
     GlobalSolverCache Bare(16, 16);
-    (void)A.handleLine(soakRequestJson(3, Src));
+    (void)A.submitAndWait(soakRequestJson(3, Src));
     EXPECT_EQ(A.stats().Reclaims, 0u);
   }
-  (void)A.handleLine(soakRequestJson(4, Src));
+  (void)A.submitAndWait(soakRequestJson(4, Src));
   EXPECT_EQ(A.stats().Reclaims, 1u);
 }
 
@@ -309,9 +317,50 @@ TEST(ServerProtocol, ServeLoopAndPathRequests) {
   NoPaths.AllowPaths = false;
   AnalysisServer Locked(NoPaths);
   std::optional<json::Value> R = json::parse(
-      Locked.handleLine("{\"id\":1,\"path\":" + json::quoted(Path) + "}"));
+      Locked.submitAndWait("{\"id\":1,\"path\":" + json::quoted(Path) + "}"));
   ASSERT_TRUE(R.has_value());
   EXPECT_FALSE(R->field("ok")->asBool());
+
+  // serve() on a 4-worker server still answers in request order: it
+  // submits one line and waits for it. Program bodies, batch entries
+  // included, equal fresh session runs (tier-less runProgramRequest).
+  ServerOptions Four;
+  Four.Workers = 4;
+  AnalysisServer Pooled(Four);
+  std::vector<BatchItem> Items = corpusBatchItems(4);
+  auto body = [&](const std::string &Source) {
+    return runProgramRequest(Source, "main", Four.Program, nullptr).Body;
+  };
+  std::istringstream Mixed(
+      soakRequestJson(1, Items[0].Source) + "\n" +
+      "{\"id\":2,\"verb\":\"stats\"}\n" +
+      "{\"id\":3,\"verb\":\"analyze-batch\",\"programs\":["
+      "{\"program\":" + json::quoted(Items[1].Source) + "},"
+      "{\"program\":" + json::quoted(Items[2].Source) + "}]}\n" +
+      "{\"id\":4,\"verb\":\"health\"}\n" +
+      soakRequestJson(5, Items[3].Source) + "\n" +
+      "{\"id\":6,\"verb\":\"stats\"}\n");
+  std::ostringstream MixedOut;
+  EXPECT_EQ(Pooled.serve(Mixed, MixedOut), 0);
+  std::vector<std::string> Got;
+  std::istringstream MixedLines(MixedOut.str());
+  while (std::getline(MixedLines, Line))
+    Got.push_back(Line);
+  ASSERT_EQ(Got.size(), 6u) << MixedOut.str();
+  for (size_t I = 0; I < Got.size(); ++I) {
+    std::optional<json::Value> V = json::parse(Got[I]);
+    ASSERT_TRUE(V.has_value()) << Got[I];
+    EXPECT_EQ(V->field("id")->rawNumber(), std::to_string(I + 1)) << Got[I];
+    EXPECT_TRUE(V->field("ok")->asBool()) << Got[I];
+  }
+  EXPECT_EQ(Got[0], "{\"id\":1," + body(Items[0].Source) + "}");
+  EXPECT_EQ(Got[2], "{\"id\":3,\"ok\":true,\"results\":[{" +
+                        body(Items[1].Source) + "},{" +
+                        body(Items[2].Source) + "}]}");
+  EXPECT_EQ(Got[4], "{\"id\":5," + body(Items[3].Source) + "}");
+  EXPECT_NE(Got[1].find("\"stats\""), std::string::npos);
+  EXPECT_NE(Got[3].find("\"health\":\"ok\""), std::string::npos);
+  EXPECT_NE(Got[5].find("\"requests\":4"), std::string::npos) << Got[5];
 }
 
 //===----------------------------------------------------------------------===//
@@ -331,9 +380,9 @@ TEST(ServerProtocol, AnalyzeBatchVerb) {
   AnalysisServer Server{ServerOptions{}};
   // Reference single-program responses FIRST (ids differ; bodies are
   // what must agree).
-  std::optional<json::Value> Term = json::parse(Server.handleLine(
+  std::optional<json::Value> Term = json::parse(Server.submitAndWait(
       "{\"id\":100,\"program\":" + json::quoted(TermSrc) + "}"));
-  std::optional<json::Value> Loop = json::parse(Server.handleLine(
+  std::optional<json::Value> Loop = json::parse(Server.submitAndWait(
       "{\"id\":101,\"program\":" + json::quoted(LoopSrc) + "}"));
   ASSERT_TRUE(Term && Loop);
 
@@ -343,7 +392,7 @@ TEST(ServerProtocol, AnalyzeBatchVerb) {
       "{\"program\":\"int main( {\"},"
       "{\"program\":" + json::quoted(TermSrc) + ",\"entry\":\"dec\"},"
       "{\"program\":" + json::quoted(TermSrc) + "}]}";
-  std::optional<json::Value> R = json::parse(Server.handleLine(Batch));
+  std::optional<json::Value> R = json::parse(Server.submitAndWait(Batch));
   ASSERT_TRUE(R.has_value());
   EXPECT_EQ(R->field("id")->rawNumber(), "7");
   EXPECT_TRUE(R->field("ok")->asBool());
@@ -382,16 +431,16 @@ TEST(ServerProtocol, AnalyzeBatchVerb) {
 
   // Protocol errors: missing / mistyped programs array.
   R = json::parse(
-      Server.handleLine("{\"id\":8,\"verb\":\"analyze-batch\"}"));
+      Server.submitAndWait("{\"id\":8,\"verb\":\"analyze-batch\"}"));
   ASSERT_TRUE(R.has_value());
   EXPECT_FALSE(R->field("ok")->asBool());
-  R = json::parse(Server.handleLine(
+  R = json::parse(Server.submitAndWait(
       "{\"id\":9,\"verb\":\"analyze-batch\",\"programs\":3}"));
   ASSERT_TRUE(R.has_value());
   EXPECT_FALSE(R->field("ok")->asBool());
 
   // An empty batch is a valid request with an empty results array.
-  R = json::parse(Server.handleLine(
+  R = json::parse(Server.submitAndWait(
       "{\"id\":10,\"verb\":\"analyze-batch\",\"programs\":[]}"));
   ASSERT_TRUE(R.has_value());
   EXPECT_TRUE(R->field("ok")->asBool());
@@ -400,11 +449,27 @@ TEST(ServerProtocol, AnalyzeBatchVerb) {
 
   // Batch elements that are not objects error in place, preserving
   // positions.
-  R = json::parse(Server.handleLine(
+  R = json::parse(Server.submitAndWait(
       "{\"id\":11,\"verb\":\"analyze-batch\",\"programs\":[42,"
       "{\"program\":" + json::quoted(TermSrc) + "}]}"));
   ASSERT_TRUE(R.has_value());
   ASSERT_EQ(R->field("results")->elements().size(), 2u);
   EXPECT_FALSE(R->field("results")->elements()[0].field("ok")->asBool());
   EXPECT_TRUE(R->field("results")->elements()[1].field("ok")->asBool());
+
+  // So does an element with a non-string entry.
+  R = json::parse(Server.submitAndWait(
+      "{\"id\":12,\"verb\":\"analyze-batch\",\"programs\":["
+      "{\"program\":" + json::quoted(TermSrc) + "},"
+      "{\"program\":" + json::quoted(TermSrc) + ",\"entry\":5},"
+      "{\"program\":" + json::quoted(LoopSrc) + "}]}"));
+  ASSERT_TRUE(R.has_value());
+  ASSERT_EQ(R->field("results")->elements().size(), 3u);
+  const json::Value &E1 = R->field("results")->elements()[1];
+  EXPECT_FALSE(E1.field("ok")->asBool());
+  EXPECT_EQ(E1.field("error")->asString(), "\"entry\" must be a string");
+  EXPECT_EQ(R->field("results")->elements()[0].field("verdict")->asString(),
+            "Y");
+  EXPECT_EQ(R->field("results")->elements()[2].field("verdict")->asString(),
+            "N");
 }

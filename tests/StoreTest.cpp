@@ -887,16 +887,16 @@ TEST(ServerStore, WarmRestartServesFromDiskByteIdentically) {
     ServerOptions SO;
     SO.StorePath = File.Path;
     AnalysisServer Server(SO);
-    ColdResponse = Server.handleLine(Request);
+    ColdResponse = Server.submitAndWait(Request);
     EXPECT_EQ(Server.stats().StoreHits, 0u);
     // Shutdown persists the store.
-    Server.handleLine("{\"id\":2,\"verb\":\"shutdown\"}");
+    Server.submitAndWait("{\"id\":2,\"verb\":\"shutdown\"}");
   }
   {
     ServerOptions SO;
     SO.StorePath = File.Path;
     AnalysisServer Server(SO);
-    std::string WarmResponse = Server.handleLine(Request);
+    std::string WarmResponse = Server.submitAndWait(Request);
     EXPECT_EQ(WarmResponse, ColdResponse);
     ServerStats S = Server.stats();
     EXPECT_GT(S.StoreHits, 0u);
@@ -923,14 +923,14 @@ TEST(ServerStore, CondTermStatsMatchWarmAndCold) {
   CondTermStats ColdStats;
   {
     AnalysisServer Server(SO);
-    ColdResponse = Server.handleLine(Request);
+    ColdResponse = Server.submitAndWait(Request);
     ColdStats = Server.stats().CondTerm;
     EXPECT_GT(ColdStats.Emitted, 0u);
-    Server.handleLine("{\"id\":2,\"verb\":\"shutdown\"}");
+    Server.submitAndWait("{\"id\":2,\"verb\":\"shutdown\"}");
   }
   {
     AnalysisServer Server(SO);
-    EXPECT_EQ(Server.handleLine(Request), ColdResponse);
+    EXPECT_EQ(Server.submitAndWait(Request), ColdResponse);
     ServerStats S = Server.stats();
     EXPECT_GT(S.StoreHits, 0u);
     EXPECT_EQ(S.StoreMisses, 0u);

@@ -13,7 +13,6 @@
 //   hiptnt --serve [--no-global-tier] [--reclaim-every <n>]
 //   hiptnt --serve-socket <path> [--serve-workers <n>] [--serve-queue <n>]
 //   hiptnt --serve-smoke <n>
-//   hiptnt --serve-concurrent-smoke <n>
 //
 // --help / -h prints the full flag reference (printUsage) and exits 0;
 // an unknown flag prints the same text to stderr and exits 2.
@@ -26,27 +25,23 @@
 // Fig. 11 loop-based set (@fig11) — over a shared work-stealing pool
 // with the two-tier solver cache, and prints the per-category
 // Fig. 10/11-style outcome table (plus a soundness check against
-// ground truth for the built-in corpora). Server mode reads
-// newline-delimited JSON requests on stdin and streams one response per
-// line, keeping the global solver tier warm and reclaiming per-request
-// intern garbage every epoch (see api/AnalysisServer.h for the
-// protocol); --serve-smoke self-drives <n> corpus-variant requests
-// through the same serve() path, cross-checks responses against fresh
-// single-program runs, and fails if the interned arena keeps growing
-// across epochs — the CI fence for the long-lived regime.
-// --serve-socket runs the concurrent front end on a unix-domain socket
-// (many clients, requests multiplexed over a worker pool, responses
-// correlated by id — see api/ConcurrentServer.h);
-// --serve-concurrent-smoke self-drives <n> program requests from 8
-// in-process clients through that front end and applies the same three
-// fences plus zero load-sheds, zero fresh-variable fallbacks, and an
-// unchanged shared VarPool — the CI fence for the multi-client regime.
+// ground truth for the built-in corpora). Server mode runs the one
+// analysis server (api/AnalysisServer.h: protocol, warm tier,
+// per-request intern reclamation) over a transport: --serve reads
+// newline-delimited JSON requests on stdin and answers one line each,
+// in request order; --serve-socket serves many clients on a
+// unix-domain socket, multiplexed over a worker pool, with responses
+// correlated by id. --serve-smoke self-drives <n> corpus-variant
+// requests from 8 in-process clients, checks every response against a
+// fresh single-program run, and fails on a shed, a global-id fallback,
+// a grown VarPool, a reclaim that never dropped anything, or an
+// interned arena that keeps growing across epochs — the CI fence for
+// the long-lived regime.
 //
 //===----------------------------------------------------------------------===//
 
 #include "api/AnalysisServer.h"
 #include "api/BatchAnalyzer.h"
-#include "api/ConcurrentServer.h"
 #include "arith/Var.h"
 #include "store/SpecStore.h"
 #include "support/Json.h"
@@ -73,7 +68,6 @@ void printUsage(std::ostream &OS) {
         "       hiptnt --serve [options]\n"
         "       hiptnt --serve-socket <path> [options]\n"
         "       hiptnt --serve-smoke <n>\n"
-        "       hiptnt --serve-concurrent-smoke <n>\n"
         "\n"
         "modes:\n"
         "  <file>                analyze one program, print per-method "
@@ -83,19 +77,16 @@ void printUsage(std::ostream &OS) {
         "                        built-in @corpus[:N], or the Fig. 11 set "
         "@fig11) and\n"
         "                        print the per-category outcome table\n"
-        "  --serve               newline-delimited JSON request/response "
-        "loop on stdin/stdout\n"
-        "  --serve-socket <path> concurrent multi-client server on a "
-        "unix-domain socket\n"
-        "                        (same protocol; responses correlate by "
-        "id, not order)\n"
-        "  --serve-smoke <n>     self-driving server soak of <n> requests "
-        "(CI fence)\n"
-        "  --serve-concurrent-smoke <n>\n"
-        "                        8-client soak of <n> requests through "
-        "the concurrent\n"
-        "                        front end, byte-checked against fresh "
-        "runs (CI fence)\n"
+        "  --serve               analysis server on stdin/stdout: "
+        "newline-delimited JSON,\n"
+        "                        one response line per request, in "
+        "request order\n"
+        "  --serve-socket <path> the same server on a unix-domain socket "
+        "for many clients\n"
+        "                        (responses correlate by id, not order)\n"
+        "  --serve-smoke <n>     8-client server soak of <n> requests, "
+        "each checked\n"
+        "                        against a fresh run (CI fence)\n"
         "\n"
         "options:\n"
         "  -h, --help            print this help and exit\n"
@@ -412,226 +403,93 @@ int runBatch(const std::string &Target, const AnalyzerConfig &Cli,
   return (Unsound == 0 && Failed == 0 && StoreFailures == 0) ? 0 : 1;
 }
 
-/// The self-driving server smoke: builds \p N corpus-variant requests
-/// (with interleaved stats probes and a final shutdown), pushes them
-/// through the REAL serve() byte path, then checks three fences —
-/// every program response is ok; sampled responses are byte-identical
-/// to fresh single-program runs of the same source; and the interned
-/// arena does not grow monotonically across epochs (the reclamation
-/// guarantee). Exit 0 only when all three hold.
+/// The self-driving server smoke: 8 in-process clients drive \p N
+/// corpus-variant program requests through the server in waves (one
+/// request per client per wave), then check every fence of the
+/// long-lived regime: each response is ok and byte-identical to a fresh
+/// session run of the same source; reclaims ran and dropped something;
+/// the interned arena and formula count stay bounded across reclaim
+/// epochs; and nothing was load-shed, fell back to global-region ids,
+/// or grew the shared VarPool (sessions are private). Exit 0 only when
+/// all hold.
 int runServeSmoke(unsigned N) {
+  const unsigned Clients = 8;
   ServerOptions SO;
-  SO.ReclaimEvery = 20;
+  // Two waves per epoch: the cadence is crossed by the last request of
+  // a wave, so every reclaim runs once the wave is done and each sample
+  // below is the footprint right after a reclaim, not a mid-epoch mix
+  // of retained terms and garbage that depends on the schedule.
+  SO.ReclaimEvery = 2 * Clients;
   // Tiny tier: rotation (which bounds the retained root set) and
   // reclamation both reach steady state within a short run — the
   // bounded-arena fence below only makes sense past the warmup in
   // which the tier legitimately fills.
   SO.GlobalSatCapacity = 1u << 9;
   SO.GlobalDnfCapacity = 1u << 6;
-  AnalysisServer Server(SO);
 
   std::vector<BatchItem> Items = corpusBatchItems(20);
-  std::ostringstream Requests;
-  std::vector<std::string> Sources(N);
-  for (unsigned I = 0; I < N; ++I) {
+  std::vector<std::string> Sources(N), Responses(N);
+  for (unsigned I = 0; I < N; ++I)
     Sources[I] = soakVariantSource(Items[I % Items.size()].Source, I);
-    Requests << soakRequestJson(I, Sources[I]) << "\n";
-    if ((I + 1) % SO.ReclaimEvery == 0)
-      Requests << "{\"id\":\"probe" << I << "\",\"verb\":\"stats\"}\n";
-  }
-  Requests << "{\"id\":\"bye\",\"verb\":\"shutdown\"}\n";
-
-  std::istringstream In(Requests.str());
-  std::ostringstream Out;
-  Server.serve(In, Out);
-
-  unsigned OkPrograms = 0, Failures = 0;
-  std::vector<size_t> ArenaSamples, FormulaSamples;
-  std::istringstream Lines(Out.str());
-  std::string Line;
-  while (std::getline(Lines, Line)) {
-    std::optional<json::Value> R = json::parse(Line);
-    if (!R || !R->isObject()) {
-      std::cerr << "unparseable response: " << Line << "\n";
-      ++Failures;
-      continue;
-    }
-    const json::Value *Id = R->field("id");
-    const json::Value *Ok = R->field("ok");
-    if (Ok == nullptr || !Ok->asBool()) {
-      std::cerr << "failed response: " << Line << "\n";
-      ++Failures;
-      continue;
-    }
-    if (const json::Value *Stats = R->field("stats")) {
-      if (const json::Value *Intern = Stats->field("intern")) {
-        if (const json::Value *Bytes = Intern->field("arena_bytes"))
-          ArenaSamples.push_back(static_cast<size_t>(Bytes->asNumber()));
-        if (const json::Value *Formulas = Intern->field("formulas"))
-          FormulaSamples.push_back(static_cast<size_t>(Formulas->asNumber()));
-      }
-      continue;
-    }
-    if (Id == nullptr || !Id->isNumber())
-      continue; // Shutdown ack.
-    ++OkPrograms;
-    // Byte-identity spot check every 10th request: the server response
-    // must equal a fresh single-program run of the same source, no
-    // matter how warm the tier was or how many epochs have passed.
-    unsigned ReqIdx = static_cast<unsigned>(Id->asNumber());
-    if (ReqIdx % 10 == 0 && ReqIdx < Sources.size()) {
-      // The server runs every request in a virgin VarPool session, so
-      // the reference run must too — a bare analyzeProgram would mint
-      // ids from whatever the shared pool accumulated across earlier
-      // comparator runs, which is exactly the history-dependence the
-      // sessions retire.
-      VarPool::Session Lease;
-      VarPool::SessionScope Active(Lease);
-      AnalysisResult Fresh = analyzeProgram(Sources[ReqIdx], SO.Program);
-      const json::Value *Output = R->field("output");
-      const json::Value *Verdict = R->field("verdict");
-      if (Output == nullptr || Output->asString() != Fresh.str() ||
-          Verdict == nullptr ||
-          Verdict->asString() != outcomeStr(Fresh.outcome("main"))) {
-        std::cerr << "response for request " << ReqIdx
-                  << " differs from a fresh run\n";
-        ++Failures;
-      }
-    }
-  }
-
-  ServerStats S = Server.stats();
-  std::cout << "serve-smoke: " << OkPrograms << "/" << N
-            << " ok responses, reclaims=" << S.Reclaims
-            << " last_dropped=" << S.LastReclaim.dropped()
-            << " sat_rotations=" << S.Global.SatRotations
-            << " arena_bytes=" << S.InternArenaBytes << "\n";
-  if (OkPrograms != N) {
-    std::cerr << "expected " << N << " ok program responses\n";
-    ++Failures;
-  }
-  if (SO.ReclaimEvery != 0 && N >= SO.ReclaimEvery) {
-    if (S.Reclaims == 0 || S.LastReclaim.dropped() == 0) {
-      std::cerr << "reclamation never dropped anything\n";
-      ++Failures;
-    }
-    // Bounded-arena fence (soakSamplesBounded: peak-to-peak with
-    // disjoint warmup/final windows — see AnalysisServer.h). Gated on
-    // the collected sample count itself, so "not enough soak" can
-    // never be misreported as a leak; the CI invocation (300 requests,
-    // 15 samples) always exercises the fence.
-    auto bounded = [&](const std::vector<size_t> &Samples,
-                       const char *What) {
-      if (Samples.size() < SoakMinSamples)
-        return;
-      if (!soakSamplesBounded(Samples)) {
-        std::cerr << What << " kept growing after tier warmup: ";
-        for (size_t V : Samples)
-          std::cerr << V << " ";
-        std::cerr << "\n";
-        ++Failures;
-      }
-    };
-    bounded(ArenaSamples, "arena bytes");
-    bounded(FormulaSamples, "formula count");
-  }
-  return Failures == 0 ? 0 : 1;
-}
-
-/// The multi-client smoke: 8 in-process clients drive \p N program
-/// requests (one wave = one request per client, a stats probe after
-/// each wave) through the REAL concurrent front end, then check the
-/// serial smoke's fences — every response ok, byte-identical to a
-/// fresh session-wrapped run, bounded arena across epochs — plus the
-/// concurrent-only ones: zero load-sheds (the queue is never
-/// oversubscribed here), zero fresh-variable fallbacks, and a shared
-/// VarPool whose table the soak never grew (sessions are private).
-int runServeConcurrentSmoke(unsigned N) {
-  ConcurrentServerOptions CO;
-  CO.Server.ReclaimEvery = 20;
-  CO.Server.GlobalSatCapacity = 1u << 9;
-  CO.Server.GlobalDnfCapacity = 1u << 6;
-  CO.Workers = 4;
-  CO.QueueDepth = 64;
-
-  const unsigned Clients = 8;
-  const unsigned Waves = (N + Clients - 1) / Clients;
-  std::vector<BatchItem> Items = corpusBatchItems(20);
   const size_t PoolBefore = VarPool::get().size();
   const uint64_t FallbacksBefore = VarPool::get().scopedFallbacks();
 
-  ConcurrentAnalysisServer Server(CO);
-  std::vector<std::string> Sources(Waves * Clients);
-  std::vector<std::string> Responses(Waves * Clients);
+  AnalysisServer Server(SO);
   std::vector<size_t> ArenaSamples, FormulaSamples;
-  unsigned Failures = 0;
-  for (unsigned W = 0; W < Waves; ++W) {
+  uint64_t SampledReclaims = 0;
+  for (unsigned First = 0; First < N; First += Clients) {
     std::vector<std::thread> Threads;
-    for (unsigned C = 0; C < Clients; ++C) {
-      unsigned Idx = W * Clients + C;
-      Sources[Idx] = soakVariantSource(Items[Idx % Items.size()].Source, Idx);
+    for (unsigned Idx = First; Idx < std::min(N, First + Clients); ++Idx)
       Threads.emplace_back([&Server, &Sources, &Responses, Idx] {
         Responses[Idx] =
             Server.submitAndWait(soakRequestJson(Idx, Sources[Idx]));
       });
-    }
     for (std::thread &T : Threads)
       T.join();
-    std::string Probe =
-        Server.submitAndWait("{\"id\":\"probe\",\"verb\":\"stats\"}");
-    std::optional<json::Value> R = json::parse(Probe);
-    const json::Value *Intern =
-        R && R->field("stats") ? R->field("stats")->field("intern") : nullptr;
-    if (Intern != nullptr) {
-      ArenaSamples.push_back(
-          static_cast<size_t>(Intern->field("arena_bytes")->asNumber()));
-      FormulaSamples.push_back(
-          static_cast<size_t>(Intern->field("formulas")->asNumber()));
+    // One sample per reclaim epoch, as the fence expects.
+    ServerStats S = Server.stats();
+    if (S.Reclaims != SampledReclaims) {
+      SampledReclaims = S.Reclaims;
+      ArenaSamples.push_back(S.InternArenaBytes);
+      FormulaSamples.push_back(S.InternFormulas);
     }
   }
 
-  // Byte-identity: every concurrent response must equal a fresh serial
-  // session run of the same source — concurrency may only change which
-  // requests computed answers and which reused them, never the bytes.
-  for (unsigned Idx = 0; Idx < Waves * Clients; ++Idx) {
-    std::optional<json::Value> R = json::parse(Responses[Idx]);
-    const json::Value *Ok = R && R->isObject() ? R->field("ok") : nullptr;
-    if (Ok == nullptr || !Ok->asBool()) {
-      std::cerr << "failed response " << Idx << ": " << Responses[Idx]
+  // Byte-identity: every response must equal the one a fresh session
+  // run of the same source renders — concurrency and warmth may only
+  // change which requests computed answers and which reused them,
+  // never the bytes.
+  unsigned Failures = 0;
+  for (unsigned Idx = 0; Idx < N; ++Idx) {
+    RequestOutcome Fresh =
+        runProgramRequest(Sources[Idx], "main", SO.Program, nullptr);
+    if (Fresh.Failed || Responses[Idx] != "{\"id\":" + std::to_string(Idx) +
+                                              "," + Fresh.Body + "}") {
+      std::cerr << "response " << Idx
+                << " failed or differs from a fresh run: " << Responses[Idx]
                 << "\n";
-      ++Failures;
-      continue;
-    }
-    VarPool::Session Lease;
-    VarPool::SessionScope Active(Lease);
-    AnalysisResult Fresh = analyzeProgram(Sources[Idx], CO.Server.Program);
-    const json::Value *Output = R->field("output");
-    const json::Value *Verdict = R->field("verdict");
-    if (Output == nullptr || Output->asString() != Fresh.str() ||
-        Verdict == nullptr ||
-        Verdict->asString() != outcomeStr(Fresh.outcome("main"))) {
-      std::cerr << "response for request " << Idx
-                << " differs from a fresh serial run\n";
       ++Failures;
     }
   }
 
   ServerStats S = Server.stats();
-  std::cout << "serve-concurrent-smoke: " << Waves * Clients
-            << " requests, " << Clients << " clients, reclaims="
-            << S.Reclaims << " shed=" << Server.shedCount()
+  std::cout << "serve-smoke: " << N - Failures << "/" << N
+            << " ok responses, " << Clients << " clients, reclaims="
+            << S.Reclaims << " last_dropped=" << S.LastReclaim.dropped()
+            << " shed=" << Server.shedCount()
+            << " sat_rotations=" << S.Global.SatRotations
             << " arena_bytes=" << S.InternArenaBytes << "\n";
+  if (N >= SO.ReclaimEvery &&
+      (S.Reclaims == 0 || S.LastReclaim.dropped() == 0)) {
+    std::cerr << "reclamation never dropped anything\n";
+    ++Failures;
+  }
   if (Server.shedCount() != 0) {
     std::cerr << "unexpected load-shed under an unsaturated queue\n";
     ++Failures;
   }
-  if (CO.Server.ReclaimEvery != 0 && Waves * Clients >= CO.Server.ReclaimEvery &&
-      S.Reclaims == 0) {
-    std::cerr << "reclamation never ran at quiescence\n";
-    ++Failures;
-  }
   if (VarPool::get().scopedFallbacks() != FallbacksBefore) {
-    std::cerr << "concurrent requests fell back to global-region ids\n";
+    std::cerr << "requests fell back to global-region ids\n";
     ++Failures;
   }
   if (VarPool::get().size() != PoolBefore) {
@@ -639,16 +497,19 @@ int runServeConcurrentSmoke(unsigned N) {
               << PoolBefore << " -> " << VarPool::get().size() << "\n";
     ++Failures;
   }
+  // Bounded-arena fence (soakSamplesBounded: peak-to-peak with
+  // disjoint warmup/final windows — see AnalysisServer.h). Gated on
+  // the collected sample count itself, so "not enough soak" can never
+  // be misreported as a leak; the ctest invocation (300 requests, 18
+  // epochs) always exercises the fence.
   auto bounded = [&](const std::vector<size_t> &Samples, const char *What) {
-    if (Samples.size() < SoakMinSamples)
+    if (Samples.size() < SoakMinSamples || soakSamplesBounded(Samples))
       return;
-    if (!soakSamplesBounded(Samples)) {
-      std::cerr << What << " kept growing after tier warmup: ";
-      for (size_t V : Samples)
-        std::cerr << V << " ";
-      std::cerr << "\n";
-      ++Failures;
-    }
+    std::cerr << What << " kept growing after tier warmup: ";
+    for (size_t V : Samples)
+      std::cerr << V << " ";
+    std::cerr << "\n";
+    ++Failures;
   };
   bounded(ArenaSamples, "arena bytes");
   bounded(FormulaSamples, "formula count");
@@ -663,7 +524,7 @@ int main(int Argc, char **Argv) {
   bool ShowStats = false, Batch = false, GlobalTier = true,
        ShowOutcomes = false, Serve = false, ExpectStoreHits = false,
        Profile = false;
-  unsigned ServeSmoke = 0, ServeConcurrentSmoke = 0, ReclaimEvery = 64,
+  unsigned ServeSmoke = 0, ReclaimEvery = 64,
            ServeWorkers = 4, ServeQueue = 64;
   AnalyzerConfig Config;
   for (int I = 1; I < Argc; ++I) {
@@ -700,20 +561,6 @@ int main(int Argc, char **Argv) {
         return 2;
       }
       ServeSmoke = static_cast<unsigned>(V);
-    } else if (Arg == "--serve-concurrent-smoke") {
-      if (I + 1 >= Argc) {
-        std::cerr << "option --serve-concurrent-smoke requires a request "
-                     "count\n";
-        return 2;
-      }
-      char *End = nullptr;
-      unsigned long V = std::strtoul(Argv[++I], &End, 10);
-      if (End == Argv[I] || *End != '\0' || V == 0) {
-        std::cerr << "invalid --serve-concurrent-smoke value '" << Argv[I]
-                  << "'\n";
-        return 2;
-      }
-      ServeConcurrentSmoke = static_cast<unsigned>(V);
     } else if (Arg == "--serve-socket") {
       if (I + 1 >= Argc) {
         std::cerr << "option --serve-socket requires a path\n";
@@ -833,27 +680,7 @@ int main(int Argc, char **Argv) {
 
   if (ServeSmoke != 0)
     return Finish(runServeSmoke(ServeSmoke));
-  if (ServeConcurrentSmoke != 0)
-    return Finish(runServeConcurrentSmoke(ServeConcurrentSmoke));
-  if (!ServeSocket.empty()) {
-    ConcurrentServerOptions CO;
-    CO.Server.GlobalTier = GlobalTier;
-    CO.Server.ReclaimEvery = ReclaimEvery;
-    CO.Server.Program.Modular = Config.Modular;
-    CO.Server.Program.Solve.EnableAbduction = Config.Solve.EnableAbduction;
-    CO.Server.Program.Solve.EnableCondTerm = Config.Solve.EnableCondTerm;
-    CO.Server.StorePath = StorePath;
-    CO.Workers = ServeWorkers;
-    CO.QueueDepth = ServeQueue;
-    CO.SocketPath = ServeSocket;
-    ConcurrentAnalysisServer Server(std::move(CO));
-    std::string Err;
-    int RC = Server.serveSocket(&Err);
-    if (!Err.empty())
-      std::cerr << Err << "\n";
-    return Finish(RC);
-  }
-  if (Serve) {
+  if (Serve || !ServeSocket.empty()) {
     ServerOptions SO;
     SO.GlobalTier = GlobalTier;
     SO.ReclaimEvery = ReclaimEvery;
@@ -861,8 +688,18 @@ int main(int Argc, char **Argv) {
     SO.Program.Solve.EnableAbduction = Config.Solve.EnableAbduction;
     SO.Program.Solve.EnableCondTerm = Config.Solve.EnableCondTerm;
     SO.StorePath = StorePath;
-    AnalysisServer Server(SO);
-    return Finish(Server.serve(std::cin, std::cout));
+    // stdin answers one line at a time, so one worker is all it uses.
+    SO.Workers = ServeSocket.empty() ? 1 : ServeWorkers;
+    SO.QueueDepth = ServeQueue;
+    SO.SocketPath = ServeSocket;
+    AnalysisServer Server(std::move(SO));
+    if (ServeSocket.empty())
+      return Finish(Server.serve(std::cin, std::cout));
+    std::string Err;
+    int RC = Server.serveSocket(&Err);
+    if (!Err.empty())
+      std::cerr << Err << "\n";
+    return Finish(RC);
   }
   if (Batch)
     return Finish(runBatch(BatchTarget, Config, Entry, GlobalTier, ShowStats,
