@@ -102,19 +102,20 @@ std::optional<RequestOutcome> decodeAndRunRequest(const json::Value &Req,
 
 AnalysisServer::AnalysisServer(ServerOptions Options)
     : Opt(std::move(Options)),
+      Store(std::make_unique<SpecStore>(
+          SpecStore::configFingerprint(Opt.Program))),
       Tier(Opt.GlobalTier ? std::make_unique<GlobalSolverCache>(
                                 Opt.GlobalSatCapacity, Opt.GlobalDnfCapacity)
                           : nullptr),
       Pool(std::max(1u, Opt.Workers)) {
   Opt.Workers = std::max(1u, Opt.Workers);
-  // Persistent spec store: a configured StorePath loads (or
-  // cold-starts) a private store. The per-request config carries the
-  // pointer, and the loaded sat snapshot warm-starts the solver tier.
-  // Store entries are plain strings — no interned pointers — so epoch
-  // reclamation is unaffected by persistence.
+  // The spec store is always on: every request's groups go through it,
+  // so a group this server already inferred replays instead of running
+  // again. A configured StorePath only adds persistence: the file is
+  // loaded here (its sat snapshot warm-starts the solver tier) and
+  // saved at shutdown. Store entries are plain strings — no interned
+  // pointers — so epoch reclamation is unaffected by the store.
   if (!Opt.StorePath.empty()) {
-    Store = std::make_unique<SpecStore>(
-        SpecStore::configFingerprint(Opt.Program));
     std::string Err;
     if (!Store->load(Opt.StorePath, &Err)) {
       // Corrupt file: start cold, but say so, and move the file aside
@@ -136,10 +137,10 @@ AnalysisServer::AnalysisServer(ServerOptions Options)
       Store = std::make_unique<SpecStore>(
           SpecStore::configFingerprint(Opt.Program));
     }
-    Opt.Program.Store = Store.get();
     if (Tier)
       Tier->importSatSnapshot(Store->satSnapshot());
   }
+  Opt.Program.Store = Store.get();
   // Everything interned before this point (constant singletons, any
   // warmup the host process did) becomes permanent; per-request terms
   // from here on are generation-tagged and reclaimable.
@@ -627,7 +628,7 @@ int AnalysisServer::serveSocket(std::string *Err) {
 }
 
 bool AnalysisServer::saveStoreLocked(std::string *Err) {
-  if (Store == nullptr || Opt.StorePath.empty())
+  if (Opt.StorePath.empty())
     return true;
   if (Tier)
     Store->setSatSnapshot(Tier->exportSatSnapshot());
@@ -641,6 +642,9 @@ std::string AnalysisServer::statsJson(const std::string &Id) const {
       << "\"requests\":" << S.Requests << ",\"errors\":" << S.Errors
       << ",\"store_hits\":" << S.StoreHits
       << ",\"store_misses\":" << S.StoreMisses
+      << ",\"store_entries\":" << S.StoreEntries
+      << ",\"store_bytes\":" << S.StoreBytes
+      << ",\"store_refused\":" << S.StoreRefused
       << ",\"reclaims\":" << S.Reclaims << ",\"generation\":"
       << ArithIntern::global().generation() << ",\"last_reclaim\":{"
       << "\"kept\":" << S.LastReclaim.kept()
@@ -685,8 +689,6 @@ std::string AnalysisServer::metricsJson(const std::string &Id) const {
   R.setGauge("server.requests", static_cast<int64_t>(S.Requests));
   R.setGauge("server.errors", static_cast<int64_t>(S.Errors));
   R.setGauge("server.reclaims", static_cast<int64_t>(S.Reclaims));
-  R.setGauge("server.store_hits", static_cast<int64_t>(S.StoreHits));
-  R.setGauge("server.store_misses", static_cast<int64_t>(S.StoreMisses));
   R.setGauge("server.intern_exprs", static_cast<int64_t>(S.InternExprs));
   R.setGauge("server.intern_constraints",
              static_cast<int64_t>(S.InternConstraints));
@@ -697,8 +699,7 @@ std::string AnalysisServer::metricsJson(const std::string &Id) const {
   bridgeSolverStats("solver.", S.Usage);
   bridgeGlobalCacheStats("tier.", S.Global);
   bridgeCondTermStats("cond_term.", S.CondTerm);
-  if (Store != nullptr)
-    bridgeSpecStoreStats("spec_store.", Store->stats());
+  bridgeSpecStoreStats("spec_store.", Store->stats());
   return "{\"id\":" + Id + ",\"ok\":true,\"metrics\":" +
          R.snapshotJson() + "}";
 }
@@ -716,11 +717,12 @@ ServerStats AnalysisServer::statsLocked() const {
   S.Usage = Usage;
   S.CondTerm = Cond;
   S.LastReclaim = LastReclaim;
-  if (Store != nullptr) {
-    SpecStoreStats SS = Store->stats();
-    S.StoreHits = SS.Hits;
-    S.StoreMisses = SS.Misses;
-  }
+  SpecStoreStats SS = Store->stats();
+  S.StoreHits = SS.Hits;
+  S.StoreMisses = SS.Misses;
+  S.StoreEntries = SS.Entries;
+  S.StoreBytes = SS.Bytes;
+  S.StoreRefused = SS.Refused;
   if (Tier)
     S.Global = Tier->stats();
   ArithIntern &I = ArithIntern::global();

@@ -7,11 +7,22 @@
 ///
 /// \file
 /// The analysis server: a persistent process that answers
-/// newline-delimited JSON requests, keeping one global solver tier warm
-/// across requests so repeated and similar programs answer from the
-/// shared cache. This is the long-lived regime the paper's reuse
-/// argument points at (specifications inferred once answer future
-/// queries cheaply) and the ROADMAP's north star.
+/// newline-delimited JSON requests. It keeps two things across
+/// requests. Its in-memory spec store (store/SpecStore.h) holds every
+/// group summary it inferred, keyed by content, so a group it has
+/// already solved replays and skips verification and inference
+/// entirely. Its global solver tier stays warm, so the groups it does
+/// solve answer repeated queries from the shared cache. This is the
+/// long-lived regime the paper's reuse argument points at
+/// (specifications inferred once answer future queries cheaply) and
+/// the ROADMAP's north star.
+///
+/// The store is always on and bounded: it refuses inserts past
+/// SpecStore::MaxBytes rather than evicting, so the entry pointers a
+/// request in flight holds stay valid. Two concurrent cold requests
+/// for one content key both infer it and the first insert wins (an
+/// entry is a pure function of its key). StorePath adds persistence
+/// only: load at start, save at shutdown.
 ///
 /// One engine, three ways in. The engine is a bounded admission queue
 /// in front of a worker pool (Workers program requests in flight at
@@ -54,8 +65,8 @@
 ///
 /// Control verbs and malformed lines never queue: they run on the
 /// submitting thread, so an overloaded server still answers health
-/// checks. shutdown drains in-flight work, saves the spec store, acks,
-/// and stops every transport.
+/// checks. shutdown drains in-flight work, saves the spec store (with
+/// a StorePath), acks, and stops every transport.
 ///
 /// Program responses carry {"id", "ok", "entry", "verdict", "output"}
 /// and are BYTE-IDENTICAL to a fresh single-program analyzeProgram run
@@ -129,7 +140,8 @@ struct ServerOptions {
   bool AllowPaths = true;
   /// Persistent spec store file: loaded at startup (inferred specs and
   /// the solver sat snapshot warm-start the server), saved atomically
-  /// on shutdown / end of serve. Empty disables persistence.
+  /// on shutdown / end of serve. Empty keeps the store in memory only;
+  /// the server has a store either way.
   std::string StorePath;
   /// Maximum program requests in flight at once (also the worker-pool
   /// size). 0 is clamped to 1.
@@ -147,7 +159,10 @@ struct ServerStats {
   uint64_t Errors = 0;   ///< Malformed requests / failed analyses.
   uint64_t Reclaims = 0; ///< Reclaim passes performed.
   uint64_t StoreHits = 0;   ///< Groups served from the spec store.
-  uint64_t StoreMisses = 0; ///< Groups inferred with a store attached.
+  uint64_t StoreMisses = 0; ///< Groups inferred (the store missed).
+  size_t StoreEntries = 0;  ///< Entries the spec store holds.
+  size_t StoreBytes = 0;    ///< Their key + entry bytes.
+  uint64_t StoreRefused = 0; ///< Inserts refused at the byte cap.
   ReclaimStats LastReclaim;
   GlobalCacheStats Global;
   /// Cumulative per-request solver usage (sum of every handled
@@ -291,8 +306,8 @@ private:
   std::string statsJson(const std::string &Id) const;
   std::string metricsJson(const std::string &Id) const;
 
-  ServerOptions Opt; ///< Program.Store is patched to the loaded store.
-  std::unique_ptr<SpecStore> Store; ///< When StorePath is set.
+  ServerOptions Opt; ///< Program.Store points at Store.
+  std::unique_ptr<SpecStore> Store; ///< Never null.
   std::unique_ptr<GlobalSolverCache> Tier; ///< Null when disabled.
   /// Reclamation was enabled at construction; the sole-owner gate is
   /// checked again at every reclaim (see file comment).

@@ -74,6 +74,8 @@ void tnt::bridgeSpecStoreStats(const std::string &Prefix,
   put(Prefix, "hits", S.Hits);
   put(Prefix, "misses", S.Misses);
   put(Prefix, "inserts", S.Inserts);
+  put(Prefix, "bytes", S.Bytes);
+  put(Prefix, "refused", S.Refused);
   put(Prefix, "sat_snapshot_entries", S.SatSnapshotEntries);
   put(Prefix, "load_discarded", S.LoadDiscarded ? 1 : 0);
 }

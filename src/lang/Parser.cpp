@@ -48,8 +48,33 @@ private:
     return false;
   }
   void error(const std::string &Msg) {
+    if (TooDeep)
+      return; // Unwinding from a nesting error; report nothing more.
     Diags.error(cur().Loc, Msg);
     Failed = true;
+  }
+
+  /// Restores the nesting depth when the production that took levels
+  /// returns.
+  struct DepthScope {
+    unsigned &Depth;
+    const unsigned Saved;
+    explicit DepthScope(unsigned &Depth) : Depth(Depth), Saved(Depth) {}
+    ~DepthScope() { Depth = Saved; }
+  };
+
+  /// Takes one nesting level for the innermost open DepthScope. A
+  /// binary-operator loop takes one per operator, since the tree it
+  /// builds is left-deep. Past MaxParseDepth it reports once and skips
+  /// to end of input, so every enclosing production unwinds without
+  /// descending further.
+  bool nest() {
+    if (++Depth <= MaxParseDepth)
+      return true;
+    error("nesting exceeds " + std::to_string(MaxParseDepth) + " levels");
+    TooDeep = true;
+    Pos = Toks.size() - 1;
+    return false;
   }
 
   bool isTypeStart() const {
@@ -75,7 +100,10 @@ private:
   // Statements and expressions ------------------------------------------
   StmtPtr parseBlock();
   StmtPtr parseStmt();
-  ExprPtr parseExpr() { return parseOr(); }
+  ExprPtr parseExpr() {
+    DepthScope Scope(Depth);
+    return nest() ? parseOr() : nullptr;
+  }
   ExprPtr parseOr();
   ExprPtr parseAnd();
   ExprPtr parseEquality();
@@ -89,6 +117,8 @@ private:
   std::vector<Token> Toks;
   size_t Pos = 0;
   bool Failed = false;
+  unsigned Depth = 0;
+  bool TooDeep = false;
 };
 
 Type ParserImpl::parseType() {
@@ -259,6 +289,9 @@ std::optional<MethodSpec> ParserImpl::parseSpec() {
 
 std::optional<SpecConj> ParserImpl::parseSpecConj(bool AllowHeap,
                                                   bool AllowTemporal) {
+  DepthScope Scope(Depth);
+  if (!nest())
+    return std::nullopt;
   SpecConj Out;
   std::vector<Formula> Pure;
   for (;;) {
@@ -521,6 +554,9 @@ std::optional<LinExpr> ParserImpl::parseSpecFactor() {
     return LinExpr(0); // Pointers are integers; null == 0.
   case Tok::Minus: {
     bump();
+    DepthScope Scope(Depth);
+    if (!nest())
+      return std::nullopt;
     std::optional<LinExpr> E = parseSpecFactor();
     if (!E)
       return std::nullopt;
@@ -546,6 +582,9 @@ StmtPtr ParserImpl::parseBlock() {
 }
 
 StmtPtr ParserImpl::parseStmt() {
+  DepthScope Scope(Depth);
+  if (!nest())
+    return nullptr;
   SourceLoc L = cur().Loc;
   switch (kind()) {
   case Tok::LBrace:
@@ -660,8 +699,11 @@ StmtPtr ParserImpl::parseStmt() {
 }
 
 ExprPtr ParserImpl::parseOr() {
+  DepthScope Scope(Depth);
   ExprPtr L = parseAnd();
   while (L && kind() == Tok::PipePipe) {
+    if (!nest())
+      return nullptr;
     SourceLoc Loc = cur().Loc;
     bump();
     auto E = std::make_unique<Expr>(Expr::Kind::Binary, Loc);
@@ -674,8 +716,11 @@ ExprPtr ParserImpl::parseOr() {
 }
 
 ExprPtr ParserImpl::parseAnd() {
+  DepthScope Scope(Depth);
   ExprPtr L = parseEquality();
   while (L && kind() == Tok::AmpAmp) {
+    if (!nest())
+      return nullptr;
     SourceLoc Loc = cur().Loc;
     bump();
     auto E = std::make_unique<Expr>(Expr::Kind::Binary, Loc);
@@ -688,8 +733,11 @@ ExprPtr ParserImpl::parseAnd() {
 }
 
 ExprPtr ParserImpl::parseEquality() {
+  DepthScope Scope(Depth);
   ExprPtr L = parseRelational();
   while (L && (kind() == Tok::EqEq || kind() == Tok::NotEq)) {
+    if (!nest())
+      return nullptr;
     BinOp Op = kind() == Tok::EqEq ? BinOp::Eq : BinOp::Ne;
     SourceLoc Loc = cur().Loc;
     bump();
@@ -703,9 +751,12 @@ ExprPtr ParserImpl::parseEquality() {
 }
 
 ExprPtr ParserImpl::parseRelational() {
+  DepthScope Scope(Depth);
   ExprPtr L = parseAdditive();
   while (L && (kind() == Tok::Lt || kind() == Tok::Le || kind() == Tok::Gt ||
                kind() == Tok::Ge)) {
+    if (!nest())
+      return nullptr;
     BinOp Op = kind() == Tok::Lt   ? BinOp::Lt
                : kind() == Tok::Le ? BinOp::Le
                : kind() == Tok::Gt ? BinOp::Gt
@@ -722,8 +773,11 @@ ExprPtr ParserImpl::parseRelational() {
 }
 
 ExprPtr ParserImpl::parseAdditive() {
+  DepthScope Scope(Depth);
   ExprPtr L = parseMultiplicative();
   while (L && (kind() == Tok::Plus || kind() == Tok::Minus)) {
+    if (!nest())
+      return nullptr;
     BinOp Op = kind() == Tok::Plus ? BinOp::Add : BinOp::Sub;
     SourceLoc Loc = cur().Loc;
     bump();
@@ -737,8 +791,11 @@ ExprPtr ParserImpl::parseAdditive() {
 }
 
 ExprPtr ParserImpl::parseMultiplicative() {
+  DepthScope Scope(Depth);
   ExprPtr L = parseUnary();
   while (L && kind() == Tok::Star) {
+    if (!nest())
+      return nullptr;
     SourceLoc Loc = cur().Loc;
     bump();
     auto E = std::make_unique<Expr>(Expr::Kind::Binary, Loc);
@@ -752,6 +809,9 @@ ExprPtr ParserImpl::parseMultiplicative() {
 
 ExprPtr ParserImpl::parseUnary() {
   SourceLoc L = cur().Loc;
+  DepthScope Scope(Depth);
+  if ((kind() == Tok::Minus || kind() == Tok::Bang) && !nest())
+    return nullptr;
   if (accept(Tok::Minus)) {
     auto E = std::make_unique<Expr>(Expr::Kind::Unary, L);
     E->Un = UnOp::Neg;

@@ -33,8 +33,17 @@
 
 namespace tnt {
 
+/// Nesting bound of the parser. Every recursive production (a
+/// statement, an expression, a unary operator, a specification
+/// conjunction or factor) and every operator of a left-deep binary
+/// chain counts one level, so the bound caps both the parser's own
+/// recursion and the depth of the AST that later recursive passes walk.
+/// A deeper program is a syntax error, not a stack overflow.
+constexpr unsigned MaxParseDepth = 1000;
+
 /// Parses \p Source into a Program. Returns std::nullopt (with
-/// diagnostics) on any syntax error.
+/// diagnostics) on any syntax error, including nesting past
+/// MaxParseDepth.
 std::optional<Program> parseProgram(const std::string &Source,
                                     DiagnosticEngine &Diags);
 

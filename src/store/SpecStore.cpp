@@ -65,9 +65,23 @@ void SpecStore::noteMiss() {
   ++Misses;
 }
 
+bool SpecStore::insertLocked(const std::string &Key, std::string Entry) {
+  auto It = Groups.lower_bound(Key);
+  if (It != Groups.end() && It->first == Key)
+    return false;
+  const size_t Size = Key.size() + Entry.size();
+  if (Size > MaxBytes - Bytes) {
+    ++Refused;
+    return false;
+  }
+  Groups.emplace_hint(It, Key, std::move(Entry));
+  Bytes += Size;
+  return true;
+}
+
 void SpecStore::insert(const std::string &Key, std::string Entry) {
   std::lock_guard<std::mutex> L(Mu);
-  if (Groups.emplace(Key, std::move(Entry)).second)
+  if (insertLocked(Key, std::move(Entry)))
     ++Inserts;
 }
 
@@ -107,6 +121,8 @@ SpecStoreStats SpecStore::stats() const {
   S.LoadedGroups = LoadedGroups;
   S.LoadDiscarded = LoadDiscarded;
   S.Entries = Groups.size();
+  S.Bytes = Bytes;
+  S.Refused = Refused;
   S.SatSnapshotEntries = SatSnapshot.size();
   return S;
 }
@@ -154,7 +170,7 @@ bool SpecStore::load(const std::string &Path, std::string *Err) {
     if (!G->isObject())
       return fail("store file " + Path + ": \"groups\" is not an object");
     for (const auto &[Key, Entry] : G->members())
-      if (Groups.emplace(Key, json::write(Entry)).second)
+      if (insertLocked(Key, json::write(Entry)))
         ++LoadedGroups;
   }
   if (const json::Value *Sat = Doc->field("solver_sat")) {

@@ -31,6 +31,12 @@
 /// store's lifetime. Save is atomic (temp file + rename), so a reader
 /// never observes a half-written store.
 ///
+/// Bound: the key and entry bytes held are capped at MaxBytes. An
+/// insert (or a loaded entry) that would cross the cap is REFUSED and
+/// counted, never made room for by evicting: eviction would break the
+/// peek() lifetime promise above, which in-flight analyses rely on.
+/// A refused group is simply inferred again by its next consumer.
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef TNT_STORE_SPECSTORE_H
@@ -64,6 +70,10 @@ struct SpecStoreStats {
   /// The loaded file was discarded (version/fingerprint mismatch).
   bool LoadDiscarded = false;
   size_t Entries = 0;
+  /// Key + entry bytes held (see SpecStore::MaxBytes).
+  size_t Bytes = 0;
+  /// Inserts and loaded entries refused at the byte cap.
+  uint64_t Refused = 0;
   size_t SatSnapshotEntries = 0;
 };
 
@@ -71,6 +81,10 @@ struct SpecStoreStats {
 /// analyses of one driver (batch run, server lifetime).
 class SpecStore {
 public:
+  /// Cap on the key + entry bytes one store holds. For scale: the 329
+  /// short corpus programs fill 175 entries, 28.8 KB.
+  static constexpr size_t MaxBytes = size_t(16) << 20;
+
   SpecStore() = default;
   explicit SpecStore(std::string Fingerprint)
       : Fingerprint(std::move(Fingerprint)) {}
@@ -85,7 +99,8 @@ public:
   /// Loads \p Path. Missing file: success with an empty store (a cold
   /// start). Version/fingerprint mismatch: success with an empty store
   /// and stats().LoadDiscarded set. Unparseable content: false with a
-  /// diagnostic in \p Err.
+  /// diagnostic in \p Err. Entries past MaxBytes are refused, as by
+  /// insert().
   bool load(const std::string &Path, std::string *Err = nullptr);
 
   /// Atomically writes the store to \p Path (temp file + rename).
@@ -103,7 +118,8 @@ public:
   void noteMiss();
 
   /// Inserts an entry (first writer wins; a group's entry is a pure
-  /// function of its key, so later writers are identical).
+  /// function of its key, so later writers are identical). Refused,
+  /// and counted in stats().Refused, when it would cross MaxBytes.
   void insert(const std::string &Key, std::string Entry);
 
   /// Solver sat-conjunction snapshot (see GlobalSolverCache).
@@ -131,11 +147,16 @@ public:
   size_t size() const;
 
 private:
+  /// insert() with Mu held; returns whether the entry was added.
+  bool insertLocked(const std::string &Key, std::string Entry);
+
   std::string Fingerprint;
 
   mutable std::mutex Mu;
   /// Node-based: peek() pointers survive concurrent inserts.
   std::map<std::string, std::string> Groups;
+  size_t Bytes = 0;
+  uint64_t Refused = 0;
   std::vector<std::pair<std::string, Tri>> SatSnapshot;
   uint64_t OutcomesCount = 0;
   uint64_t OutcomesHash = 0;

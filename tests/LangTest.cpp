@@ -209,6 +209,46 @@ void m(node x) requires two(x, m) ensures true; { return; }
   EXPECT_EQ(P.Preds[0].Branches[0].Heap.Atoms.size(), 2u);
 }
 
+TEST(Parser, DeepNestingIsAnError) {
+  // Each shape 100k levels deep: a diagnostic, not a stack overflow —
+  // in the parser or in any later pass over the tree it would build.
+  auto repeat = [](const std::string &S, size_t N) {
+    std::string Out;
+    Out.reserve(S.size() * N);
+    for (size_t I = 0; I < N; ++I)
+      Out += S;
+    return Out;
+  };
+  const size_t N = 100000;
+  const std::vector<std::pair<const char *, std::string>> Shapes = {
+      {"parens", "int main(int n) { return " + repeat("(", N) + "n" +
+                     repeat(")", N) + "; }"},
+      {"sum chain", "int main(int n) { return n" + repeat(" + n", N) + "; }"},
+      {"blocks",
+       "int main(int n) { " + repeat("{", N) + "return n;" + repeat("}", N) +
+           " }"},
+      {"if chain",
+       "int main(int n) { " + repeat("if (n > 0) ", N) + "return n; }"},
+      {"unary minus", "int main(int n) { return " + repeat("-", N) + "n; }"},
+      {"spec parens", "int main(int n) requires " + repeat("(", N) +
+                          "n > 0" + repeat(")", N) +
+                          " ensures true; { return n; }"},
+      {"spec minus", "int main(int n) requires " + repeat("-", N) +
+                         "n > 0 ensures true; { return n; }"},
+  };
+  for (const auto &[Name, Src] : Shapes) {
+    DiagnosticEngine Diags;
+    EXPECT_FALSE(parseProgram(Src, Diags).has_value()) << Name;
+    EXPECT_NE(Diags.str().find("nesting exceeds"), std::string::npos)
+        << Name << ": " << Diags.str().substr(0, 200);
+  }
+  // Just under the bound still parses.
+  const size_t Ok = MaxParseDepth - 10;
+  parseOk("int main(int n) { return " + repeat("(", Ok) + "n" +
+          repeat(")", Ok) + "; }");
+  parseOk("int main(int n) { return n" + repeat(" + n", Ok) + "; }");
+}
+
 //===----------------------------------------------------------------------===//
 // Resolver
 //===----------------------------------------------------------------------===//

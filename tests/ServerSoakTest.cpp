@@ -226,11 +226,80 @@ TEST(ServerProtocol, StatsShutdownAndErrors) {
   EXPECT_EQ(R->field("id")->asString(), "q1");
   EXPECT_TRUE(R->field("stats") != nullptr);
 
+  // The store is always on: a repeated program's group replays, and
+  // both stats and metrics report the store's size and refusals.
+  const std::string Prog =
+      soakRequestJson(10, "int main(int n) { return n; }");
+  const std::string First = Server.submitAndWait(Prog);
+  EXPECT_NE(First.find("\"ok\":true"), std::string::npos) << First;
+  EXPECT_EQ(Server.submitAndWait(Prog), First);
+  R = json::parse(Server.submitAndWait("{\"id\":11,\"verb\":\"stats\"}"));
+  ASSERT_TRUE(R.has_value());
+  const json::Value *St = R->field("stats");
+  ASSERT_TRUE(St != nullptr);
+  auto num = [](const json::Value *Obj, const char *Name) {
+    const json::Value *F = Obj->field(Name);
+    EXPECT_TRUE(F != nullptr) << Name;
+    return F != nullptr ? json::toInt64(*F).value_or(-1) : -1;
+  };
+  EXPECT_EQ(num(St, "store_misses"), 1);
+  EXPECT_EQ(num(St, "store_hits"), 1);
+  EXPECT_EQ(num(St, "store_entries"), 1);
+  const int64_t Bytes = num(St, "store_bytes");
+  EXPECT_GT(Bytes, 0);
+  EXPECT_EQ(num(St, "store_refused"), 0);
+  R = json::parse(
+      Server.submitAndWait("{\"id\":12,\"verb\":\"metrics\"}"));
+  ASSERT_TRUE(R.has_value());
+  const json::Value *Gauges = R->field("metrics")->field("gauges");
+  ASSERT_TRUE(Gauges != nullptr);
+  EXPECT_EQ(num(Gauges, "spec_store.entries"), 1);
+  EXPECT_EQ(num(Gauges, "spec_store.bytes"), Bytes);
+  EXPECT_EQ(num(Gauges, "spec_store.refused"), 0);
+
   // Shutdown flips the flag and acks.
   R = json::parse(Server.submitAndWait("{\"id\":9,\"verb\":\"shutdown\"}"));
   ASSERT_TRUE(R.has_value());
   EXPECT_TRUE(R->field("ok")->asBool());
   EXPECT_TRUE(Server.shutdownRequested());
+}
+
+TEST(ServerProtocol, DeeplyNestedProgramIsAnError) {
+  // Two ~40 KB requests that overflowed the stack of a serving
+  // process: 20,000 nested parentheses (in the parser) and a
+  // 20,000-term sum (in a pass over the left-deep tree the parser
+  // built). Each gets an error response, and the stream goes on.
+  const size_t N = 20000;
+  std::string Parens = "int main(int n) { return " + std::string(N, '(') +
+                       "n" + std::string(N, ')') + "; }";
+  std::string Sum = "int main(int n) { return n";
+  for (size_t I = 1; I < N; ++I)
+    Sum += " + n";
+  Sum += "; }";
+  const std::string Plain = "int main(int n) { return n; }";
+
+  AnalysisServer Server{ServerOptions{}};
+  std::istringstream In(soakRequestJson(1, Parens) + "\n" +
+                        soakRequestJson(2, Plain) + "\n" +
+                        soakRequestJson(3, Sum) + "\n" +
+                        soakRequestJson(4, Plain) + "\n");
+  std::ostringstream Out;
+  EXPECT_EQ(Server.serve(In, Out), 0);
+
+  std::istringstream Responses(Out.str());
+  std::string Line;
+  for (int Id = 1; Id <= 4; ++Id) {
+    ASSERT_TRUE(std::getline(Responses, Line)) << "no response " << Id;
+    std::optional<json::Value> R = json::parse(Line);
+    ASSERT_TRUE(R.has_value()) << Line;
+    EXPECT_EQ(R->field("id")->rawNumber(), std::to_string(Id));
+    const bool Nested = Id % 2 == 1;
+    EXPECT_EQ(R->field("ok")->asBool(), !Nested) << Line.substr(0, 200);
+    if (Nested) {
+      EXPECT_NE(R->field("error")->asString().find("nesting exceeds"),
+                std::string::npos);
+    }
+  }
 }
 
 TEST(ServerProtocol, ConcurrentReclaimersStandDown) {

@@ -31,7 +31,9 @@
 #include <algorithm>
 #include <cstdio>
 #include <fstream>
+#include <set>
 #include <sstream>
+#include <thread>
 #include <unistd.h>
 
 using namespace tnt;
@@ -496,6 +498,62 @@ TEST(SpecStore, MissingFileIsColdStartAndGarbageIsAnError) {
   EXPECT_NE(Err.find(Bad.Path), std::string::npos);
 }
 
+TEST(SpecStore, InsertsStopAtByteCap) {
+  const std::string MiB(size_t(1) << 20, 'x');
+  SpecStore S("fp");
+  std::vector<std::pair<std::string, const std::string *>> Held;
+  for (size_t I = 0;; ++I) {
+    std::string Key = "k" + std::to_string(I);
+    if (S.stats().Bytes + Key.size() + MiB.size() > SpecStore::MaxBytes)
+      break;
+    S.insert(Key, MiB);
+    Held.emplace_back(Key, S.peek(Key));
+    ASSERT_NE(Held.back().second, nullptr);
+  }
+  ASSERT_GE(Held.size(), 2u);
+  const SpecStoreStats Full = S.stats();
+  EXPECT_EQ(Full.Entries, Held.size());
+  EXPECT_LE(Full.Bytes, SpecStore::MaxBytes);
+  EXPECT_EQ(Full.Refused, 0u);
+
+  // The next insert would cross the cap: refused and counted, and the
+  // entries already held stay where they were.
+  S.insert("one-more", MiB);
+  EXPECT_EQ(S.peek("one-more"), nullptr);
+  EXPECT_EQ(S.stats().Refused, 1u);
+  EXPECT_EQ(S.stats().Bytes, Full.Bytes);
+  EXPECT_EQ(S.stats().Inserts, Held.size());
+  for (const auto &[Key, Ptr] : Held) {
+    EXPECT_EQ(S.peek(Key), Ptr);
+    EXPECT_EQ(*Ptr, MiB);
+  }
+  // A small entry still fits, and a duplicate key is no refusal.
+  S.insert("small", "{}");
+  EXPECT_NE(S.peek("small"), nullptr);
+  S.insert(Held.front().first, MiB);
+  EXPECT_EQ(S.stats().Refused, 1u);
+
+  // A load past the cap keeps what fits and refuses the rest.
+  TempFile File("cap");
+  const size_t InFile = Held.size() + 4;
+  {
+    std::ofstream Out(File.Path);
+    Out << "{\"version\":1,\"fingerprint\":\"fp\",\"groups\":{";
+    for (size_t I = 0; I < InFile; ++I)
+      Out << (I ? "," : "") << "\"k" << I << "\":\"" << MiB << "\"";
+    Out << "}}\n";
+  }
+  SpecStore L("fp");
+  std::string Err;
+  ASSERT_TRUE(L.load(File.Path, &Err)) << Err;
+  const SpecStoreStats Loaded = L.stats();
+  EXPECT_LE(Loaded.Bytes, SpecStore::MaxBytes);
+  EXPECT_GE(Loaded.LoadedGroups, 1u);
+  EXPECT_EQ(Loaded.LoadedGroups, Loaded.Entries);
+  EXPECT_EQ(Loaded.LoadedGroups + Loaded.Refused, InFile);
+  EXPECT_GE(Loaded.Refused, 4u);
+}
+
 TEST(SpecStore, ConfigFingerprintTracksSolveKnobs) {
   AnalyzerConfig A, B;
   EXPECT_EQ(SpecStore::configFingerprint(A),
@@ -901,6 +959,62 @@ TEST(ServerStore, WarmRestartServesFromDiskByteIdentically) {
     ServerStats S = Server.stats();
     EXPECT_GT(S.StoreHits, 0u);
     EXPECT_EQ(S.StoreMisses, 0u);
+  }
+}
+
+TEST(ServerStore, DefaultStoreInfersEachKeyOnce) {
+  // A server with no StorePath still has a spec store. Three
+  // respellings of each program share their content keys, so each
+  // distinct key is inferred once and every other group replays, while
+  // every response stays byte-identical to a fresh store-less run.
+  const std::vector<BatchItem> Items = corpusBatchItems(12);
+  std::vector<std::string> Sources;
+  for (size_t Round = 0; Round < 3; ++Round)
+    for (size_t P = 0; P < Items.size(); ++P)
+      Sources.push_back(
+          soakVariantSource(Items[P].Source, Round * Items.size() + P));
+  std::set<std::string> Distinct;
+  size_t Groups = 0;
+  std::vector<std::string> Expected;
+  for (size_t I = 0; I < Sources.size(); ++I) {
+    std::vector<std::string> Keys = keysOf(Sources[I]);
+    Groups += Keys.size();
+    Distinct.insert(Keys.begin(), Keys.end());
+    RequestOutcome Fresh =
+        runProgramRequest(Sources[I], "main", ServerOptions().Program, nullptr);
+    ASSERT_FALSE(Fresh.Failed) << Items[I % Items.size()].Name;
+    Expected.push_back("{\"id\":" + std::to_string(I) + "," + Fresh.Body +
+                       "}");
+  }
+  ASSERT_GT(Groups, Distinct.size());
+
+  for (unsigned Workers : {1u, 4u}) {
+    ServerOptions SO;
+    SO.Workers = Workers;
+    AnalysisServer Server(SO);
+    std::vector<std::string> Responses(Sources.size());
+    std::vector<std::thread> Clients;
+    for (unsigned C = 0; C < Workers; ++C)
+      Clients.emplace_back([&, C] {
+        for (size_t I = C; I < Sources.size(); I += Workers)
+          Responses[I] = Server.submitAndWait(soakRequestJson(I, Sources[I]));
+      });
+    for (std::thread &T : Clients)
+      T.join();
+    for (size_t I = 0; I < Sources.size(); ++I)
+      EXPECT_EQ(Responses[I], Expected[I]) << "workers=" << Workers;
+
+    ServerStats S = Server.stats();
+    EXPECT_EQ(S.StoreHits + S.StoreMisses, Groups) << "workers=" << Workers;
+    if (Workers == 1) {
+      EXPECT_EQ(S.StoreMisses, Distinct.size());
+      EXPECT_EQ(S.StoreHits, Groups - Distinct.size());
+    } else {
+      // Concurrent cold requests for one key may both infer it.
+      EXPECT_GE(S.StoreMisses, Distinct.size());
+    }
+    EXPECT_EQ(S.StoreEntries, Distinct.size()) << "workers=" << Workers;
+    EXPECT_EQ(S.StoreRefused, 0u);
   }
 }
 

@@ -34,9 +34,10 @@
 // correlated by id. --serve-smoke self-drives <n> corpus-variant
 // requests from 8 in-process clients, checks every response against a
 // fresh single-program run, and fails on a shed, a global-id fallback,
-// a grown VarPool, a reclaim that never dropped anything, or an
-// interned arena that keeps growing across epochs — the CI fence for
-// the long-lived regime.
+// a grown VarPool, a reclaim that never dropped anything, an interned
+// arena that keeps growing across epochs, or a stream of repeated
+// programs that never replayed a group from the server's spec store —
+// the CI fence for the long-lived regime.
 //
 //===----------------------------------------------------------------------===//
 
@@ -107,8 +108,10 @@ void printUsage(std::ostream &OS) {
         "  --stats               print solver/cache/store statistics\n"
         "  --outcomes            print every program's rendered summary "
         "(batch)\n"
-        "  --store <file>        persistent spec store: load before, save "
-        "after the run\n"
+        "  --store <file>        persistent spec store file: load before, "
+        "save after the\n"
+        "                        run (a server keeps its store in memory "
+        "without it)\n"
         "  --expect-store-hits   fail unless EVERY group replayed from "
         "the store and the\n"
         "                        outcomes digest matches the stored run "
@@ -409,9 +412,9 @@ int runBatch(const std::string &Target, const AnalyzerConfig &Cli,
 /// long-lived regime: each response is ok and byte-identical to a fresh
 /// session run of the same source; reclaims ran and dropped something;
 /// the interned arena and formula count stay bounded across reclaim
-/// epochs; and nothing was load-shed, fell back to global-region ids,
-/// or grew the shared VarPool (sessions are private). Exit 0 only when
-/// all hold.
+/// epochs; nothing was load-shed, fell back to global-region ids, or
+/// grew the shared VarPool (sessions are private); and, once programs
+/// repeat, the spec store replayed groups. Exit 0 only when all hold.
 int runServeSmoke(unsigned N) {
   const unsigned Clients = 8;
   ServerOptions SO;
@@ -478,7 +481,9 @@ int runServeSmoke(unsigned N) {
             << S.Reclaims << " last_dropped=" << S.LastReclaim.dropped()
             << " shed=" << Server.shedCount()
             << " sat_rotations=" << S.Global.SatRotations
-            << " arena_bytes=" << S.InternArenaBytes << "\n";
+            << " arena_bytes=" << S.InternArenaBytes
+            << " store_hits=" << S.StoreHits
+            << " store_misses=" << S.StoreMisses << "\n";
   if (N >= SO.ReclaimEvery &&
       (S.Reclaims == 0 || S.LastReclaim.dropped() == 0)) {
     std::cerr << "reclamation never dropped anything\n";
@@ -486,6 +491,12 @@ int runServeSmoke(unsigned N) {
   }
   if (Server.shedCount() != 0) {
     std::cerr << "unexpected load-shed under an unsaturated queue\n";
+    ++Failures;
+  }
+  // Requests past the first Items.size() repeat a program's content,
+  // so the server's spec store must have replayed some group.
+  if (N > Items.size() && S.StoreHits == 0) {
+    std::cerr << "no group replayed from the server's spec store\n";
     ++Failures;
   }
   if (VarPool::get().scopedFallbacks() != FallbacksBefore) {
