@@ -81,37 +81,41 @@ BatchResult BatchAnalyzer::run(const std::vector<BatchItem> &Items) {
 
   WorkStealingPool Pool(R.Threads);
 
-  // --- Phase 1: every program's front end, SEQUENTIAL in input order.
-  // Each program gets its OWN VarPool::Session lease (the concurrent
-  // server's per-request mechanism), created here and owned by its
+  // --- Phase 1: every program's front end and spec-store prescan, one
+  // pool task per program. Each program gets its OWN VarPool::Session
+  // lease (the analysis server's per-request mechanism), owned by its
   // BatchProgramResult so rendering can re-activate it later. Inside
   // its session every program uses the single-program block schedule —
   // root block 0, group G on block G + 1 (prepareProgram's default) —
-  // because sessions are private views: sibling programs cannot
-  // collide however the pool schedules them, and every id/spelling a
-  // program mints is positional, a function of that program alone.
-  // That also makes store content keys (block-qualified) identical
-  // across programs with content-identical same-index groups, so twins
-  // share entries; and block overflow, should a program ever mint
-  // ~16k groups, falls back to the SESSION's id region — still
-  // positional, so even the overflow tail keeps byte-determinism
-  // (pinned by VarPoolOverflowTest).
-  // The spec-store prescan runs inside the same sequential loop and
-  // session: it computes the group keys, interns the spellings of the
+  // because sessions are private views: every id and spelling a
+  // program mints, parsed identifiers included, is positional, a
+  // function of that program alone, whichever worker runs it and
+  // whatever runs beside it. That also makes store content keys
+  // (block-qualified) identical across programs with content-identical
+  // same-index groups, so twins share entries; and block overflow,
+  // should a program ever mint ~16k groups, falls back to the
+  // SESSION's id region — still positional, so even the overflow tail
+  // keeps byte-determinism (pinned by VarPoolOverflowTest).
+  // The prescan computes the group keys, interns the spellings of the
   // entries already stored (session-scoped) and snapshots those
-  // entries (PreparedProgram::StoreEntries). Entries the group phase
-  // inserts are picked up from the live store by later groups with the
-  // same key (see runPipelineGroup).
+  // entries (PreparedProgram::StoreEntries).
   std::vector<std::unique_ptr<PreparedProgram>> Prepared(NP);
-  for (size_t P = 0; P < NP; ++P) {
-    R.Programs[P].Session = std::make_shared<VarPool::Session>();
-    VarPool::SessionScope Active(*R.Programs[P].Session);
-    trace::ScopedTag ProgTag("program", Items[P].Name);
-    Prepared[P] = prepareProgram(Items[P].Source, Cfg, 0);
-    if (!Prepared[P]->Ok)
-      continue;
-    prescanSpecStore(*Prepared[P], Cfg);
-  }
+  for (size_t P = 0; P < NP; ++P)
+    Pool.submit([&, P] {
+      R.Programs[P].Session = std::make_shared<VarPool::Session>();
+      VarPool::SessionScope Active(*R.Programs[P].Session);
+      trace::ScopedTag ProgTag("program", Items[P].Name);
+      Prepared[P] = prepareProgram(Items[P].Source, Cfg, 0);
+      prescanSpecStore(*Prepared[P], Cfg);
+    });
+  // The barrier: no group task starts before every prescan is done, so
+  // every prescan sees the store exactly as it was when run() began.
+  // The snapshot, the hit/miss split and which entries count as
+  // mid-run (the own-block rule, singleflight) are then the same at
+  // any thread count; entries the group phase inserts are picked up
+  // from the live store by later groups with the same key (see
+  // runPipelineGroup).
+  Pool.wait();
 
   // --- Phase 2: all programs' group tasks share the pool. A finished
   // group releases its dependent groups; the last group of a program

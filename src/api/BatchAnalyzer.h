@@ -10,13 +10,14 @@
 /// evaluation (Fig. 10 runs four SV-COMP'15 families, Fig. 11 runs 221
 /// loop-based programs) and of the ROADMAP's analysis-server north
 /// star. A BatchAnalyzer keeps many analyzeProgram pipelines in flight
-/// at once: every program's SCC-group tasks are scheduled on ONE
-/// work-stealing pool (the thread budget is shared across programs ×
-/// groups, so a wide corpus of small programs saturates the pool even
-/// though each program alone has little parallelism), and all group
-/// contexts share one read-mostly GlobalSolverCache tier under their
-/// per-context LRU tier, recovering the cross-group and cross-program
-/// hit rate the per-group cache split gives up.
+/// at once: every program's front end and SCC-group tasks are
+/// scheduled on ONE work-stealing pool (the thread budget is shared
+/// across programs × groups, so a wide corpus of small programs
+/// saturates the pool even though each program alone has little
+/// parallelism), and all group contexts share one read-mostly
+/// GlobalSolverCache tier under their per-context LRU tier, recovering
+/// the cross-group and cross-program hit rate the per-group cache
+/// split gives up.
 ///
 /// Determinism: per-program results are byte-identical for any thread
 /// count and any global-tier setting. Each program runs inside its own
@@ -49,9 +50,11 @@
 /// entry it inserted. When the leader stored nothing (budget cut,
 /// fallback ids, root-block leak) the first resubmitted group leads
 /// instead. Entries present when the run starts replay through the
-/// prescan snapshot (PreparedProgram::StoreEntries); an entry inserted
-/// mid-run replays only if every fresh spelling it names lies in the
-/// consuming group's own block, which that group interns itself (see
+/// prescan snapshot (PreparedProgram::StoreEntries); every prescan
+/// finishes before the first group task starts, so that snapshot is
+/// the same at any thread count. An entry inserted mid-run replays
+/// only if every fresh spelling it names lies in the consuming group's
+/// own block, which that group interns itself (see
 /// internOwnBlockSpellings). That check reads only the entry and the
 /// block map, and an entry is a pure function of its key, so which
 /// program leads never shows in the rendered outcomes. Which program

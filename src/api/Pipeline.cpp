@@ -23,9 +23,10 @@ tnt::prepareProgram(const std::string &Source, const AnalyzerConfig &Config,
   auto PP = std::make_unique<PreparedProgram>();
 
   // Deterministic ids/names for everything the front end and the heap
-  // environment create, independent of pool history. The historical
-  // single-program block is 0; batch drivers pass per-program blocks
-  // so concurrent front ends cannot interleave allocations.
+  // environment create, independent of pool history. Every driver
+  // passes block 0: batch programs and server requests each run in
+  // their own VarPool::Session, so concurrent front ends cannot
+  // interleave allocations.
   VarPool::Scope RootScope(RootBlock);
   PP->RootCtx = std::make_unique<SolverContext>();
   if (Config.FuelBudget != 0) {
@@ -50,16 +51,16 @@ tnt::prepareProgram(const std::string &Source, const AnalyzerConfig &Config,
   }
 
   // Deterministically intern every unscoped spelling the group phase
-  // can touch. Group tasks of DIFFERENT programs may run concurrently
-  // in batch mode, and the verifier lazily interns primed parameter
+  // can touch. Independent groups of one program may run concurrently
+  // in its session, and the verifier lazily interns primed parameter
   // names ("x'", at call sites and exit checks) and "res"; whichever
-  // program interned such a shared spelling first would fix its VarId,
-  // making id order — and with it the rendered order of VarId-sorted
-  // structures — depend on scheduling. Interning them here, in the
-  // (sequential, program-ordered) front-end phase, makes every id a
-  // function of the batch content alone. All other group-phase names
-  // are either parsed (interned just above) or block-tagged fresh
-  // spellings, which are collision-free by construction.
+  // group interned such a spelling first would fix its VarId, making
+  // id order — and with it the rendered order of VarId-sorted
+  // structures — depend on scheduling. Interning them here, before any
+  // group task of the program starts, makes every id a function of the
+  // program alone. All other group-phase names are either parsed
+  // (interned just above) or block-tagged fresh spellings, which are
+  // collision-free by construction.
   mkVar("res");
   for (const MethodDecl &M : PP->P.Methods)
     for (const Param &Prm : M.Params)
@@ -130,16 +131,17 @@ void tnt::prescanSpecStore(PreparedProgram &PP,
     PP.StoreBlocks.BlockOf[Token] = PP.GroupBlocks[G];
   }
 
-  // Intern every fresh spelling the hit entries resolve to, HERE in
-  // the sequential front-end phase, in canonical (block, counter)
-  // order. Group tasks may rehydrate concurrently later; by then every
-  // spelling they can touch is a deterministic function of the program
-  // + store content, like the pre-interned "res"/primed spellings of
-  // prepareProgram. The peek results are snapshotted alongside, so the
-  // group phase skips a second lookup. Entries that arrive later are
-  // interned by their consuming group task (see runPipelineGroup); the
-  // prescan stays as a hoist, keeping that interning out of the timed
-  // group tasks when the store is already populated.
+  // Intern every fresh spelling the hit entries resolve to, HERE,
+  // before any group task of the program starts, in canonical (block,
+  // counter) order. Group tasks may rehydrate concurrently later; by
+  // then every spelling they can touch is a deterministic function of
+  // the program + store content, like the pre-interned "res"/primed
+  // spellings of prepareProgram. The peek results are snapshotted
+  // alongside, so the group phase skips a second lookup. Entries that
+  // arrive later are interned by their consuming group task (see
+  // runPipelineGroup); the prescan stays as a hoist, keeping that
+  // interning out of the timed group tasks when the store is already
+  // populated.
   PP.StoreEntries.assign(PP.GroupKeys.size(), nullptr);
   std::vector<std::string> Fresh;
   for (size_t G = 0; G < PP.GroupKeys.size(); ++G)

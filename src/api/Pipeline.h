@@ -21,9 +21,9 @@
 ///                      "deterministic end-of-program merge").
 ///
 /// analyzeProgram composes the three over a private thread pool;
-/// BatchAnalyzer schedules many programs' group tasks on one shared
-/// work-stealing pool, each program in its own VarPool::Session so
-/// concurrently active scopes never collide.
+/// BatchAnalyzer schedules many programs' front ends and group tasks on
+/// one shared work-stealing pool, each program in its own
+/// VarPool::Session so concurrently active scopes never collide.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -133,13 +133,18 @@ std::unique_ptr<PreparedProgram> prepareProgram(const std::string &Source,
                                                 const AnalyzerConfig &Config,
                                                 uint32_t RootBlock = 0);
 
-/// Spec-store prescan (no-op without Config.Store): computes the group
-/// keys, builds the program's block-token map and interns every fresh
-/// spelling its hit entries resolve to, in canonical (block, counter)
-/// order. MUST run in a sequential phase after the program's
-/// GroupBlocks are final and before any group task is scheduled — it
-/// is part of the "front ends intern everything deterministically"
-/// contract the parallel group phase relies on.
+/// Spec-store prescan (no-op without Config.Store or when the front end
+/// failed): computes the group keys, builds the program's block-token
+/// map, snapshots the store's answer per group (StoreEntries) and
+/// interns every fresh spelling those entries resolve to, in canonical
+/// (block, counter) order. Run it in the program's session after
+/// prepareProgram and before any of the program's group tasks is
+/// scheduled. Prescans of distinct programs, each in its own session,
+/// may run concurrently. BatchAnalyzer lets every prescan finish before
+/// the first group task starts, so no prescan sees an entry the run
+/// itself inserts and the hit/miss split does not depend on the
+/// schedule; the server has no such barrier, only per-response byte
+/// identity.
 void prescanSpecStore(PreparedProgram &PP, const AnalyzerConfig &Config);
 
 /// Analyzes one group under VarPool::Scope(ScopeBlock) on a fresh

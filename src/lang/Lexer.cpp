@@ -209,9 +209,10 @@ std::vector<Token> tnt::tokenize(const std::string &Source,
       // parameter/local states, call-site renamings); lexing runs
       // under the front end's deterministic VarPool scope, so pinning
       // ids NOW makes them a function of the program text — while a
-      // lazy intern from a group task would race with other programs'
-      // group tasks in batch mode and make VarId order (and with it
-      // every VarId-sorted rendering) depend on scheduling.
+      // lazy intern from a group task would race with the program's
+      // other group tasks, which share its session, and make VarId
+      // order (and with it every VarId-sorted rendering) depend on
+      // scheduling.
       if (T.K == Tok::Ident)
         mkVar(Id);
       Out.push_back(T);

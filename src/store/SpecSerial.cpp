@@ -720,6 +720,12 @@ void collectFRefs(const json::Value &V, EntryReader &Entry,
 void tnt::collectFreshSpellings(const std::string &EntryJson,
                                 const BlockTokenMap &Blocks,
                                 std::vector<std::string> &Out) {
+  // serializeGroupEntry spells every fresh reference with this literal
+  // prefix, and SpecStore::load re-writes each entry compactly with
+  // json::write, so a stored entry without it names no fresh variable
+  // and needs no parse.
+  if (EntryJson.find("[\"f\",") == std::string::npos)
+    return;
   std::optional<json::Value> Doc = json::parse(EntryJson);
   if (!Doc || !Doc->isObject())
     return;

@@ -59,8 +59,9 @@
 /// Byte-identity of VarId-sorted structure: internFreshSpellings()
 /// interns every fresh spelling a program's hit entries resolve to,
 /// grouped by block and sorted by counter, inside the matching
-/// VarPool scope, BEFORE any group task runs (drivers call it from
-/// the sequential front-end phase). Ids land in their block regions
+/// VarPool scope, BEFORE any of the program's group tasks runs
+/// (drivers call it from the prescan, in the program's own session,
+/// so programs prescan concurrently). Ids land in their block regions
 /// in allocation-counter order — the same relative order a full
 /// fresh run produces — so the id-sorted And/Or child
 /// canonicalization, and with it every rendered summary, is
@@ -183,18 +184,21 @@ bool rehydrateGroupEntry(const std::string &EntryJson,
 /// Appends every fresh spelling \p EntryJson resolves to under
 /// \p Blocks — ["f",...] references and binders, in consumer block
 /// numbering — to \p Out. Malformed entries and unresolvable tokens
-/// contribute nothing (rehydration will reject them later).
+/// contribute nothing (rehydration will reject them later). Expects
+/// the compact form serializeGroupEntry writes and SpecStore::load
+/// restores: an entry without the literal ["f", returns at once,
+/// unparsed.
 void collectFreshSpellings(const std::string &EntryJson,
                            const BlockTokenMap &Blocks,
                            std::vector<std::string> &Out);
 
 /// Interns the collected spellings in canonical (block, counter)
 /// order, each inside VarPool::Scope(block), reproducing the producing
-/// run's relative id order (see file comment). Call it from a
-/// sequential phase, per VarPool's scope contract — or from a group
-/// task whose spellings all lie in that task's own block (see
-/// internOwnBlockSpellings), since no other task of the session
-/// allocates in that block.
+/// run's relative id order (see file comment). Call it before any
+/// group task of the program starts (the prescan), per VarPool's scope
+/// contract — or from a group task whose spellings all lie in that
+/// task's own block (see internOwnBlockSpellings), since no other task
+/// of the session allocates in that block.
 void internFreshSpellings(std::vector<std::string> Spellings);
 
 /// The mid-run form of the prescan, for an entry that reached the

@@ -11,9 +11,10 @@
 /// chain hot on one worker), and steals from the top of a victim's
 /// deque when its own runs dry (FIFO — steals the oldest, most
 /// coarse-grained work). External submissions round-robin across
-/// workers. BatchAnalyzer schedules programs × per-program SCC groups
-/// on one such pool, so the thread budget is shared across the whole
-/// corpus instead of being partitioned per program.
+/// workers. BatchAnalyzer schedules every program's front end, then
+/// programs × per-program SCC groups, on one such pool, so the thread
+/// budget is shared across the whole corpus instead of being
+/// partitioned per program.
 ///
 /// Tasks may submit further tasks (that is how group completions
 /// release their dependents). wait() returns when every submitted task

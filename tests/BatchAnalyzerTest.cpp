@@ -11,6 +11,7 @@
 
 #include "api/BatchAnalyzer.h"
 #include "api/Pipeline.h"
+#include "lang/Parser.h"
 #include "solver/GlobalCache.h"
 #include "store/SpecSerial.h"
 #include "store/SpecStore.h"
@@ -64,12 +65,19 @@ int main(int n)
 }
 )";
 
-BatchItem item(const char *Name, const char *Cat, const char *Src) {
+BatchItem item(const char *Name, const char *Cat, std::string Src) {
   BatchItem It;
   It.Name = Name;
   It.Category = Cat;
-  It.Source = Src;
+  It.Source = std::move(Src);
   return It;
+}
+
+/// The outcome rendering of one program of \p R alone.
+std::string renderOne(const BatchResult &R, size_t P) {
+  BatchResult One;
+  One.Programs.push_back(R.Programs[P]);
+  return One.renderOutcomes();
 }
 
 } // namespace
@@ -109,6 +117,53 @@ TEST(BatchAnalyzer, FailedProgramIsIsolated) {
   EXPECT_EQ(R.Programs[0].Verdict, Outcome::Unknown);
   EXPECT_TRUE(R.Programs[1].Result.Ok);
   EXPECT_EQ(R.Programs[1].Verdict, Outcome::Yes);
+}
+
+TEST(BatchAnalyzer, FrontEndErrorsIsolatedAtAnyThreadCount) {
+  // Front ends run as pool tasks: a failing one must not disturb its
+  // neighbours, whichever worker runs it and whatever runs beside it.
+  const std::string Deep = "int main(int n) { return " +
+                           std::string(MaxParseDepth + 1, '(') + "n" +
+                           std::string(MaxParseDepth + 1, ')') + "; }";
+  std::vector<BatchItem> Items = {
+      item("syntax", "x", "int main( {"),
+      item("t", "a", TermSrc),
+      item("resolve", "x", "int main(int n) { return m; }"),
+      item("l", "b", LoopSrc),
+      item("deep", "x", Deep),
+      item("t2", "a", TermSrc),
+      item("syntax2", "x", "int dec(int k) { return k }")};
+
+  std::vector<AnalysisResult> Solo;
+  std::vector<std::string> SoloOut;
+  for (const BatchItem &It : Items) {
+    BatchAnalyzer BA;
+    BatchResult R = BA.run({It});
+    SoloOut.push_back(renderOne(R, 0));
+    Solo.push_back(std::move(R.Programs[0].Result));
+  }
+  EXPECT_FALSE(Solo[0].Ok);
+  EXPECT_NE(Solo[2].Diagnostics.find("undeclared"), std::string::npos)
+      << Solo[2].Diagnostics;
+  EXPECT_NE(Solo[4].Diagnostics.find("nesting exceeds"), std::string::npos)
+      << Solo[4].Diagnostics.substr(0, 200);
+  EXPECT_TRUE(Solo[1].Ok);
+
+  for (unsigned Threads : {1u, 2u, 4u, 8u}) {
+    BatchOptions Opt;
+    Opt.Threads = Threads;
+    BatchAnalyzer BA(Opt);
+    BatchResult R = BA.run(Items);
+    ASSERT_EQ(R.Programs.size(), Items.size());
+    for (size_t P = 0; P < Items.size(); ++P) {
+      const AnalysisResult &A = R.Programs[P].Result;
+      EXPECT_EQ(A.Ok, Solo[P].Ok) << Items[P].Name << " at " << Threads;
+      EXPECT_EQ(A.Diagnostics, Solo[P].Diagnostics)
+          << Items[P].Name << " at " << Threads;
+      EXPECT_EQ(renderOne(R, P), SoloOut[P])
+          << Items[P].Name << " at " << Threads;
+    }
+  }
 }
 
 TEST(BatchAnalyzer, PerCategoryCountsAndTable) {
@@ -287,17 +342,6 @@ TEST(TwoTierFuel, PerProgramBudgetHonorsTierHits) {
 // groups with the key park and then replay the leader's entry.
 //===----------------------------------------------------------------------===//
 
-namespace {
-
-/// The outcome rendering of one program of \p R alone.
-std::string renderOne(const BatchResult &R, size_t P) {
-  BatchResult One;
-  One.Programs.push_back(R.Programs[P]);
-  return One.renderOutcomes();
-}
-
-} // namespace
-
 TEST(BatchDedup, EachKeyInferredOnceAndOutcomesMatchSoloRuns) {
   // Exact twins (t1, t2), a near-twin of them (t3: overlapping queries,
   // different keys) and a loop program present three times.
@@ -363,6 +407,51 @@ TEST(BatchDedup, UnstoredLeaderReleasesFollowers) {
     }
     EXPECT_EQ(R.StoreHits, 0u) << Threads << " threads";
     EXPECT_EQ(R.StoreMisses, 3u) << Threads << " threads";
+  }
+}
+
+TEST(BatchDedup, CallerStoreHitsIdenticalAtAnyThreadCount) {
+  // A caller store already holds TermSrc's keys. Its copies replay
+  // from the prescan snapshot; the first LoopSrc copy to run leads and
+  // the others replay its entry mid-run; TermLtSrc runs cold. Every
+  // prescan finishes before the first group task starts, so the split
+  // is the same at every thread count.
+  std::vector<BatchItem> Items = {
+      item("l1", "b", LoopSrc),  item("t1", "a", TermSrc),
+      item("t3", "a", TermLtSrc), item("l2", "b", LoopSrc),
+      item("t2", "a", TermSrc),  item("l3", "b", LoopSrc)};
+
+  std::vector<std::string> Solo;
+  for (const BatchItem &It : Items) {
+    BatchAnalyzer BA;
+    Solo.push_back(renderOne(BA.run({It}), 0));
+  }
+
+  uint64_t Hits1 = 0, Misses1 = 0;
+  for (unsigned Threads : {1u, 2u, 4u, 8u}) {
+    SpecStore Store;
+    BatchOptions Opt;
+    Opt.Threads = Threads;
+    Opt.Store = &Store;
+    {
+      BatchAnalyzer Populate(Opt);
+      BatchResult R = Populate.run({item("t0", "a", TermSrc)});
+      ASSERT_EQ(R.StoreMisses, 2u);
+    }
+    BatchAnalyzer BA(Opt);
+    BatchResult R = BA.run(Items);
+    if (Threads == 1) {
+      Hits1 = R.StoreHits;
+      Misses1 = R.StoreMisses;
+      // 2 x 2 prescan hits, 2 x 2 mid-run replays, 2 + 2 inferred.
+      EXPECT_EQ(Hits1, 8u);
+      EXPECT_EQ(Misses1, 4u);
+    }
+    EXPECT_EQ(R.StoreHits, Hits1) << Threads << " threads";
+    EXPECT_EQ(R.StoreMisses, Misses1) << Threads << " threads";
+    for (size_t P = 0; P < Items.size(); ++P)
+      EXPECT_EQ(renderOne(R, P), Solo[P])
+          << Items[P].Name << " at " << Threads << " threads";
   }
 }
 

@@ -377,6 +377,76 @@ TEST(SpecSerial, FreshVariablesRespellToConsumerBlocks) {
   EXPECT_EQ(Fresh[0].find("fv!b9!"), 0u);
 }
 
+TEST(SpecSerial, FreshReferencesAreSpelledLiterally) {
+  // collectFreshSpellings skips the parse of an entry without the
+  // literal ["f", — sound because the serializer spells every fresh
+  // reference so and SpecStore::load re-writes entries compactly.
+  VarPool::Session S;
+  VarPool::SessionScope Active(S);
+  SerialFixture F;
+  BlockTokenMap Consumer;
+  Consumer.TokenOf[9] = "k#0";
+  Consumer.BlockOf["k#0"] = 9;
+  auto collect = [&](const std::string &Entry) {
+    std::vector<std::string> Fresh;
+    collectFreshSpellings(Entry, Consumer, Fresh);
+    return Fresh;
+  };
+  const std::vector<std::string> Want = {"w!b9!3"};
+
+  // A guard naming block 5's "w!b5!3", plus diagnostics quoting the
+  // literal of another fresh reference.
+  CaseTree Leaf;
+  Leaf.Temporal = TemporalSpec::mayLoop();
+  CaseTree Tree;
+  Tree.Children.emplace_back(
+      Formula::cmp(LinExpr::var(mkVar("w!b5!3")), CmpKind::Ge, LinExpr(0)),
+      Leaf);
+  ScenarioRecord R;
+  R.Slot = F.Slot;
+  R.Cases = &Tree;
+  const std::string Diags = "see [\"f\",0,7,\"v\"]\n";
+  std::optional<std::string> Entry =
+      serializeGroupEntry({R}, Diags, false, F.Blocks);
+  ASSERT_TRUE(Entry.has_value());
+  const std::string Literal = "[\"f\",0,3,\"w\"]";
+  ASSERT_NE(Entry->find(Literal), std::string::npos) << *Entry;
+  // The serializer's bytes are already what load re-writes them to,
+  // and the quoted diagnostics add no spelling.
+  std::optional<json::Value> Doc = json::parse(*Entry);
+  ASSERT_TRUE(Doc.has_value());
+  EXPECT_EQ(json::write(*Doc), *Entry);
+  EXPECT_EQ(collect(*Entry), Want);
+
+  // A store file that spells the reference with blanks collects the
+  // same spelling once loaded.
+  std::string Spaced = *Entry;
+  Spaced.replace(Spaced.find(Literal), Literal.size(),
+                 "[ \"f\" , 0, 3, \"w\" ]");
+  TempFile File("spaced");
+  {
+    std::ofstream Out(File.Path);
+    Out << "{\"version\":1,\"fingerprint\":\"fp\",\"groups\":{\"k\":" << Spaced
+        << "}}\n";
+  }
+  SpecStore Store("fp");
+  std::string Err;
+  ASSERT_TRUE(Store.load(File.Path, &Err)) << Err;
+  ASSERT_NE(Store.peek("k"), nullptr);
+  EXPECT_EQ(*Store.peek("k"), *Entry);
+  EXPECT_EQ(collect(*Store.peek("k")), Want);
+
+  // Diagnostics quoting the literal, in an entry that names no fresh
+  // variable, collect nothing.
+  CaseTree Plain;
+  Plain.Temporal = TemporalSpec::mayLoop();
+  R.Cases = &Plain;
+  std::optional<std::string> NoFresh =
+      serializeGroupEntry({R}, Diags, false, F.Blocks);
+  ASSERT_TRUE(NoFresh.has_value());
+  EXPECT_TRUE(collect(*NoFresh).empty());
+}
+
 TEST(SpecSerial, RootBlockVariablesAreNotSerializable) {
   SerialFixture F;
   VarId RootVar;
