@@ -1,10 +1,9 @@
 //===- bench/batch_corpus.cpp - Batch corpus benchmark ----------*- C++ -*-===//
 //
 // The BENCH_batch.json perf artifact: batch throughput over a corpus
-// slice (programs/sec), the two-tier cache's global hit rate, thread
-// scaling at 1/2/4/8 workers, and a byte-identity determinism
-// cross-check of every configuration against the 1-thread tier-off
-// baseline.
+// slice (programs/sec), thread scaling at 1/2/4/8 workers, and a
+// byte-identity determinism cross-check of every configuration against
+// a first 1-thread baseline pass.
 //
 //   bench_batch_corpus [--json <path>] [--programs <n>]
 //
@@ -49,35 +48,24 @@ namespace {
 
 struct RunSample {
   unsigned Threads = 1;
-  bool Tier = true;
   double Millis = 0;
   double ProgramsPerSec = 0;
-  double GlobalSatHitRate = 0;
-  double GlobalDnfHitRate = 0;
-  uint64_t GlobalSatHits = 0;
-  uint64_t GlobalDnfHits = 0;
   bool MatchesBaseline = true;
 };
 
 RunSample runOnce(const std::vector<BatchItem> &Items, unsigned Threads,
-                  bool Tier, const std::string &Baseline,
+                  const std::string &Baseline,
                   std::string *OutRender = nullptr) {
   BatchOptions Opt;
   Opt.Threads = Threads;
-  Opt.GlobalTier = Tier;
   BatchAnalyzer BA(Opt);
   BatchResult R = BA.run(Items);
 
   RunSample S;
   S.Threads = Threads;
-  S.Tier = Tier;
   S.Millis = R.Millis;
   S.ProgramsPerSec =
       R.Millis > 0 ? double(Items.size()) / (R.Millis / 1000.0) : 0.0;
-  S.GlobalSatHitRate = R.Global.satHitRate();
-  S.GlobalDnfHitRate = R.Global.dnfHitRate();
-  S.GlobalSatHits = R.Global.SatHits;
-  S.GlobalDnfHits = R.Global.DnfHits;
   std::string Render = R.renderOutcomes();
   S.MatchesBaseline = Baseline.empty() || Render == Baseline;
   if (OutRender)
@@ -90,8 +78,7 @@ struct ServerSample {
   double ColdMillis = 0, WarmMillis = 0;
   double ColdReqPerSec = 0, WarmReqPerSec = 0;
   double WarmSpeedup = 0;
-  double SatHitRate = 0;
-  uint64_t Reclaims = 0, LastDropped = 0, Rotations = 0;
+  uint64_t Reclaims = 0, LastDropped = 0;
   size_t ArenaBytes = 0;
   /// Spec-store groups replayed / inferred, per pass.
   uint64_t ColdStoreHits = 0, ColdStoreMisses = 0;
@@ -108,8 +95,6 @@ ServerSample runServer(unsigned N) {
   using Clock = std::chrono::steady_clock;
   ServerOptions SO;
   SO.ReclaimEvery = 32;
-  SO.GlobalSatCapacity = 1u << 12;
-  SO.GlobalDnfCapacity = 1u << 9;
   AnalysisServer Server(SO);
 
   std::vector<BatchItem> Items = corpusBatchItems(20);
@@ -135,10 +120,8 @@ ServerSample runServer(unsigned N) {
   S.WarmReqPerSec = S.WarmMillis > 0 ? N / (S.WarmMillis / 1000.0) : 0;
   S.WarmSpeedup = S.WarmMillis > 0 ? S.ColdMillis / S.WarmMillis : 0;
   ServerStats St = Server.stats();
-  S.SatHitRate = St.Global.satHitRate();
   S.Reclaims = St.Reclaims;
   S.LastDropped = St.LastReclaim.dropped();
-  S.Rotations = St.Global.SatRotations + St.Global.DnfRotations;
   S.ArenaBytes = St.InternArenaBytes;
   S.ColdStoreHits = Cold.StoreHits;
   S.ColdStoreMisses = Cold.StoreMisses;
@@ -248,8 +231,6 @@ StoreSample runStore(const std::vector<BatchItem> &Items,
     ColdRender = R.renderOutcomes();
     S.ColdMillis = R.Millis;
     S.ColdInserts = Store.stats().Inserts;
-    if (BA.globalTier() != nullptr)
-      Store.setSatSnapshot(BA.globalTier()->exportSatSnapshot());
     Store.save(Path);
   }
   {
@@ -262,8 +243,6 @@ StoreSample runStore(const std::vector<BatchItem> &Items,
     Store.load(Path);
     Opt.Store = &Store;
     BatchAnalyzer BA(Opt);
-    if (BA.globalTier() != nullptr)
-      BA.globalTier()->importSatSnapshot(Store.satSnapshot());
     BatchResult R = BA.run(Items);
     S.WarmMillis = R.Millis;
     S.WarmHits = R.StoreHits;
@@ -395,20 +374,18 @@ int main(int argc, char **argv) {
   std::printf("batch corpus bench: %zu programs, hardware_concurrency=%u\n",
               Items.size(), std::thread::hardware_concurrency());
 
-  // Baseline: 1 thread, tier off — the sequential classical regime all
-  // other configurations must reproduce byte for byte.
+  // Baseline: a first 1-thread pass — the sequential classical regime
+  // all other configurations must reproduce byte for byte.
   std::string Baseline;
-  RunSample Base = runOnce(Items, 1, false, "", &Baseline);
+  RunSample Base = runOnce(Items, 1, "", &Baseline);
 
-  // Warm-up effects: the first run interned every spelling/term, so
-  // later runs measure steady-state throughput (the server regime).
-  // T1 doubles as the 1-thread scaling point.
-  RunSample T1 = runOnce(Items, 1, true, Baseline);
-  std::vector<RunSample> Scaling = {T1};
-  for (unsigned T : {2u, 4u, 8u})
-    Scaling.push_back(runOnce(Items, T, true, Baseline));
+  // Warm-up effects: the baseline interned every spelling/term, so the
+  // scaling runs measure steady-state throughput.
+  std::vector<RunSample> Scaling;
+  for (unsigned T : {1u, 2u, 4u, 8u})
+    Scaling.push_back(runOnce(Items, T, Baseline));
 
-  bool AllDeterministic = T1.MatchesBaseline;
+  bool AllDeterministic = true;
   for (const RunSample &S : Scaling)
     AllDeterministic = AllDeterministic && S.MatchesBaseline;
 
@@ -426,16 +403,9 @@ int main(int argc, char **argv) {
   Out << "  \"programs\": " << Items.size() << ",\n";
   Out << "  \"hardware_concurrency\": " << std::thread::hardware_concurrency()
       << ",\n";
-  Out << "  \"baseline_1thread_tier_off\": {\n";
+  Out << "  \"baseline_1thread\": {\n";
   Out << "    \"ms\": " << Base.Millis << ",\n";
   Out << "    \"programs_per_sec\": " << Base.ProgramsPerSec << "\n  },\n";
-  Out << "  \"tier_on_1thread\": {\n";
-  Out << "    \"ms\": " << T1.Millis << ",\n";
-  Out << "    \"programs_per_sec\": " << T1.ProgramsPerSec << ",\n";
-  Out << "    \"global_sat_hit_rate\": " << T1.GlobalSatHitRate << ",\n";
-  Out << "    \"global_sat_hits\": " << T1.GlobalSatHits << ",\n";
-  Out << "    \"global_dnf_hit_rate\": " << T1.GlobalDnfHitRate << ",\n";
-  Out << "    \"global_dnf_hits\": " << T1.GlobalDnfHits << "\n  },\n";
   Out << "  \"scaling\": [\n";
   for (size_t I = 0; I < Scaling.size(); ++I) {
     const RunSample &S = Scaling[I];
@@ -443,7 +413,6 @@ int main(int argc, char **argv) {
         << ", \"programs_per_sec\": " << S.ProgramsPerSec
         << ", \"speedup_vs_1\": "
         << (S.Millis > 0 ? Scaling[0].Millis / S.Millis : 0.0)
-        << ", \"global_sat_hit_rate\": " << S.GlobalSatHitRate
         << ", \"deterministic\": " << (S.MatchesBaseline ? "true" : "false")
         << "}" << (I + 1 < Scaling.size() ? "," : "") << "\n";
   }
@@ -461,10 +430,8 @@ int main(int argc, char **argv) {
   Out << "    \"warm_ms\": " << Srv.WarmMillis << ",\n";
   Out << "    \"warm_requests_per_sec\": " << Srv.WarmReqPerSec << ",\n";
   Out << "    \"warm_speedup\": " << Srv.WarmSpeedup << ",\n";
-  Out << "    \"global_sat_hit_rate\": " << Srv.SatHitRate << ",\n";
   Out << "    \"reclaims\": " << Srv.Reclaims << ",\n";
   Out << "    \"last_reclaim_dropped\": " << Srv.LastDropped << ",\n";
-  Out << "    \"tier_rotations\": " << Srv.Rotations << ",\n";
   Out << "    \"arena_bytes\": " << Srv.ArenaBytes << ",\n";
   Out << "    \"cold_store_hits\": " << Srv.ColdStoreHits << ",\n";
   Out << "    \"cold_store_misses\": " << Srv.ColdStoreMisses << ",\n";
@@ -540,19 +507,17 @@ int main(int argc, char **argv) {
       << (AllDeterministic ? "true" : "false") << "\n";
   Out << "}\n";
 
-  std::printf("BENCH_batch.json: baseline %.1f prog/s; tier-on %.1f prog/s "
-              "(global sat hit rate %.3f, dnf %.3f); 4-thread speedup x%.2f; "
-              "deterministic: %s\n",
-              Base.ProgramsPerSec, T1.ProgramsPerSec, T1.GlobalSatHitRate,
-              T1.GlobalDnfHitRate, SpeedupAt4,
+  std::printf("BENCH_batch.json: baseline %.1f prog/s; 1-thread %.1f prog/s; "
+              "4-thread speedup x%.2f; deterministic: %s\n",
+              Base.ProgramsPerSec, Scaling[0].ProgramsPerSec, SpeedupAt4,
               AllDeterministic ? "yes" : "NO");
   std::printf("server: cold %.1f req/s, warm %.1f req/s (x%.2f), "
-              "reclaims=%llu dropped=%llu rotations=%llu arena=%zu "
+              "reclaims=%llu dropped=%llu arena=%zu "
               "store hits/misses cold=%llu/%llu warm=%llu/%llu\n",
               Srv.ColdReqPerSec, Srv.WarmReqPerSec, Srv.WarmSpeedup,
               static_cast<unsigned long long>(Srv.Reclaims),
               static_cast<unsigned long long>(Srv.LastDropped),
-              static_cast<unsigned long long>(Srv.Rotations), Srv.ArenaBytes,
+              Srv.ArenaBytes,
               static_cast<unsigned long long>(Srv.ColdStoreHits),
               static_cast<unsigned long long>(Srv.ColdStoreMisses),
               static_cast<unsigned long long>(Srv.WarmStoreHits),

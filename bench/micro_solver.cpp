@@ -9,7 +9,6 @@
 #include "api/Analyzer.h"
 #include "api/BatchAnalyzer.h"
 #include "solver/Interval.h"
-#include "solver/Solver.h"
 #include "synth/Abduction.h"
 #include "synth/Ranking.h"
 #include "workloads/Corpus.h"
@@ -67,9 +66,10 @@ void BM_SolverEntailment(benchmark::State &State) {
   Formula A = Formula::conj2(Formula::cmp(ex("bm_a"), CmpKind::Ge, LinExpr(1)),
                              Formula::cmp(ex("bm_b"), CmpKind::Ge, ex("bm_a")));
   Formula B = Formula::cmp(ex("bm_b"), CmpKind::Ge, LinExpr(1));
+  SolverContext &SC = SolverContext::defaultCtx();
   for (auto _ : State) {
-    Solver::resetStats();
-    benchmark::DoNotOptimize(Solver::entails(A, B));
+    SC.resetStats();
+    benchmark::DoNotOptimize(SC.entails(A, B));
   }
 }
 BENCHMARK(BM_SolverEntailment);
@@ -163,7 +163,7 @@ BENCHMARK(BM_UnmemoizedToDNF);
 /// With Top < Off + N - 1 the chain is UNSAT, and interval propagation
 /// decides it in a couple of passes where Omega runs a full
 /// elimination over N variables. Every query gets its own constants
-/// (and its own variable block), so no cache tier can answer — the
+/// (and its own variable block), so no cache can answer — the
 /// timing isolates prefilter-vs-Omega on the engine itself. A quarter
 /// of the family are satisfiable boxes, exercising the witness path.
 std::vector<ConstraintConj> chainFamily(unsigned Count, int N) {

@@ -11,7 +11,6 @@
 #include "support/UnixSocket.h"
 
 #include <algorithm>
-#include <atomic>
 #include <cstdio>
 #include <fstream>
 #include <future>
@@ -24,10 +23,6 @@ using namespace tnt;
 namespace {
 
 using Clock = std::chrono::steady_clock;
-
-/// Live servers with reclamation enabled (see AnalysisServer.h —
-/// reclamation is only sound for a sole owner).
-std::atomic<unsigned> LiveReclaimers{0};
 
 uint64_t microsSince(Clock::time_point T0) {
   return static_cast<uint64_t>(
@@ -69,7 +64,6 @@ std::string errorResponse(const std::string &IdText, const std::string &Msg) {
 /// byte-identical to standalone responses.
 std::optional<RequestOutcome> decodeAndRunRequest(const json::Value &Req,
                                                   const AnalyzerConfig &Config,
-                                                  GlobalSolverCache *Tier,
                                                   bool AllowPaths) {
   const json::Value *Prog = Req.field("program");
   const json::Value *Path = Req.field("path");
@@ -84,7 +78,7 @@ std::optional<RequestOutcome> decodeAndRunRequest(const json::Value &Req,
   if (Prog != nullptr) {
     if (!Prog->isString())
       return errorOutcome("\"program\" must be a string");
-    return runProgramRequest(Prog->asString(), Entry, Config, Tier);
+    return runProgramRequest(Prog->asString(), Entry, Config);
   }
   if (!AllowPaths)
     return errorOutcome("path requests are disabled");
@@ -95,7 +89,7 @@ std::optional<RequestOutcome> decodeAndRunRequest(const json::Value &Req,
     return errorOutcome("cannot open " + Path->asString());
   std::stringstream Buf;
   Buf << In.rdbuf();
-  return runProgramRequest(Buf.str(), Entry, Config, Tier);
+  return runProgramRequest(Buf.str(), Entry, Config);
 }
 
 } // namespace
@@ -104,17 +98,14 @@ AnalysisServer::AnalysisServer(ServerOptions Options)
     : Opt(std::move(Options)),
       Store(std::make_unique<SpecStore>(
           SpecStore::configFingerprint(Opt.Program))),
-      Tier(Opt.GlobalTier ? std::make_unique<GlobalSolverCache>(
-                                Opt.GlobalSatCapacity, Opt.GlobalDnfCapacity)
-                          : nullptr),
       Pool(std::max(1u, Opt.Workers)) {
   Opt.Workers = std::max(1u, Opt.Workers);
   // The spec store is always on: every request's groups go through it,
   // so a group this server already inferred replays instead of running
   // again. A configured StorePath only adds persistence: the file is
-  // loaded here (its sat snapshot warm-starts the solver tier) and
-  // saved at shutdown. Store entries are plain strings — no interned
-  // pointers — so epoch reclamation is unaffected by the store.
+  // loaded here and saved at shutdown. Store entries are plain strings
+  // — no interned pointers — so epoch reclamation is unaffected by the
+  // store.
   if (!Opt.StorePath.empty()) {
     std::string Err;
     if (!Store->load(Opt.StorePath, &Err)) {
@@ -137,18 +128,13 @@ AnalysisServer::AnalysisServer(ServerOptions Options)
       Store = std::make_unique<SpecStore>(
           SpecStore::configFingerprint(Opt.Program));
     }
-    if (Tier)
-      Tier->importSatSnapshot(Store->satSnapshot());
   }
   Opt.Program.Store = Store.get();
   // Everything interned before this point (constant singletons, any
   // warmup the host process did) becomes permanent; per-request terms
   // from here on are generation-tagged and reclaimable.
-  if (Opt.ReclaimEvery != 0) {
-    Reclaiming = true;
-    LiveReclaimers.fetch_add(1);
+  if (Opt.ReclaimEvery != 0)
     ArithIntern::global().beginEpochs();
-  }
   NextReclaimAt = Opt.ReclaimEvery;
 }
 
@@ -156,14 +142,11 @@ AnalysisServer::~AnalysisServer() {
   requestShutdown();
   waitIdle();
   Pool.wait();
-  if (Reclaiming)
-    LiveReclaimers.fetch_sub(1);
 }
 
 RequestOutcome tnt::runProgramRequest(const std::string &Source,
                                       const std::string &Entry,
-                                      const AnalyzerConfig &Config,
-                                      GlobalSolverCache *Tier) {
+                                      const AnalyzerConfig &Config) {
   RequestOutcome O;
   O.Ran = true;
 
@@ -183,20 +166,19 @@ RequestOutcome tnt::runProgramRequest(const std::string &Source,
 
   // The exact analyzeProgram schedule — root block 0, group G on block
   // G+1, bottom-up group order — so the response is byte-identical to a
-  // fresh single-program run (the tier only changes who computes an
-  // answer, never the answer).
+  // fresh single-program run.
   std::unique_ptr<PreparedProgram> PP = prepareProgram(Source, Config);
   prescanSpecStore(*PP, Config);
   AnalysisResult R;
   if (!PP->Ok) {
-    R = finalizeProgram(*PP, {}, Config, Tier);
+    R = finalizeProgram(*PP, {}, Config);
   } else {
     const size_t N = PP->Groups.size();
     std::vector<GroupRun> Runs(N);
     for (size_t G = 0; G < N; ++G)
-      Runs[G] = runPipelineGroup(*PP, Config, G,
-                                 static_cast<uint32_t>(G) + 1, Tier);
-    R = finalizeProgram(*PP, std::move(Runs), Config, Tier);
+      Runs[G] =
+          runPipelineGroup(*PP, Config, G, static_cast<uint32_t>(G) + 1);
+    R = finalizeProgram(*PP, std::move(Runs), Config);
   }
   O.Usage = R.SolverUsage;
   O.Cond = R.CondTerm;
@@ -212,9 +194,9 @@ RequestOutcome tnt::runProgramRequest(const std::string &Source,
       metrics::Registry::get().histogram("server.request.exec_us");
   ExecUs.observe(microsSince(ExecT0));
   // PP and R (every Formula handle of this request) die HERE — nothing
-  // of the request outlives its epoch except what promoteTo put in the
-  // tier (and, as plain strings, what the spec store captured). The
-  // caller guarantees no epoch boundary while we were in flight.
+  // of the request outlives its epoch except, as plain strings, what
+  // the spec store captured. The caller guarantees no epoch boundary
+  // while we were in flight.
   return O;
 }
 
@@ -272,27 +254,18 @@ void AnalysisServer::jobFinished(uint64_t ProgramsRan) {
     L.unlock();
     {
       std::lock_guard<std::mutex> E(EngineMu);
-      // Sole-owner gate: sweeping everything outside THIS server's tier
-      // is only sound when no other live tier holds interned pointers —
-      // whether it belongs to a second server (reclaiming or not) or to
-      // a bare BatchAnalyzer/GlobalSolverCache in the host process.
-      // With any other tier alive, stand down (append-only mode) rather
-      // than free keys from under it: tier maps compare keys by
-      // pointer, so a swept key re-interned at a recycled address could
-      // alias a stale entry.
-      const size_t OwnTiers = Tier ? 1 : 0;
-      if (LiveReclaimers.load() == 1 &&
-          GlobalSolverCache::liveCount() == OwnTiers) {
+      // Sole-engine gate: the sweep frees every term interned this
+      // epoch, which is only sound when no other engine — a second
+      // server (reclaiming or not) or a BatchAnalyzer — may be holding
+      // some. With any other engine alive, stand down (append-only
+      // mode) rather than free terms from under it.
+      if (LiveEngine::count() == 1) {
         // The process-wide default context is the one SolverContext a
-        // host process might feed through the legacy Solver facade
-        // between requests; its caches hold interned pointers, so drop
-        // them before the sweep rather than listing them as roots (they
-        // are caches — a refill is always sound).
+        // host process might use between requests; its caches hold
+        // interned pointers, so drop them before the sweep (they are
+        // caches — a refill is always sound).
         SolverContext::defaultCtx().clearCache();
-        EpochRoots Roots;
-        if (Tier)
-          Tier->collectRoots(Roots);
-        LastReclaim = ArithIntern::global().reclaim(Roots);
+        LastReclaim = ArithIntern::global().reclaim();
         ++Reclaims;
       }
     }
@@ -321,8 +294,8 @@ void AnalysisServer::runJob(Job &J) {
   const json::Value *Programs = J.Req.field("programs");
   if (J.Req.field("verb") == nullptr) {
     // Admission guarantees a "program" or "path" field.
-    Outcomes.push_back(*decodeAndRunRequest(J.Req, Opt.Program, Tier.get(),
-                                            Opt.AllowPaths));
+    Outcomes.push_back(
+        *decodeAndRunRequest(J.Req, Opt.Program, Opt.AllowPaths));
     Response += Outcomes.back().Body + "}";
   } else if (Programs == nullptr || !Programs->isArray()) {
     Outcomes.push_back(
@@ -337,8 +310,7 @@ void AnalysisServer::runJob(Job &J) {
       std::optional<RequestOutcome> O;
       if (!Item.isObject())
         O = errorOutcome("request is not a JSON object");
-      else if (!(O = decodeAndRunRequest(Item, Opt.Program, Tier.get(),
-                                         Opt.AllowPaths)))
+      else if (!(O = decodeAndRunRequest(Item, Opt.Program, Opt.AllowPaths)))
         O = errorOutcome("batch element needs \"program\" or \"path\"");
       Response += (Outcomes.empty() ? "{" : ",{") + O->Body + "}";
       Outcomes.push_back(std::move(*O));
@@ -630,8 +602,6 @@ int AnalysisServer::serveSocket(std::string *Err) {
 bool AnalysisServer::saveStoreLocked(std::string *Err) {
   if (Opt.StorePath.empty())
     return true;
-  if (Tier)
-    Store->setSatSnapshot(Tier->exportSatSnapshot());
   return Store->save(Opt.StorePath, Err);
 }
 
@@ -647,26 +617,13 @@ std::string AnalysisServer::statsJson(const std::string &Id) const {
       << ",\"store_refused\":" << S.StoreRefused
       << ",\"reclaims\":" << S.Reclaims << ",\"generation\":"
       << ArithIntern::global().generation() << ",\"last_reclaim\":{"
-      << "\"kept\":" << S.LastReclaim.kept()
-      << ",\"dropped\":" << S.LastReclaim.dropped()
+      << "\"dropped\":" << S.LastReclaim.dropped()
       << ",\"bytes_before\":" << S.LastReclaim.BytesBefore
       << ",\"bytes_after\":" << S.LastReclaim.BytesAfter << "},\"intern\":{"
       << "\"exprs\":" << S.InternExprs
       << ",\"constraints\":" << S.InternConstraints
       << ",\"formulas\":" << S.InternFormulas
-      << ",\"arena_bytes\":" << S.InternArenaBytes << "},\"global_tier\":{"
-      << "\"sat_entries\":" << S.Global.SatEntries
-      << ",\"sat_prev_entries\":" << S.Global.SatPrevEntries
-      << ",\"sat_lookups\":" << S.Global.SatLookups
-      << ",\"sat_hits\":" << S.Global.SatHits
-      << ",\"sat_prev_hits\":" << S.Global.SatPrevHits
-      << ",\"sat_rotations\":" << S.Global.SatRotations
-      << ",\"dnf_entries\":" << S.Global.DnfEntries
-      << ",\"dnf_prev_entries\":" << S.Global.DnfPrevEntries
-      << ",\"dnf_lookups\":" << S.Global.DnfLookups
-      << ",\"dnf_hits\":" << S.Global.DnfHits
-      << ",\"dnf_prev_hits\":" << S.Global.DnfPrevHits
-      << ",\"dnf_rotations\":" << S.Global.DnfRotations << "},\"ladder\":{"
+      << ",\"arena_bytes\":" << S.InternArenaBytes << "},\"ladder\":{"
       << "\"interval_unsat\":" << S.Usage.IntervalUnsat
       << ",\"interval_sat\":" << S.Usage.IntervalSat << "},\"cond_term\":{"
       << "\"emitted\":" << S.CondTerm.Emitted
@@ -697,7 +654,6 @@ std::string AnalysisServer::metricsJson(const std::string &Id) const {
   R.setGauge("server.intern_arena_bytes",
              static_cast<int64_t>(S.InternArenaBytes));
   bridgeSolverStats("solver.", S.Usage);
-  bridgeGlobalCacheStats("tier.", S.Global);
   bridgeCondTermStats("cond_term.", S.CondTerm);
   bridgeSpecStoreStats("spec_store.", Store->stats());
   return "{\"id\":" + Id + ",\"ok\":true,\"metrics\":" +
@@ -723,8 +679,6 @@ ServerStats AnalysisServer::statsLocked() const {
   S.StoreEntries = SS.Entries;
   S.StoreBytes = SS.Bytes;
   S.StoreRefused = SS.Refused;
-  if (Tier)
-    S.Global = Tier->stats();
   ArithIntern &I = ArithIntern::global();
   S.InternExprs = I.exprCount();
   S.InternConstraints = I.constraintCount();

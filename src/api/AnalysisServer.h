@@ -7,15 +7,12 @@
 ///
 /// \file
 /// The analysis server: a persistent process that answers
-/// newline-delimited JSON requests. It keeps two things across
-/// requests. Its in-memory spec store (store/SpecStore.h) holds every
-/// group summary it inferred, keyed by content, so a group it has
-/// already solved replays and skips verification and inference
-/// entirely. Its global solver tier stays warm, so the groups it does
-/// solve answer repeated queries from the shared cache. This is the
+/// newline-delimited JSON requests. What it keeps across requests is
+/// its in-memory spec store (store/SpecStore.h): every group summary
+/// it inferred, keyed by content, so a group it has already solved
+/// replays and skips verification and inference entirely. This is the
 /// long-lived regime the paper's reuse argument points at
-/// (specifications inferred once answer future queries cheaply) and
-/// the ROADMAP's north star.
+/// (specifications inferred once answer future queries cheaply).
 ///
 /// The store is always on and bounded: it refuses inserts past
 /// SpecStore::MaxBytes rather than evicting, so the entry pointers a
@@ -75,30 +72,32 @@
 /// arith/Var.h) on the exact block numbering analyzeProgram uses (root
 /// block 0, group G on block G+1), so the ids and spellings a request
 /// mints are a pure function of the request, independent of server
-/// history and of sibling requests in flight, and the shared tier and
-/// spec store are semantically transparent. Deliberately, the response
+/// history and of sibling requests in flight, and the spec store is
+/// semantically transparent. Deliberately, the response
 /// contains no times or cache counters — warmth must be unobservable in
 /// it (the soak suites diff responses against fresh runs).
 ///
 /// Epoch-scoped reclamation: without it, a server analyzing an
 /// unbounded program stream grows the process-wide ArithIntern table
 /// with every request. The server runs in ArithIntern epoch mode: once
-/// every ReclaimEvery completed program requests it collects the
-/// interned pointers still reachable from its tier (both cache
-/// generations) as the retained root set and reclaims everything else.
-/// It reclaims only at QUIESCENCE: dispatch pauses (new jobs keep
-/// queueing) and the job that brings the in-flight count to zero runs
-/// the reclaim, so no request ever spans an epoch boundary — the caller
-/// contract ArithIntern::reclaim documents.
+/// every ReclaimEvery completed program requests it reclaims every
+/// term interned since the previous reclaim. Nothing of a request
+/// outlives it but its response and, as plain strings, what the spec
+/// store captured, so there is nothing to keep. It reclaims only at
+/// QUIESCENCE: dispatch pauses (new jobs keep queueing) and the job
+/// that brings the in-flight count to zero runs the reclaim, so no
+/// request ever spans an epoch boundary — the caller contract
+/// ArithIntern::reclaim documents.
 ///
-/// Reclamation also assumes this server's tier is the only
-/// cross-request owner of interned pointers in the process. While any
-/// other GlobalSolverCache is alive — a second server's (reclaiming or
-/// not) or a tier-owning BatchAnalyzer's — the server stands down to
-/// append-only mode until sole ownership returns (tested by
+/// Reclamation also assumes this server is the only analysis engine
+/// in the process. While any other LiveEngine exists — a second
+/// server (reclaiming or not) or a BatchAnalyzer — the server stands
+/// down to append-only mode until it is alone again (tested by
 /// ServerProtocol.ConcurrentReclaimersStandDown). The gate cannot see
-/// tier-less analyses running on other host threads; a host that runs
-/// those must disable reclamation (ReclaimEvery = 0).
+/// interned terms held outside a live engine — analyzeProgram calls on
+/// other host threads, or a BatchResult kept after its analyzer died;
+/// a host that keeps those must disable reclamation (ReclaimEvery =
+/// 0).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -129,18 +128,14 @@ struct ServerOptions {
   /// Per-request analyzer knobs; the batch defaults (deadline-free,
   /// deterministic group fuel) keep responses reproducible.
   AnalyzerConfig Program = batchProgramConfig();
-  /// Enable the warm global cache tier.
-  bool GlobalTier = true;
-  size_t GlobalSatCapacity = GlobalSolverCache::DefaultSatCapacity;
-  size_t GlobalDnfCapacity = GlobalSolverCache::DefaultDnfCapacity;
   /// Program requests per intern epoch; 0 disables reclamation (the
   /// table then grows for the process lifetime, as in one-shot mode).
   unsigned ReclaimEvery = 64;
   /// Allow {"path": ...} requests to read files from disk.
   bool AllowPaths = true;
-  /// Persistent spec store file: loaded at startup (inferred specs and
-  /// the solver sat snapshot warm-start the server), saved atomically
-  /// on shutdown / end of serve. Empty keeps the store in memory only;
+  /// Persistent spec store file: loaded at startup (its inferred specs
+  /// warm-start the server), saved atomically on shutdown / end of
+  /// serve. Empty keeps the store in memory only;
   /// the server has a store either way.
   std::string StorePath;
   /// Maximum program requests in flight at once (also the worker-pool
@@ -164,6 +159,8 @@ struct ServerStats {
   size_t StoreBytes = 0;    ///< Their key + entry bytes.
   uint64_t StoreRefused = 0; ///< Inserts refused at the byte cap.
   ReclaimStats LastReclaim;
+  /// Inert: always zero (see solver/GlobalCache.h). It stays only
+  /// because perfbench/driver.cpp reads it; nothing else may use it.
   GlobalCacheStats Global;
   /// Cumulative per-request solver usage (sum of every handled
   /// program's SolverUsage) — the interval-prefilter counters live
@@ -201,17 +198,16 @@ struct RequestOutcome {
 /// response body. This is the single analysis path behind the server's
 /// workers and the byte-identity reference runs of the soak suites.
 /// Thread-safe: concurrent calls share only the internally
-/// synchronized tier, store and intern table. The caller owns epoch
+/// synchronized store and intern table. The caller owns epoch
 /// discipline: the request's interned terms may be reclaimed at the
 /// next epoch boundary, so no reclaim may run while a call is in
 /// flight (quiescence).
 RequestOutcome runProgramRequest(const std::string &Source,
                                  const std::string &Entry,
-                                 const AnalyzerConfig &Config,
-                                 GlobalSolverCache *Tier);
+                                 const AnalyzerConfig &Config);
 
-/// The analysis server. Owns the warm tier, the spec store, the engine
-/// counters and the worker pool; thread-safe throughout (submitAndWait
+/// The analysis server. Owns the spec store, the engine counters and
+/// the worker pool; thread-safe throughout (submitAndWait
 /// may be called from any number of threads).
 class AnalysisServer {
 public:
@@ -249,7 +245,7 @@ public:
   /// True once a shutdown verb was handled or requestShutdown() ran.
   bool shutdownRequested() const;
 
-  /// Engine counters (requests, errors, reclaims, tier, cond-term...).
+  /// Engine counters (requests, errors, reclaims, store, cond-term...).
   ServerStats stats() const;
 
   /// Program requests rejected by admission control.
@@ -308,10 +304,9 @@ private:
 
   ServerOptions Opt; ///< Program.Store points at Store.
   std::unique_ptr<SpecStore> Store; ///< Never null.
-  std::unique_ptr<GlobalSolverCache> Tier; ///< Null when disabled.
-  /// Reclamation was enabled at construction; the sole-owner gate is
-  /// checked again at every reclaim (see file comment).
-  bool Reclaiming = false;
+  /// Counts this server among the process's engines; the sole-engine
+  /// gate is checked at every reclaim (see file comment).
+  LiveEngine Live;
 
   /// Serializes every touch of the engine state below: counter folds,
   /// stats, store saves, reclaims. Analysis itself runs outside it —
@@ -357,10 +352,9 @@ constexpr size_t SoakMinSamples = 10;
 
 /// The bounded-growth fence over per-epoch samples of an interned-term
 /// metric (entry count or arena bytes), shared by the soak drivers.
-/// Peak-to-peak: samples cycle with the tier's rotation phase and the
-/// first epochs are warmup (the retained root set legitimately grows
-/// until the first rotation), so the max of the LAST three samples
-/// must stay within 25% of the max over samples [3, 7). Fewer than
+/// Peak-to-peak, so the first epochs count as warmup: the max of the
+/// LAST three samples must stay within 25% of the max over samples
+/// [3, 7). Fewer than
 /// SoakMinSamples returns false — gate on the count first to tell
 /// "leak" apart from "not enough soak to judge".
 bool soakSamplesBounded(const std::vector<size_t> &Samples);

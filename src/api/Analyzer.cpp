@@ -80,7 +80,7 @@ AnalysisResult tnt::analyzeProgram(const std::string &Source,
   std::unique_ptr<PreparedProgram> PP = prepareProgram(Source, Config);
   prescanSpecStore(*PP, Config);
   if (!PP->Ok) {
-    AnalysisResult Result = finalizeProgram(*PP, {}, Config, nullptr);
+    AnalysisResult Result = finalizeProgram(*PP, {}, Config);
     Result.Millis = std::chrono::duration<double, std::milli>(
                         std::chrono::steady_clock::now() - Start)
                         .count();
@@ -97,7 +97,7 @@ AnalysisResult tnt::analyzeProgram(const std::string &Source,
     // classical regime. Same per-group isolation as the parallel path,
     // so both produce byte-identical results.
     for (size_t G = 0; G < N; ++G)
-      Runs[G] = runPipelineGroup(*PP, Config, G, ScopeBlock(G), nullptr);
+      Runs[G] = runPipelineGroup(*PP, Config, G, ScopeBlock(G));
   } else {
     // Parallel schedule over the SCC-group dependency DAG: a group is
     // ready once every group it calls into has been registered.
@@ -126,7 +126,7 @@ AnalysisResult tnt::analyzeProgram(const std::string &Source,
           G = Ready.front();
           Ready.pop_front();
         }
-        Runs[G] = runPipelineGroup(*PP, Config, G, ScopeBlock(G), nullptr);
+        Runs[G] = runPipelineGroup(*PP, Config, G, ScopeBlock(G));
         {
           std::lock_guard<std::mutex> L(Mu);
           ++Finished;
@@ -147,7 +147,7 @@ AnalysisResult tnt::analyzeProgram(const std::string &Source,
   }
 
   AnalysisResult Result =
-      finalizeProgram(*PP, std::move(Runs), Config, nullptr);
+      finalizeProgram(*PP, std::move(Runs), Config);
   Result.Millis = std::chrono::duration<double, std::milli>(
                       std::chrono::steady_clock::now() - Start)
                       .count();

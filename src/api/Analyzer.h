@@ -44,10 +44,8 @@ struct AnalyzerConfig {
   /// Analysis fuel in solver queries; 0 = unlimited. A run whose fuel
   /// consumption exceeds the budget is classified Timeout, emulating
   /// the 300 s wall-clock limit of the evaluation on a deterministic
-  /// resource measure. In batch mode, queries answered by the shared
-  /// global cache tier are not charged against this budget — the
-  /// program that originally computed (and promoted) an answer already
-  /// paid for it.
+  /// resource measure. A group replayed from the spec store issues no
+  /// queries, so it charges nothing.
   uint64_t FuelBudget = 0;
   /// When true, an inference that hit its internal limits (group fuel,
   /// deadline, MAX_ITER) with an undecided entry is classified Timeout.
@@ -94,10 +92,8 @@ struct AnalysisResult {
   std::string Diagnostics;     ///< Rendered diagnostics when !Ok.
   std::vector<MethodResult> Methods;
   double Millis = 0;           ///< Wall-clock analysis time.
-  /// Solver queries charged to this program: all queries it issued,
-  /// minus the ones a shared global cache tier answered in batch mode
-  /// (those were paid for by the program that promoted them; see
-  /// SolverStats::fuelUsed).
+  /// Solver queries charged to this program: all queries it issued
+  /// (SolverStats::fuelUsed).
   uint64_t FuelUsed = 0;
   bool OverBudget = false;     ///< FuelBudget exceeded.
   bool BailedOut = false;      ///< Internal limits forced a finalize.

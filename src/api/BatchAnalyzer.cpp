@@ -10,6 +10,7 @@
 #include "support/WorkStealingPool.h"
 
 #include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <cstdio>
 #include <map>
@@ -17,17 +18,11 @@
 
 using namespace tnt;
 
-BatchAnalyzer::BatchAnalyzer(BatchOptions Options) : Opt(std::move(Options)) {
-  if (Opt.GlobalTier)
-    Global = std::make_unique<GlobalSolverCache>(Opt.GlobalSatCapacity,
-                                                 Opt.GlobalDnfCapacity);
-}
-
-BatchAnalyzer::~BatchAnalyzer() = default;
-
 namespace {
 
 using Clock = std::chrono::steady_clock;
+
+std::atomic<size_t> LiveEngines{0};
 
 /// Mutable scheduling state of one program during phase 2.
 struct ProgState {
@@ -44,12 +39,19 @@ struct ProgState {
 
 } // namespace
 
+LiveEngine::LiveEngine() { LiveEngines.fetch_add(1); }
+
+LiveEngine::~LiveEngine() { LiveEngines.fetch_sub(1); }
+
+size_t LiveEngine::count() { return LiveEngines.load(); }
+
+BatchAnalyzer::BatchAnalyzer(BatchOptions Options) : Opt(std::move(Options)) {}
+
 BatchResult BatchAnalyzer::run(const std::vector<BatchItem> &Items) {
   auto Start = Clock::now();
 
   BatchResult R;
   R.Threads = Opt.Threads == 0 ? 1 : Opt.Threads;
-  R.GlobalTierEnabled = Global != nullptr;
   const size_t NP = Items.size();
   R.Programs.resize(NP);
   for (size_t P = 0; P < NP; ++P) {
@@ -57,11 +59,8 @@ BatchResult BatchAnalyzer::run(const std::vector<BatchItem> &Items) {
     R.Programs[P].Category = Items[P].Category;
     R.Programs[P].Entry = Items[P].Entry;
   }
-  if (NP == 0) {
-    if (Global)
-      R.Global = Global->stats();
+  if (NP == 0)
     return R;
-  }
 
   // The pipeline functions never read Config.Threads; the pool below
   // is the only thread budget. The batch-level store (incremental
@@ -76,7 +75,6 @@ BatchResult BatchAnalyzer::run(const std::vector<BatchItem> &Items) {
   if (!CallerStore)
     CfgStorage.Store = &RunStore;
   const AnalyzerConfig &Cfg = CfgStorage;
-  GlobalSolverCache *Tier = Global.get();
   const uint64_t StoreMissesBefore = Cfg.Store->stats().Misses;
 
   WorkStealingPool Pool(R.Threads);
@@ -119,19 +117,13 @@ BatchResult BatchAnalyzer::run(const std::vector<BatchItem> &Items) {
 
   // --- Phase 2: all programs' group tasks share the pool. A finished
   // group releases its dependent groups; the last group of a program
-  // finalizes it (deterministic join + end-of-program promotion to the
-  // shared tier).
+  // finalizes it (the deterministic join).
   std::vector<std::unique_ptr<ProgState>> States(NP);
 
   auto Finalize = [&](size_t P) {
     ProgState &St = *States[P];
-    // In-session: the end-of-program promotion renders name-canonical
-    // sat-snapshot keys, which must resolve through this program's
-    // lease.
-    VarPool::SessionScope Active(*R.Programs[P].Session);
     trace::ScopedTag ProgTag("program", Items[P].Name);
-    AnalysisResult A =
-        finalizeProgram(*Prepared[P], std::move(St.Runs), Cfg, Tier);
+    AnalysisResult A = finalizeProgram(*Prepared[P], std::move(St.Runs), Cfg);
     A.Millis = St.Millis;
     R.Programs[P].Verdict = A.outcome(Items[P].Entry);
     R.Programs[P].Result = std::move(A);
@@ -176,7 +168,7 @@ BatchResult BatchAnalyzer::run(const std::vector<BatchItem> &Items) {
       VarPool::SessionScope Active(*R.Programs[P].Session);
       trace::ScopedTag ProgTag("program", Items[P].Name);
       Run = runPipelineGroup(*Prepared[P], Cfg, G,
-                             Prepared[P]->GroupBlocks[G], Tier);
+                             Prepared[P]->GroupBlocks[G]);
     }
     double Ms =
         std::chrono::duration<double, std::milli>(Clock::now() - T0).count();
@@ -212,7 +204,6 @@ BatchResult BatchAnalyzer::run(const std::vector<BatchItem> &Items) {
         Row.Millis = Ms;
         Row.FromStore = Run.FromStore;
         Row.SatQueries = Run.Stats.SatQueries;
-        Row.GlobalSatHits = Run.Stats.GlobalSatHits;
         Row.IntervalAnswered = Run.Stats.IntervalUnsat + Run.Stats.IntervalSat;
         Row.DnfQueries = Run.Stats.DnfQueries;
       }
@@ -267,8 +258,6 @@ BatchResult BatchAnalyzer::run(const std::vector<BatchItem> &Items) {
     R.StoreHits += PR.Result.GroupsFromStore;
   }
   R.StoreMisses = Cfg.Store->stats().Misses - StoreMissesBefore;
-  if (Global)
-    R.Global = Global->stats();
   if (Opt.Profile)
     for (size_t P = 0; P < NP; ++P)
       if (States[P])
@@ -285,8 +274,6 @@ BatchResult BatchAnalyzer::run(const std::vector<BatchItem> &Items) {
   M.setGauge("batch.store_hits", static_cast<int64_t>(R.StoreHits));
   M.setGauge("batch.store_misses", static_cast<int64_t>(R.StoreMisses));
   bridgeSolverStats("solver.", R.Usage);
-  if (Global)
-    bridgeGlobalCacheStats("tier.", R.Global);
   bridgeCondTermStats("cond_term.", R.CondTerm);
   if (CallerStore)
     bridgeSpecStoreStats("spec_store.", Cfg.Store->stats());
@@ -414,16 +401,15 @@ std::string BatchResult::profileTable(size_t TopN) const {
   std::string Out = "Slowest groups (top " + std::to_string(Rows.size()) +
                     " of " + std::to_string(Profile.size()) + "):\n";
   char Buf[256];
-  std::snprintf(Buf, sizeof(Buf), "%-24s %5s %10s %8s %8s %8s %8s %6s\n",
-                "Program", "Grp", "Time(ms)", "SatQ", "TierHit", "Intv",
-                "DnfQ", "Store");
+  std::snprintf(Buf, sizeof(Buf), "%-24s %5s %10s %8s %8s %8s %6s\n",
+                "Program", "Grp", "Time(ms)", "SatQ", "Intv", "DnfQ",
+                "Store");
   Out += Buf;
   for (const GroupProfile *Row : Rows) {
     std::snprintf(Buf, sizeof(Buf),
-                  "%-24s %5zu %10.2f %8llu %8llu %8llu %8llu %6s\n",
+                  "%-24s %5zu %10.2f %8llu %8llu %8llu %6s\n",
                   Row->Program.c_str(), Row->Group, Row->Millis,
                   static_cast<unsigned long long>(Row->SatQueries),
-                  static_cast<unsigned long long>(Row->GlobalSatHits),
                   static_cast<unsigned long long>(Row->IntervalAnswered),
                   static_cast<unsigned long long>(Row->DnfQueries),
                   Row->FromStore ? "hit" : "-");

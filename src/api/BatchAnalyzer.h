@@ -14,27 +14,25 @@
 /// scheduled on ONE work-stealing pool (the thread budget is shared
 /// across programs × groups, so a wide corpus of small programs
 /// saturates the pool even though each program alone has little
-/// parallelism), and all group contexts share one read-mostly
-/// GlobalSolverCache tier under their per-context LRU tier, recovering
-/// the cross-group and cross-program hit rate the per-group cache
-/// split gives up.
+/// parallelism). What a batch shares across programs is whole group
+/// summaries, through the spec store (in-run dedup below); every
+/// group's solver context is its own.
 ///
 /// Determinism: per-program results are byte-identical for any thread
-/// count and any global-tier setting. Each program runs inside its own
+/// count. Each program runs inside its own
 /// VarPool::Session lease (the same mechanism PR 9's concurrent server
 /// uses per request): a virgin, private pool view in which the program
 /// prepares under root block 0 and runs group G on block G + 1 —
 /// exactly the single-program schedule — so every id and spelling it
 /// mints is positional, a pure function of that program alone. Group
-/// results are joined in group order, and both cache tiers are
-/// semantically transparent (see GlobalCache.h), so nothing observable
+/// results are joined in group order, and a group's solver cache is
+/// private and semantically transparent, so nothing observable
 /// depends on scheduling. Block overflow (an oversized program) falls
 /// back to the SESSION's id region, which is equally positional — the
 /// old shared-pool carve-out ("overflow tail loses byte-determinism")
 /// is retired; see tests/VarPoolOverflowTest.cpp. The remaining
-/// carve-outs are the single-program scheduler's: timing stats / hit
-/// rates and — with a nonzero FuelBudget — which groups a budget
-/// cutoff skips.
+/// carve-outs are the single-program scheduler's: timing stats and —
+/// with a nonzero FuelBudget — which groups a budget cutoff skips.
 ///
 /// Sessions also make store keys position-independent ACROSS programs:
 /// every program's groups are keyed under the same root-0 numbering,
@@ -58,9 +56,8 @@
 /// internOwnBlockSpellings). That check reads only the entry and the
 /// block map, and an entry is a pure function of its key, so which
 /// program leads never shows in the rendered outcomes. Which program
-/// pays for a key's solver work does depend on scheduling, like the
-/// tier hit rates above; with a nonzero FuelBudget it can move a
-/// budget cutoff.
+/// pays for a key's solver work does depend on scheduling; with a
+/// nonzero FuelBudget it can move a budget cutoff.
 ///
 /// Each BatchProgramResult OWNS its session: rendering resolves VarIds
 /// through the session that built the result, so renderOutcomes() (and
@@ -120,16 +117,14 @@ inline AnalyzerConfig batchProgramConfig() {
 struct BatchOptions {
   /// Per-program analyzer knobs. The Threads field is ignored — the
   /// pool below is the only thread budget; FuelBudget applies per
-  /// program (global-tier hits are not charged, see AnalyzerConfig).
-  /// Callers that re-enable Solve.GroupDeadlineMs give up the
+  /// program. Callers that re-enable Solve.GroupDeadlineMs give up the
   /// byte-identical determinism contract.
   AnalyzerConfig Program = batchProgramConfig();
   /// Worker threads shared by all programs' group tasks.
   unsigned Threads = 1;
-  /// Enable the shared global cache tier.
+  /// Inert: nothing reads it (see solver/GlobalCache.h). It stays only
+  /// because perfbench/driver.cpp sets it; nothing else may use it.
   bool GlobalTier = true;
-  size_t GlobalSatCapacity = GlobalSolverCache::DefaultSatCapacity;
-  size_t GlobalDnfCapacity = GlobalSolverCache::DefaultDnfCapacity;
   /// Optional persistent spec store shared by every program of the
   /// batch (overrides Program.Store). This is the INCREMENTAL mode:
   /// re-analyzing a corpus after edits re-runs only the changed groups
@@ -170,7 +165,6 @@ struct GroupProfile {
   double Millis = 0;     ///< Group task wall-clock.
   bool FromStore = false;
   uint64_t SatQueries = 0;
-  uint64_t GlobalSatHits = 0;
   uint64_t IntervalAnswered = 0; ///< IntervalUnsat + IntervalSat.
   uint64_t DnfQueries = 0;
 };
@@ -192,9 +186,10 @@ struct BatchResult {
   std::vector<BatchProgramResult> Programs;
   double Millis = 0;        ///< Wall-clock time of the whole batch.
   SolverStats Usage;        ///< Merged per-program solver counters.
-  GlobalCacheStats Global;  ///< Shared-tier counters (zero when off).
+  /// Inert: always zero (see solver/GlobalCache.h). It stays only
+  /// because perfbench/driver.cpp reads it; nothing else may use it.
+  GlobalCacheStats Global;
   unsigned Threads = 1;
-  bool GlobalTierEnabled = false;
   /// Groups served from / re-run against the spec store across the
   /// whole batch (sums of per-program GroupsFromStore and the store's
   /// miss count delta). Without a caller store they count the run's
@@ -227,30 +222,46 @@ struct BatchResult {
 
   /// The --profile view: the top-\p TopN slowest groups (Millis
   /// descending; (program index, group) ascending as the deterministic
-  /// tiebreak), with solver query counts and tier/store attribution.
+  /// tiebreak), with solver query counts and store attribution.
   /// Empty string when Profile was not captured.
   std::string profileTable(size_t TopN = 20) const;
 };
 
-/// The batch engine. One instance owns one GlobalSolverCache, which
-/// persists across run() calls — a second corpus pass starts warm, the
-/// intended long-lived-server regime.
+/// Membership in the process-wide count of live analysis engines:
+/// every BatchAnalyzer and every AnalysisServer holds one for its
+/// whole lifetime. A server's epoch reclamation frees interned terms
+/// that any other engine may still hold, so it runs only while its
+/// server is the one live engine (see AnalysisServer.h).
+class LiveEngine {
+public:
+  LiveEngine();
+  ~LiveEngine();
+  LiveEngine(const LiveEngine &) = delete;
+  LiveEngine &operator=(const LiveEngine &) = delete;
+
+  /// Engines alive in the process.
+  static size_t count();
+};
+
+/// The batch engine. It keeps no analysis state between run() calls:
+/// what carries over from one run to the next is the caller's spec
+/// store (BatchOptions::Store), if any.
 class BatchAnalyzer {
 public:
   explicit BatchAnalyzer(BatchOptions Options = {});
-  ~BatchAnalyzer();
 
   /// Analyzes every item; returns results in input order.
   BatchResult run(const std::vector<BatchItem> &Items);
 
-  /// The shared tier (null when disabled) — exposed for tests and
-  /// stats reporting.
-  GlobalSolverCache *globalTier() { return Global.get(); }
-  const GlobalSolverCache *globalTier() const { return Global.get(); }
+  /// Inert: a stateless no-op object, never null (see
+  /// solver/GlobalCache.h). It stays only because perfbench/driver.cpp
+  /// calls it; nothing else may use it.
+  GlobalSolverCache *globalTier() { return &InertTier; }
 
 private:
   BatchOptions Opt;
-  std::unique_ptr<GlobalSolverCache> Global;
+  GlobalSolverCache InertTier;
+  LiveEngine Live;
 };
 
 } // namespace tnt

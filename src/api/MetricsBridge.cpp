@@ -3,7 +3,6 @@
 #include "api/MetricsBridge.h"
 
 #include "infer/CondTerm.h"
-#include "solver/GlobalCache.h"
 #include "solver/SolverContext.h"
 #include "store/SpecStore.h"
 #include "support/Metrics.h"
@@ -31,31 +30,9 @@ void tnt::bridgeSolverStats(const std::string &Prefix, const SolverStats &S) {
   put(Prefix, "dnf_hits", S.DnfHits);
   put(Prefix, "dnf_misses", S.DnfMisses);
   put(Prefix, "dnf_evictions", S.DnfEvictions);
-  put(Prefix, "global_sat_hits", S.GlobalSatHits);
-  put(Prefix, "global_dnf_hits", S.GlobalDnfHits);
   put(Prefix, "interval_unsat", S.IntervalUnsat);
   put(Prefix, "interval_sat", S.IntervalSat);
   put(Prefix, "fuel_used", S.fuelUsed());
-}
-
-void tnt::bridgeGlobalCacheStats(const std::string &Prefix,
-                                 const GlobalCacheStats &S) {
-  put(Prefix, "sat_lookups", S.SatLookups);
-  put(Prefix, "sat_hits", S.SatHits);
-  put(Prefix, "dnf_lookups", S.DnfLookups);
-  put(Prefix, "dnf_hits", S.DnfHits);
-  put(Prefix, "sat_prev_hits", S.SatPrevHits);
-  put(Prefix, "dnf_prev_hits", S.DnfPrevHits);
-  put(Prefix, "sat_snapshot_hits", S.SatSnapshotHits);
-  put(Prefix, "sat_snapshot_entries", S.SatSnapshotEntries);
-  put(Prefix, "sat_inserts", S.SatInserts);
-  put(Prefix, "dnf_inserts", S.DnfInserts);
-  put(Prefix, "sat_rotations", S.SatRotations);
-  put(Prefix, "dnf_rotations", S.DnfRotations);
-  put(Prefix, "sat_entries", S.SatEntries);
-  put(Prefix, "dnf_entries", S.DnfEntries);
-  put(Prefix, "sat_prev_entries", S.SatPrevEntries);
-  put(Prefix, "dnf_prev_entries", S.DnfPrevEntries);
 }
 
 void tnt::bridgeCondTermStats(const std::string &Prefix,
@@ -76,6 +53,5 @@ void tnt::bridgeSpecStoreStats(const std::string &Prefix,
   put(Prefix, "inserts", S.Inserts);
   put(Prefix, "bytes", S.Bytes);
   put(Prefix, "refused", S.Refused);
-  put(Prefix, "sat_snapshot_entries", S.SatSnapshotEntries);
   put(Prefix, "load_discarded", S.LoadDiscarded ? 1 : 0);
 }

@@ -5,7 +5,6 @@
 #include "lang/Parser.h"
 #include "lang/Resolve.h"
 #include "lang/Transforms.h"
-#include "solver/GlobalCache.h"
 #include "store/ContentHash.h"
 #include "store/SpecSerial.h"
 #include "store/SpecStore.h"
@@ -256,8 +255,7 @@ void assembleFromStore(PreparedProgram &PP, size_t GroupIdx,
 
 GroupRun tnt::runPipelineGroup(PreparedProgram &PP,
                                const AnalyzerConfig &Config, size_t GroupIdx,
-                               uint32_t ScopeBlock,
-                               GlobalSolverCache *Global) {
+                               uint32_t ScopeBlock) {
   GroupRun Out;
   if (PP.Budget && PP.Budget->cancelled()) {
     // The program-wide budget ran out before this group started;
@@ -318,10 +316,7 @@ GroupRun tnt::runPipelineGroup(PreparedProgram &PP,
     Store->noteMiss();
   }
 
-  Out.Ctx = std::make_unique<SolverContext>();
-  SolverContext &SC = *Out.Ctx;
-  if (Global != nullptr)
-    SC.attachGlobalTier(Global);
+  SolverContext SC;
   if (PP.Budget)
     SC.attachCancellation(PP.Budget.get());
   // Fallback allocations void the fresh-spelling determinism a stored
@@ -479,19 +474,12 @@ GroupRun tnt::runPipelineGroup(PreparedProgram &PP,
         Store->insert(*StoreKey, std::move(*Entry));
     }
   }
-
-  // The context is only kept for the end-of-program promotion; without
-  // a shared tier, free its caches now instead of holding every
-  // group's LRU contents until finalize.
-  if (Global == nullptr)
-    Out.Ctx.reset();
   return Out;
 }
 
 AnalysisResult tnt::finalizeProgram(PreparedProgram &PP,
                                     std::vector<GroupRun> Runs,
-                                    const AnalyzerConfig &Config,
-                                    GlobalSolverCache *Global) {
+                                    const AnalyzerConfig &Config) {
   trace::Span FinalizeSpan("finalize", "pipeline");
   AnalysisResult Result;
   if (!PP.Ok) {
@@ -517,18 +505,6 @@ AnalysisResult tnt::finalizeProgram(PreparedProgram &PP,
     Result.BailedOut |= Run.Bailed;
     Result.GroupsFromStore += Run.FromStore ? 1 : 0;
     MergedDiags += Run.Diags;
-  }
-
-  // The deterministic end-of-program merge: promote cache entries to
-  // the shared tier in a fixed order — root context first, then groups
-  // by index — so what this program offers the tier is a function of
-  // the program alone, not of its internal scheduling.
-  if (Global != nullptr) {
-    trace::Span PromoteSpan("promote", "pipeline");
-    PP.RootCtx->promoteTo(*Global);
-    for (GroupRun &Run : Runs)
-      if (Run.Ctx)
-        Run.Ctx->promoteTo(*Global);
   }
 
   Result.Ok = true;

@@ -14,11 +14,8 @@
 ///                      SCC schedule, root SolverContext + HeapEnv;
 ///   runPipelineGroup — one SCC group on its own SolverContext,
 ///                      unknown registry and fresh-variable block;
-///   finalizeProgram  — deterministic join in group order, budget
-///                      classification, optional promotion of every
-///                      context's cache entries to a shared
-///                      GlobalSolverCache (also in group order: the
-///                      "deterministic end-of-program merge").
+///   finalizeProgram  — deterministic join in group order and budget
+///                      classification.
 ///
 /// analyzeProgram composes the three over a private thread pool;
 /// BatchAnalyzer schedules many programs' front ends and group tasks on
@@ -43,12 +40,8 @@
 
 namespace tnt {
 
-class GlobalSolverCache;
-
 /// Everything one SCC-group analysis produces; assembled into the
-/// AnalysisResult in deterministic group order by finalizeProgram. The
-/// group's SolverContext is kept alive so the end-of-program merge can
-/// promote its cache entries.
+/// AnalysisResult in deterministic group order by finalizeProgram.
 struct GroupRun {
   std::vector<MethodResult> Methods;
   SolverStats Stats;
@@ -64,7 +57,6 @@ struct GroupRun {
   /// The group was answered by the spec store: summaries rehydrated,
   /// no verification or inference ran.
   bool FromStore = false;
-  std::unique_ptr<SolverContext> Ctx;
 };
 
 /// A front-end-processed program plus its group schedule. Heap
@@ -121,9 +113,9 @@ struct PreparedProgram {
 
   /// Cooperative program-wide budget (null when Config.FuelBudget is
   /// 0). Attached to the root context and every group context; charged
-  /// at solver query boundaries (minus global-tier hits, matching
-  /// fuelUsed()), so the cutoff lands on the exact query that crossed
-  /// the budget instead of the next group boundary.
+  /// at solver query boundaries (matching fuelUsed()), so the cutoff
+  /// lands on the exact query that crossed the budget instead of the
+  /// next group boundary.
   std::unique_ptr<CancellationToken> Budget;
 };
 
@@ -148,7 +140,7 @@ std::unique_ptr<PreparedProgram> prepareProgram(const std::string &Source,
 void prescanSpecStore(PreparedProgram &PP, const AnalyzerConfig &Config);
 
 /// Analyzes one group under VarPool::Scope(ScopeBlock) on a fresh
-/// SolverContext (attached to \p Global when non-null). Thread-safe
+/// SolverContext, freed when the group returns. Thread-safe
 /// across distinct groups of one program once every dependency group
 /// has finished, and across groups of distinct programs provided they
 /// run in distinct sessions or on distinct ScopeBlocks. Both drivers
@@ -160,18 +152,13 @@ void prescanSpecStore(PreparedProgram &PP, const AnalyzerConfig &Config);
 /// by inference, whose summaries are then inserted when they are a
 /// pure function of the key.
 GroupRun runPipelineGroup(PreparedProgram &PP, const AnalyzerConfig &Config,
-                          size_t GroupIdx, uint32_t ScopeBlock,
-                          GlobalSolverCache *Global);
+                          size_t GroupIdx, uint32_t ScopeBlock);
 
 /// Joins per-group results in group order into the AnalysisResult
-/// (Millis is left to the caller). When \p Global is non-null, every
-/// context's cache entries are promoted to it — root context first,
-/// then groups in index order — which makes the merge a deterministic
-/// function of the program for any thread count.
+/// (Millis is left to the caller).
 AnalysisResult finalizeProgram(PreparedProgram &PP,
                                std::vector<GroupRun> Runs,
-                               const AnalyzerConfig &Config,
-                               GlobalSolverCache *Global);
+                               const AnalyzerConfig &Config);
 
 } // namespace tnt
 

@@ -33,20 +33,6 @@ size_t approxBytes(const FormulaNode &N) {
          N.Atom.expr().coeffs().size() * MapNodeBytes + SlotOverhead;
 }
 
-/// Marks \p Root and every transitively reachable child node.
-void markFormula(const FormulaNode *Root,
-                 std::unordered_set<const FormulaNode *> &Live) {
-  std::vector<const FormulaNode *> Stack{Root};
-  while (!Stack.empty()) {
-    const FormulaNode *N = Stack.back();
-    Stack.pop_back();
-    if (!Live.insert(N).second)
-      continue;
-    for (const Formula &C : N->Children)
-      Stack.push_back(C.node());
-  }
-}
-
 } // namespace
 
 template <typename T>
@@ -71,25 +57,16 @@ const T *ArithIntern::Table<T>::intern(const T &V, bool Epochal) {
 
 namespace {
 
-/// Sweeps a table's mortal arena: keeps entries whose pointer \p Keep
-/// accepts (ownership moves, addresses do not), drops the rest and
-/// scrubs them out of the bucket chains.
-template <typename Tbl, typename KeepFn>
-void sweepTable(Tbl &T, KeepFn Keep, size_t &KeptN, size_t &DroppedN) {
+/// Empties a table's mortal arena and scrubs its entries out of the
+/// bucket chains.
+template <typename Tbl> void sweepTable(Tbl &T, size_t &DroppedN) {
   std::unordered_set<const void *> Dying;
-  decltype(T.Mortal) Kept;
-  Kept.reserve(T.Mortal.size());
   for (auto &S : T.Mortal) {
-    if (Keep(S.get())) {
-      Kept.push_back(std::move(S));
-    } else {
-      Dying.insert(S.get());
-      T.Bytes -= approxBytes(*S);
-    }
+    Dying.insert(S.get());
+    T.Bytes -= approxBytes(*S);
   }
   DroppedN += Dying.size();
-  KeptN += Kept.size();
-  T.Mortal = std::move(Kept);
+  T.Mortal.clear();
   if (Dying.empty())
     return;
   for (auto It = T.Buckets.begin(); It != T.Buckets.end();) {
@@ -173,35 +150,16 @@ uint32_t ArithIntern::generation() const {
   return Gen;
 }
 
-ReclaimStats ArithIntern::reclaim(const EpochRoots &Retained) {
+ReclaimStats ArithIntern::reclaim() {
   std::lock_guard<std::mutex> L(Mu);
   ReclaimStats S;
   if (!EpochsOn)
     return S;
   S.Generation = Gen;
   S.BytesBefore = Exprs.Bytes + Constraints.Bytes + Formulas.Bytes;
-
-  // Mark. Formula roots close transitively over children; LinExpr and
-  // Constraint hold their payload by value, so a root is exactly one
-  // entry. Marking a permanent entry is harmless — the sweep only
-  // visits the mortal arenas.
-  std::unordered_set<const LinExpr *> LiveE(Retained.Exprs.begin(),
-                                            Retained.Exprs.end());
-  std::unordered_set<const Constraint *> LiveC(Retained.Constraints.begin(),
-                                               Retained.Constraints.end());
-  std::unordered_set<const FormulaNode *> LiveF;
-  for (const FormulaNode *N : Retained.Formulas)
-    markFormula(N, LiveF);
-
-  // Sweep.
-  sweepTable(Exprs, [&](const LinExpr *P) { return LiveE.count(P) != 0; },
-             S.ExprsKept, S.ExprsDropped);
-  sweepTable(Constraints,
-             [&](const Constraint *P) { return LiveC.count(P) != 0; },
-             S.ConstraintsKept, S.ConstraintsDropped);
-  sweepTable(Formulas,
-             [&](const FormulaNode *P) { return LiveF.count(P) != 0; },
-             S.FormulasKept, S.FormulasDropped);
+  sweepTable(Exprs, S.ExprsDropped);
+  sweepTable(Constraints, S.ConstraintsDropped);
+  sweepTable(Formulas, S.FormulasDropped);
 
   S.BytesAfter = Exprs.Bytes + Constraints.Bytes + Formulas.Bytes;
   ++Gen;

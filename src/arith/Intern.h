@@ -22,12 +22,8 @@
 /// analysis and of the test suite. A long-lived analysis server opts
 /// into *epoch-scoped reclamation* instead (see beginEpochs/reclaim):
 /// entries interned before the first epoch live in a permanent arena;
-/// entries interned afterwards live in a mortal arena, and a reclaim
-/// pass keeps exactly the ones reachable from the caller's retained
-/// roots (transitively through formula children), dropping the rest.
-/// A kept entry keeps its address — promotion moves ownership, never
-/// objects — so pointers held by the retained roots stay valid across
-/// any number of epochs.
+/// entries interned afterwards live in a mortal arena, which a reclaim
+/// pass empties.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -44,28 +40,14 @@
 
 namespace tnt {
 
-/// Interned pointers a reclaim pass must keep alive. Formula roots are
-/// closed transitively over their children by the reclaimer; LinExpr
-/// and Constraint are self-contained values, so a root pointer retains
-/// exactly itself. Entries interned before beginEpochs() are permanent
-/// and never need listing.
-struct EpochRoots {
-  std::vector<const LinExpr *> Exprs;
-  std::vector<const Constraint *> Constraints;
-  std::vector<const FormulaNode *> Formulas;
-};
-
 /// What one reclaim pass did (diagnostics; the soak tests and the
 /// server's stats verb report these).
 struct ReclaimStats {
   /// The generation this pass closed (1-based; 0 = epochs not enabled).
   uint32_t Generation = 0;
-  size_t ExprsKept = 0, ExprsDropped = 0;
-  size_t ConstraintsKept = 0, ConstraintsDropped = 0;
-  size_t FormulasKept = 0, FormulasDropped = 0;
+  size_t ExprsDropped = 0, ConstraintsDropped = 0, FormulasDropped = 0;
   size_t BytesBefore = 0, BytesAfter = 0;
 
-  size_t kept() const { return ExprsKept + ConstraintsKept + FormulasKept; }
   size_t dropped() const {
     return ExprsDropped + ConstraintsDropped + FormulasDropped;
   }
@@ -116,15 +98,12 @@ public:
   /// are enabled).
   uint32_t generation() const;
 
-  /// Ends the current generation: keeps every mortal entry reachable
-  /// from \p Retained (formula roots close over children), drops the
-  /// rest, and starts the next generation. Kept entries keep their
-  /// addresses. The caller guarantees
-  /// that no interned pointer outside \p Retained and the permanent
-  /// generation is dereferenced afterwards (per-request results must be
-  /// rendered before their epoch ends). No-op unless epochs are
-  /// enabled.
-  ReclaimStats reclaim(const EpochRoots &Retained);
+  /// Ends the current generation: drops every mortal entry and starts
+  /// the next generation. The caller guarantees that no interned
+  /// pointer outside the permanent generation is dereferenced
+  /// afterwards (per-request results must be rendered before their
+  /// epoch ends). No-op unless epochs are enabled.
+  ReclaimStats reclaim();
 
   /// Deterministic RSS proxy: approximate bytes held by interned
   /// entries (payload sizes, not allocator rounding). O(1); maintained
@@ -144,8 +123,7 @@ private:
     /// and batch runs (epoch mode is the server's opt-in), so the
     /// dominant workloads keep the cheap path.
     std::deque<T> Permanent;
-    /// Epoch-mode entries; reclaim() sweeps these. Per-entry ownership
-    /// so a kept entry's address survives the sweep's partition.
+    /// Epoch-mode entries; reclaim() drops them all.
     std::vector<std::unique_ptr<T>> Mortal;
     /// Hash -> interned entries with that hash (collision chain).
     std::unordered_map<size_t, std::vector<const T *>> Buckets;

@@ -48,10 +48,7 @@
 /// sound everywhere ids flow: interned formulas shared across sessions
 /// are compared and solved structurally (satisfiability is invariant
 /// under variable renaming), and rendering always resolves names
-/// through the session that built the formula. The one consumer that
-/// renders tier-resident keys AFTER their session died — the sat
-/// snapshot export — captures name-canonical strings at merge time
-/// instead (see GlobalSolverCache).
+/// through the session that built the formula.
 ///
 /// A session may be shared by the worker threads of ONE program
 /// analysis (each thread activates it via SessionScope; session state

@@ -8,9 +8,9 @@
 /// \file
 /// A cooperative cancellation token for per-program analysis budgets.
 /// One token is shared by every SolverContext of one program run; each
-/// context charges it at the solver query boundary (isSatConj, minus
-/// queries the shared global tier answered — see SolverStats::fuelUsed)
-/// and the inference loops poll cancelled() between steps. Because the
+/// context charges it at the solver query boundary (isSatConj — see
+/// SolverStats::fuelUsed) and the inference loops poll cancelled()
+/// between steps. Because the
 /// token counts queries rather than wall-clock time, a serial run cuts
 /// off at exactly the same query on every execution — the deterministic
 /// replacement for the old start-of-group best-effort budget check,

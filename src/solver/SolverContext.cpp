@@ -3,7 +3,6 @@
 #include "solver/SolverContext.h"
 
 #include "solver/Cancellation.h"
-#include "solver/GlobalCache.h"
 #include "solver/Interval.h"
 #include "support/Trace.h"
 
@@ -125,7 +124,7 @@ Tri SolverContext::computeSat(const ConstraintConj &Conj) {
 }
 
 Tri SolverContext::isSatConj(const ConstraintConj &Conj) {
-  if (Capacity == 0 && Global == nullptr) {
+  if (Capacity == 0) {
     // Cache disabled: the query still counts (fuel accounting), but it
     // is not a cache miss — there is no cache to miss. CacheHits and
     // CacheMisses stay zero, so stats readers report "disabled" rather
@@ -143,64 +142,33 @@ Tri SolverContext::isSatConj(const ConstraintConj &Conj) {
   {
     std::lock_guard<std::mutex> L(Mu);
     ++Counters.SatQueries;
-    if (Capacity != 0) {
-      auto It = Cache.find(Key);
-      if (It != Cache.end()) {
-        ++Counters.CacheHits;
-        // Refresh LRU position.
-        Lru.splice(Lru.begin(), Lru, It->second);
-        Tri Val = It->second->Val;
-        // A local hit is charged like a computation: cache-transparent
-        // fuel keeps budget cutoffs schedule-independent.
-        if (Cancel != nullptr)
-          Cancel->charge();
-        return Val;
-      }
-      ++Counters.CacheMisses;
+    auto It = Cache.find(Key);
+    if (It != Cache.end()) {
+      ++Counters.CacheHits;
+      // Refresh LRU position.
+      Lru.splice(Lru.begin(), Lru, It->second);
+      Tri Val = It->second->Val;
+      // A hit is charged like a computation: cache-transparent fuel
+      // keeps budget cutoffs schedule-independent.
+      if (Cancel != nullptr)
+        Cancel->charge();
+      return Val;
     }
+    ++Counters.CacheMisses;
   }
 
-  // Local miss: consult the shared tier before paying for a
-  // computation. The answer for a key is a pure function of the key,
-  // so a hit is indistinguishable from the recomputation it saves; it
-  // is installed in the local tier so repeats stay off the shared lock.
-  if (Global != nullptr) {
-    if (std::optional<Tri> Shared = Global->lookupSat(Key)) {
-      std::lock_guard<std::mutex> L(Mu);
-      ++Counters.GlobalSatHits;
-      if (Capacity != 0 && Cache.find(Key) == Cache.end()) {
-        Lru.push_front(CacheEntry{Key, *Shared});
-        Cache.emplace(Key, Lru.begin());
-        if (Cache.size() > Capacity) {
-          Cache.erase(Lru.back().Key);
-          Lru.pop_back();
-          ++Counters.CacheEvictions;
-        }
-      }
-      return *Shared;
-    }
-  }
-
-  // A global-tier hit above returned without charging the token: the
-  // query was paid for by the program that promoted the answer, the
-  // same no-double-count rule fuelUsed() applies. From here on this
-  // context answers the query itself, so charge it. The prefilter runs
-  // after the tier lookups, so it only ever replaces a charged Omega
-  // computation, never an uncharged tier hit.
   if (Cancel != nullptr)
     Cancel->charge();
   Tri R = computeSat(Conj);
 
-  if (Capacity != 0) {
-    std::lock_guard<std::mutex> L(Mu);
-    if (Cache.find(Key) == Cache.end()) {
-      Lru.push_front(CacheEntry{Key, R});
-      Cache.emplace(std::move(Key), Lru.begin());
-      if (Cache.size() > Capacity) {
-        Cache.erase(Lru.back().Key);
-        Lru.pop_back();
-        ++Counters.CacheEvictions;
-      }
+  std::lock_guard<std::mutex> L(Mu);
+  if (Cache.find(Key) == Cache.end()) {
+    Lru.push_front(CacheEntry{Key, R});
+    Cache.emplace(std::move(Key), Lru.begin());
+    if (Cache.size() > Capacity) {
+      Cache.erase(Lru.back().Key);
+      Lru.pop_back();
+      ++Counters.CacheEvictions;
     }
   }
   return R;
@@ -219,7 +187,7 @@ SolverContext::toDNF(const Formula &F, size_t MaxClauses) {
   default:
     break;
   }
-  if (DnfCapacity == 0 && Global == nullptr) {
+  if (DnfCapacity == 0) {
     {
       std::lock_guard<std::mutex> L(Mu);
       ++Counters.DnfQueries;
@@ -233,57 +201,19 @@ SolverContext::toDNF(const Formula &F, size_t MaxClauses) {
   {
     std::lock_guard<std::mutex> L(Mu);
     ++Counters.DnfQueries;
-    if (DnfCapacity != 0) {
-      auto It = DnfMemo.find(Key);
-      // An Overflow entry answers any retrieval with cap <= ComputedCap;
-      // a larger cap might succeed, so it must recompute (a miss). A
-      // stored skeleton answers every cap: success when it fits, else
-      // overflow. Only the refcount is copied under the lock.
-      if (It != DnfMemo.end() &&
-          !(It->second->Overflow && MaxClauses > It->second->ComputedCap)) {
-        ++Counters.DnfHits;
-        DnfLru.splice(DnfLru.begin(), DnfLru, It->second);
-        Hit = It->second->Payload;
-        HitOverflow =
-            It->second->Overflow || Hit->Clauses.size() > MaxClauses;
-      } else {
-        ++Counters.DnfMisses;
-      }
-    }
-  }
-
-  // Local miss: the shared tier only ever holds full (non-overflow)
-  // skeletons, so a payload answers any cap — success when it fits,
-  // overflow otherwise. The retrieval path below renames its
-  // placeholders exactly as it would for a local hit, so which
-  // program's computation was promoted is unobservable (placeholder
-  // count, bases and order are a function of the node alone).
-  if (!Hit && Global != nullptr) {
-    if (std::shared_ptr<const DnfPayload> Shared = Global->lookupDnf(Key)) {
-      std::lock_guard<std::mutex> L(Mu);
-      ++Counters.GlobalDnfHits;
-      if (DnfCapacity != 0) {
-        // Install locally (replacing a stale overflow entry if one is
-        // in the way), so repeats stay off the shared lock.
-        auto It = DnfMemo.find(Key);
-        if (It != DnfMemo.end()) {
-          DnfLru.erase(It->second);
-          DnfMemo.erase(It);
-        }
-        DnfEntry E;
-        E.Key = Key;
-        E.Payload = Shared;
-        E.ComputedCap = MaxClauses;
-        DnfLru.push_front(std::move(E));
-        DnfMemo.emplace(Key, DnfLru.begin());
-        if (DnfMemo.size() > DnfCapacity) {
-          DnfMemo.erase(DnfLru.back().Key);
-          DnfLru.pop_back();
-          ++Counters.DnfEvictions;
-        }
-      }
-      Hit = std::move(Shared);
-      HitOverflow = Hit->Clauses.size() > MaxClauses;
+    auto It = DnfMemo.find(Key);
+    // An Overflow entry answers any retrieval with cap <= ComputedCap;
+    // a larger cap might succeed, so it must recompute (a miss). A
+    // stored skeleton answers every cap: success when it fits, else
+    // overflow. Only the refcount is copied under the lock.
+    if (It != DnfMemo.end() &&
+        !(It->second->Overflow && MaxClauses > It->second->ComputedCap)) {
+      ++Counters.DnfHits;
+      DnfLru.splice(DnfLru.begin(), DnfLru, It->second);
+      Hit = It->second->Payload;
+      HitOverflow = It->second->Overflow || Hit->Clauses.size() > MaxClauses;
+    } else {
+      ++Counters.DnfMisses;
     }
   }
 
@@ -304,13 +234,6 @@ SolverContext::toDNF(const Formula &F, size_t MaxClauses) {
     for (const auto &[CI, KI] : Hit->PlaceholderSites)
       Clauses[CI][KI] = Clauses[CI][KI].rename(Renaming);
     return Clauses;
-  }
-
-  // Both tiers missed with the local memo disabled (global tier only):
-  // expand without recording — promotion is the per-context memo's job.
-  if (DnfCapacity == 0) {
-    trace::Span DnfSpan("dnfExpand", "solver");
-    return F.toDNF(MaxClauses);
   }
 
   // Miss: expand once, recording the fresh variables toNNF introduces
@@ -537,29 +460,4 @@ void SolverContext::noteLpSolve(uint64_t Pivots) {
 void SolverContext::noteLpOverflow() {
   std::lock_guard<std::mutex> L(Mu);
   ++Counters.LpOverflows;
-}
-
-void SolverContext::promoteTo(GlobalSolverCache &G) const {
-  // Snapshot under the local lock, merge outside it: promotion must
-  // not stall this context's (or anyone's) query path on the shared
-  // tier's exclusive lock. Sat entries go most-recently-used first, so
-  // when the shared tier's current generation is near a rotation the
-  // hottest answers win the slots that precede it; only full skeletons
-  // are promoted from the memo
-  // (an overflow marker is only valid relative to its cap, and caps
-  // are a caller detail the shared tier does not track).
-  std::vector<std::pair<InternedConj, Tri>> SatEntries;
-  std::vector<std::pair<const FormulaNode *, std::shared_ptr<const DnfPayload>>>
-      DnfEntries;
-  {
-    std::lock_guard<std::mutex> L(Mu);
-    SatEntries.reserve(Lru.size());
-    for (const CacheEntry &E : Lru)
-      SatEntries.emplace_back(E.Key, E.Val);
-    for (const DnfEntry &E : DnfLru)
-      if (!E.Overflow)
-        DnfEntries.emplace_back(E.Key, E.Payload);
-  }
-  G.mergeSat(SatEntries);
-  G.mergeDnf(DnfEntries);
 }

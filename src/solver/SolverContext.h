@@ -18,8 +18,8 @@
 /// These are the SAT/UNSAT/entailment oracles used throughout the
 /// inference engine (guard feasibility in Def. 2, base-case inference
 /// in 5.1, unreachability proofs in 5.5, case-split feasibility in
-/// 5.6). The legacy `tnt::Solver` static facade forwards to
-/// SolverContext::defaultCtx().
+/// 5.6). SolverContext::defaultCtx() is a process-wide context for
+/// tests, benches and single-analysis callers.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -40,7 +40,6 @@
 namespace tnt {
 
 class CancellationToken;
-class GlobalSolverCache;
 
 /// Immutable body of a memoized DNF expansion, shared behind a
 /// shared_ptr so a hit only copies a refcount under a lock and does
@@ -49,11 +48,7 @@ class GlobalSolverCache;
 /// minted for existential binders, paired with the original binder
 /// spelling used as the base for re-freshening (also recorded for
 /// overflow entries, so hits consume the fresh-variable counter
-/// exactly like an unmemoized run). Payloads are shared between the
-/// per-context memo and the global cache tier: placeholder count,
-/// bases and order are a function of the interned formula node alone,
-/// so after the per-retrieval renaming every payload computed for a
-/// node yields byte-identical clauses.
+/// exactly like an unmemoized run).
 struct DnfPayload {
   std::vector<ConstraintConj> Clauses;
   std::vector<std::pair<VarId, std::string>> Placeholders;
@@ -87,26 +82,17 @@ struct SolverStats {
   uint64_t DnfHits = 0;
   uint64_t DnfMisses = 0;
   uint64_t DnfEvictions = 0;
-  /// Queries answered by the attached global cache tier (zero when no
-  /// tier is attached). A global sat hit still counts in SatQueries
-  /// (and as a local CacheMiss), so per-tier hit rates stay readable;
-  /// fuel accounting subtracts it — the program that originally
-  /// computed the answer already paid for it (see fuelUsed()).
-  uint64_t GlobalSatHits = 0;
-  uint64_t GlobalDnfHits = 0;
   /// Queries the interval prefilter answered INSTEAD of Omega — charged
-  /// exactly like an Omega run (they are local computations: counted in
-  /// SatQueries, charged to the token, included in fuelUsed()), so the
-  /// prefilter changes where an answer comes from but never what any
-  /// budget observes.
+  /// exactly like an Omega run (counted in SatQueries, charged to the
+  /// token, included in fuelUsed()), so the prefilter changes where an
+  /// answer comes from but never what any budget observes.
   uint64_t IntervalUnsat = 0;
   uint64_t IntervalSat = 0;
 
-  /// Solver work charged to this context for budget purposes: queries
-  /// issued minus queries answered by the shared global tier. Local
-  /// cache hits stay charged (cache-transparent, schedule-independent);
-  /// global-tier hits were paid for by the program that promoted them.
-  uint64_t fuelUsed() const { return SatQueries - GlobalSatHits; }
+  /// Solver work charged to this context for budget purposes: every
+  /// query issued. Cache hits stay charged (cache-transparent, so
+  /// budget cutoffs are schedule-independent).
+  uint64_t fuelUsed() const { return SatQueries; }
 
   SolverStats &operator+=(const SolverStats &O) {
     SatQueries += O.SatQueries;
@@ -120,8 +106,6 @@ struct SolverStats {
     DnfHits += O.DnfHits;
     DnfMisses += O.DnfMisses;
     DnfEvictions += O.DnfEvictions;
-    GlobalSatHits += O.GlobalSatHits;
-    GlobalDnfHits += O.GlobalDnfHits;
     IntervalUnsat += O.IntervalUnsat;
     IntervalSat += O.IntervalSat;
     return *this;
@@ -184,9 +168,8 @@ public:
   Formula simplify(const Formula &F);
 
   /// Cached conjunction-level satisfiability (the unit every formula
-  /// query decomposes into). One fixed path: local LRU, then the global
-  /// tier (exact generations, then the sat snapshot), then the interval
-  /// prefilter, then Omega.
+  /// query decomposes into). One fixed path: local LRU, then the
+  /// interval prefilter, then Omega.
   Tri isSatConj(const ConstraintConj &Conj);
 
   /// Memoized DNF expansion, keyed on the interned formula node. The
@@ -215,21 +198,12 @@ public:
   void noteLpSolve(uint64_t Pivots);
   void noteLpOverflow();
 
-  /// Attaches the read-mostly global cache tier. The tier is consulted
-  /// on local misses (both sat cache and DNF memo) and never written
-  /// during queries; promoteTo() is the only writer. Attach before the
-  /// context issues queries — the pointer is read without the context
-  /// mutex. Pass nullptr to detach.
-  void attachGlobalTier(GlobalSolverCache *G) { Global = G; }
-  GlobalSolverCache *globalTier() const { return Global; }
-
   /// Attaches a cooperative cancellation token. Every satisfiability
-  /// query this context answers itself — i.e. everything fuelUsed()
-  /// charges: local computations AND local cache hits, but not queries
-  /// the shared global tier answered — charges the token by one, so a
-  /// program-wide budget is enforced exactly at query granularity.
-  /// Attach before the context issues queries (read without the
-  /// context mutex, like the global tier). Pass nullptr to detach.
+  /// query — everything fuelUsed() charges: computations AND cache
+  /// hits — charges the token by one, so a program-wide budget is
+  /// enforced exactly at query granularity. Attach before the context
+  /// issues queries (read without the context mutex). Pass nullptr to
+  /// detach.
   void attachCancellation(CancellationToken *T) { Cancel = T; }
 
   /// True when an attached token has exceeded its budget. The
@@ -237,19 +211,9 @@ public:
   /// (remaining unknowns finalize to MayLoop).
   bool cancelled() const;
 
-  /// The deterministic end-of-program merge: offers this context's sat
-  /// entries (most-recently-used first) and full DNF skeletons to the
-  /// global tier, first-writer-wins within the tier's current
-  /// generation. Entries this context was served from the tier's
-  /// previous generation are offered too (a tier hit installs locally),
-  /// which is what re-promotes still-hot entries across the tier's
-  /// capacity rotations. Safe to call concurrently with other contexts'
-  /// queries and promotions.
-  void promoteTo(GlobalSolverCache &G) const;
-
-  /// The process-wide default context behind the legacy static facade.
-  /// Internally synchronized; fine for tests and single-analysis use,
-  /// but parallel analyses should use per-group contexts.
+  /// The process-wide default context. Internally synchronized; fine
+  /// for tests and single-analysis use, but parallel analyses should
+  /// use per-group contexts.
   static SolverContext &defaultCtx();
 
 private:
@@ -276,9 +240,6 @@ private:
 
   size_t Capacity;
   size_t DnfCapacity;
-  /// The shared tier consulted on local misses; not owned. Set before
-  /// first use (see attachGlobalTier), read without holding Mu.
-  GlobalSolverCache *Global = nullptr;
   /// Cooperative budget token charged per answered query; not owned.
   /// Set before first use, read without holding Mu.
   CancellationToken *Cancel = nullptr;

@@ -24,8 +24,9 @@ std::string SpecStore::configFingerprint(const AnalyzerConfig &Config) {
   // condition and the fingerprint grew the ct= mode flag below —
   // default-mode entries would replay into a --cond-term run with the
   // conditions silently missing (and vice versa), so the modes must
-  // not share a store file. (v2 added a "solver_lemmas" section, which
-  // current builds ignore.) Bumping the prefix wholesale-discards files
+  // not share a store file. (Older builds also wrote a "solver_sat"
+  // section and, from v2, a "solver_lemmas" one; current builds ignore
+  // both.) Bumping the prefix wholesale-discards files
   // written by older builds via the normal fingerprint-mismatch path —
   // a clean cold start, never a parse of a shape this build does not
   // know.
@@ -85,17 +86,6 @@ void SpecStore::insert(const std::string &Key, std::string Entry) {
     ++Inserts;
 }
 
-void SpecStore::setSatSnapshot(
-    std::vector<std::pair<std::string, Tri>> Entries) {
-  std::lock_guard<std::mutex> L(Mu);
-  SatSnapshot = std::move(Entries);
-}
-
-std::vector<std::pair<std::string, Tri>> SpecStore::satSnapshot() const {
-  std::lock_guard<std::mutex> L(Mu);
-  return SatSnapshot;
-}
-
 void SpecStore::setOutcomesDigest(uint64_t Count, uint64_t Hash) {
   std::lock_guard<std::mutex> L(Mu);
   OutcomesCount = Count;
@@ -123,7 +113,6 @@ SpecStoreStats SpecStore::stats() const {
   S.Entries = Groups.size();
   S.Bytes = Bytes;
   S.Refused = Refused;
-  S.SatSnapshotEntries = SatSnapshot.size();
   return S;
 }
 
@@ -173,18 +162,6 @@ bool SpecStore::load(const std::string &Path, std::string *Err) {
       if (insertLocked(Key, json::write(Entry)))
         ++LoadedGroups;
   }
-  if (const json::Value *Sat = Doc->field("solver_sat")) {
-    if (!Sat->isArray())
-      return fail("store file " + Path + ": \"solver_sat\" is not an array");
-    for (const json::Value &E : Sat->elements()) {
-      if (!E.isArray() || E.elements().size() != 2 ||
-          !E.elements()[0].isString() || !E.elements()[1].isString())
-        return fail("store file " + Path + ": malformed solver_sat entry");
-      const std::string &V = E.elements()[1].asString();
-      Tri T = V == "T" ? Tri::True : V == "F" ? Tri::False : Tri::Unknown;
-      SatSnapshot.emplace_back(E.elements()[0].asString(), T);
-    }
-  }
   if (const json::Value *Oc = Doc->field("outcomes")) {
     const json::Value *Count = Oc->field("count");
     const json::Value *Hash = Oc->field("hash");
@@ -216,18 +193,6 @@ bool SpecStore::save(const std::string &Path, std::string *Err) const {
       Out += json::quoted(Key) + ":" + Entry;
     }
     Out += "}";
-    if (!SatSnapshot.empty()) {
-      Out += ",\"solver_sat\":[";
-      for (size_t I = 0; I < SatSnapshot.size(); ++I) {
-        if (I != 0)
-          Out += ',';
-        const char *V = SatSnapshot[I].second == Tri::True    ? "T"
-                        : SatSnapshot[I].second == Tri::False ? "F"
-                                                              : "U";
-        Out += "[" + json::quoted(SatSnapshot[I].first) + ",\"" + V + "\"]";
-      }
-      Out += "]";
-    }
     if (HasOutcomes) {
       char Hex[32];
       std::snprintf(Hex, sizeof(Hex), "%016llx",

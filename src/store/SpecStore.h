@@ -19,12 +19,13 @@
 ///    solve options, so a file saved under a different configuration
 ///    loads as empty rather than serving stale entries;
 ///  * the group entries (key -> canonical serialized summary);
-///  * an optional solver sat-conjunction snapshot exported from a
-///    GlobalSolverCache — name-canonical (VarId-free) keys, imported
-///    back as a read-only third cache tier for warm solver starts;
 ///  * an optional outcomes digest (count + FNV-1a hash of the last
 ///    batch's rendered outcomes) so a later process can verify
 ///    byte-identical replay without shipping the full text.
+///
+/// Files written by older builds may carry a "solver_sat" or a
+/// "solver_lemmas" section (query-level solver caches this build no
+/// longer has); load ignores both, and save writes neither.
 ///
 /// Concurrency: lookups/inserts take a mutex; entries are insert-only
 /// and the map is node-based, so peek() pointers stay valid for the
@@ -74,7 +75,6 @@ struct SpecStoreStats {
   size_t Bytes = 0;
   /// Inserts and loaded entries refused at the byte cap.
   uint64_t Refused = 0;
-  size_t SatSnapshotEntries = 0;
 };
 
 /// The persistent spec store. One instance is typically shared by all
@@ -122,15 +122,13 @@ public:
   /// and counted in stats().Refused, when it would cross MaxBytes.
   void insert(const std::string &Key, std::string Entry);
 
-  /// Solver sat-conjunction snapshot (see GlobalSolverCache).
-  void setSatSnapshot(std::vector<std::pair<std::string, Tri>> Entries);
-  std::vector<std::pair<std::string, Tri>> satSnapshot() const;
-
-  /// No-ops that hold and serialize nothing: the unsat-core lemma tier
-  /// is gone, and these stay only because perfbench/driver.cpp names
-  /// them and only a benchmark change may edit that file; that change
-  /// removes both. Nothing else may use them. A "solver_lemmas"
-  /// section in a file written by an older build is ignored on load.
+  /// Inert no-ops that hold and serialize nothing: the query-level
+  /// solver tier and its lemma and sat snapshots are gone, and these
+  /// stay only because perfbench/driver.cpp names them and only a
+  /// benchmark change may edit that file; that change removes all
+  /// four. Nothing else may use them.
+  void setSatSnapshot(std::vector<std::pair<std::string, Tri>>) {}
+  std::vector<std::pair<std::string, Tri>> satSnapshot() const { return {}; }
   void setLemmaSnapshot(std::vector<std::vector<std::string>>) {}
   std::vector<std::vector<std::string>> lemmaSnapshot() const { return {}; }
 
@@ -157,7 +155,6 @@ private:
   std::map<std::string, std::string> Groups;
   size_t Bytes = 0;
   uint64_t Refused = 0;
-  std::vector<std::pair<std::string, Tri>> SatSnapshot;
   uint64_t OutcomesCount = 0;
   uint64_t OutcomesHash = 0;
   bool HasOutcomes = false;

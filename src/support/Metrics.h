@@ -36,10 +36,10 @@
 /// quantization.
 ///
 /// The registry is also the bridge point for the pre-existing stat
-/// structs (`SolverStats`, `GlobalCacheStats`, `CondTermStats`,
-/// server/store counters): callers fold them in as gauges under a
-/// shared prefix (see api/MetricsBridge.h, used by BatchAnalyzer::run
-/// and AnalysisServer::metricsJson), which makes every number the system
+/// structs (`SolverStats`, `CondTermStats`, server/store counters):
+/// callers fold them in as gauges under a shared prefix (see
+/// api/MetricsBridge.h, used by BatchAnalyzer::run and
+/// AnalysisServer::metricsJson), which makes every number the system
 /// already tracks exportable from this one snapshot.
 ///
 //===----------------------------------------------------------------------===//

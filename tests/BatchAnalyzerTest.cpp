@@ -2,17 +2,14 @@
 //
 // BatchAnalyzer behavior: input-order results, agreement with
 // standalone analyzeProgram verdicts, failed-program handling,
-// per-category tables, the two-tier fuel accounting contract (queries
-// answered by the global tier are not charged to the program that
-// asked), tier persistence across run() calls, and in-run dedup (each
-// content key inferred once per batch).
+// per-category tables, per-program fuel budgets, and in-run dedup
+// (each content key inferred once per batch).
 //
 //===----------------------------------------------------------------------===//
 
 #include "api/BatchAnalyzer.h"
 #include "api/Pipeline.h"
 #include "lang/Parser.h"
-#include "solver/GlobalCache.h"
 #include "store/SpecSerial.h"
 #include "store/SpecStore.h"
 #include "workloads/Corpus.h"
@@ -185,155 +182,29 @@ TEST(BatchAnalyzer, PerCategoryCountsAndTable) {
   EXPECT_NE(Table.find("Total"), std::string::npos);
 }
 
-TEST(BatchAnalyzer, GlobalTierSharesAcrossDuplicatePrograms) {
-  // Two near-twin programs (exact twins would share one inference):
-  // whichever copy the single worker runs first pays cold; its twin
-  // answers a chunk of its queries from the promoted entries. (The
-  // pool makes no ordering promise — input order of RESULTS is
-  // guaranteed, execution order is not — so the test identifies
-  // cold/warm by their tier-hit counters.)
-  std::vector<BatchItem> Items = {item("p1", "c", TermSrc),
-                                  item("p2", "c", TermLtSrc)};
+TEST(BatchAnalyzer, PerProgramBudgetHonorsStoreReplays) {
+  // A per-program budget charges the solver queries a program issues.
+  // A program whose groups all replay from the store issues none, so it
+  // stays inside a budget that its cold run exceeds.
+  std::vector<BatchItem> Items = {item("a", "c", TermSrc)};
   BatchOptions Opt;
-  Opt.Threads = 1; // One worker: one copy fully finalizes first.
-  BatchAnalyzer BA(Opt);
-  BatchResult R = BA.run(Items);
+  SpecStore Store(SpecStore::configFingerprint(Opt.Program));
+  Opt.Store = &Store;
+  const uint64_t ColdFuel =
+      BatchAnalyzer(Opt).run(Items).Programs[0].Result.FuelUsed;
+  ASSERT_GT(ColdFuel, 2u);
+  Opt.Program.FuelBudget = ColdFuel / 2;
 
-  const AnalysisResult &A0 = R.Programs[0].Result;
-  const AnalysisResult &A1 = R.Programs[1].Result;
-  bool FirstIsCold = A0.SolverUsage.GlobalSatHits == 0;
-  const AnalysisResult &Cold = FirstIsCold ? A0 : A1;
-  const AnalysisResult &Warm = FirstIsCold ? A1 : A0;
-  EXPECT_EQ(Cold.SolverUsage.GlobalSatHits, 0u);
-  EXPECT_GT(Warm.SolverUsage.GlobalSatHits, 0u);
-  EXPECT_GT(R.Global.SatHits, 0u);
-  EXPECT_GT(R.Global.SatEntries, 0u);
+  SpecStore Empty(SpecStore::configFingerprint(Opt.Program));
+  BatchOptions ColdOpt = Opt;
+  ColdOpt.Store = &Empty;
+  EXPECT_EQ(BatchAnalyzer(ColdOpt).run(Items).Programs[0].Verdict,
+            Outcome::Timeout);
 
-  // Neither copy replayed the other's groups...
-  EXPECT_EQ(R.StoreHits, 0u);
-  EXPECT_EQ(R.StoreMisses, 4u);
-  // ...and near-twins issue identical query sequences...
-  EXPECT_EQ(Cold.SolverUsage.SatQueries, Warm.SolverUsage.SatQueries);
-  // ...but the twin is charged less fuel: global-tier answers were
-  // paid for by the cold copy (the no-double-count contract).
-  EXPECT_EQ(Warm.FuelUsed, Warm.SolverUsage.fuelUsed());
-  EXPECT_LT(Warm.FuelUsed, Cold.FuelUsed);
-}
-
-TEST(BatchAnalyzer, TierPersistsAcrossRuns) {
-  std::vector<BatchItem> Items = {item("p", "c", TermSrc)};
-  BatchAnalyzer BA;
-  BatchResult Cold = BA.run(Items);
-  EXPECT_EQ(Cold.Usage.GlobalSatHits, 0u);
-  BatchResult Warm = BA.run(Items);
-  EXPECT_GT(Warm.Usage.GlobalSatHits, 0u);
-  // Same verdicts either way: the tier is semantically transparent.
-  EXPECT_EQ(Cold.renderOutcomes(), Warm.renderOutcomes());
-  EXPECT_LE(Warm.Usage.fuelUsed(), Cold.Usage.fuelUsed());
-}
-
-//===----------------------------------------------------------------------===//
-// The fuel counter itself (AnalyzerConfig::FuelBudget satellite):
-// SatQueries stays cache-transparent, GlobalSatHits records shared-tier
-// answers, and fuelUsed() charges the difference.
-//===----------------------------------------------------------------------===//
-
-TEST(TwoTierFuel, GlobalHitsAreNotCharged) {
-  Formula F = Formula::cmp(LinExpr::var(mkVar("btf_x")), CmpKind::Ge,
-                           LinExpr(3));
-  ConstraintConj Conj = {Constraint::make(LinExpr::var(mkVar("btf_x")),
-                                          CmpKind::Ge, LinExpr(3))};
-
-  GlobalSolverCache Tier;
-  SolverContext Payer;
-  Payer.attachGlobalTier(&Tier);
-  EXPECT_EQ(Payer.isSatConj(Conj), Tri::True);
-  SolverStats PS = Payer.stats();
-  EXPECT_EQ(PS.SatQueries, 1u);
-  EXPECT_EQ(PS.GlobalSatHits, 0u); // Tier was empty: Payer computed.
-  EXPECT_EQ(PS.fuelUsed(), 1u);    // ...and is charged for it.
-  Payer.promoteTo(Tier);
-  EXPECT_EQ(Tier.satSize(), 1u);
-
-  SolverContext Beneficiary;
-  Beneficiary.attachGlobalTier(&Tier);
-  EXPECT_EQ(Beneficiary.isSatConj(Conj), Tri::True);
-  SolverStats BS = Beneficiary.stats();
-  EXPECT_EQ(BS.SatQueries, 1u);     // The query still counts as issued...
-  EXPECT_EQ(BS.GlobalSatHits, 1u);  // ...was answered by the tier...
-  EXPECT_EQ(BS.fuelUsed(), 0u);     // ...and is not charged again.
-
-  // A repeat is a LOCAL hit (installed on the tier hit): still charged,
-  // exactly like any cache-transparent local hit.
-  EXPECT_EQ(Beneficiary.isSatConj(Conj), Tri::True);
-  BS = Beneficiary.stats();
-  EXPECT_EQ(BS.SatQueries, 2u);
-  EXPECT_EQ(BS.GlobalSatHits, 1u);
-  EXPECT_EQ(BS.CacheHits, 1u);
-  EXPECT_EQ(BS.fuelUsed(), 1u);
-
-  // Merged stats keep the invariant (the analyzer's join path).
-  SolverStats Merged = PS;
-  Merged += BS;
-  EXPECT_EQ(Merged.fuelUsed(), PS.fuelUsed() + BS.fuelUsed());
-  (void)F;
-}
-
-TEST(TwoTierFuel, DisabledLocalCacheStillUsesTier) {
-  ConstraintConj Conj = {Constraint::make(LinExpr::var(mkVar("btf_y")),
-                                          CmpKind::Le, LinExpr(-1))};
-  GlobalSolverCache Tier;
-  SolverContext Payer; // Default caches; fills the tier.
-  Payer.attachGlobalTier(&Tier);
-  (void)Payer.isSatConj(Conj);
-  Payer.promoteTo(Tier);
-
-  SolverContext NoLocal(/*CacheCapacity=*/0, /*DnfMemoCapacity=*/0);
-  NoLocal.attachGlobalTier(&Tier);
-  (void)NoLocal.isSatConj(Conj);
-  SolverStats S = NoLocal.stats();
-  EXPECT_EQ(S.SatQueries, 1u);
-  EXPECT_EQ(S.GlobalSatHits, 1u);
-  // A disabled local cache records no lookups (the "disabled reads as
-  // n/a, not 0%" contract) — only the tier hit is visible.
-  EXPECT_EQ(S.CacheHits + S.CacheMisses, 0u);
-  EXPECT_EQ(S.fuelUsed(), 0u);
-}
-
-TEST(TwoTierFuel, PerProgramBudgetHonorsTierHits) {
-  // A batch of near-twins (exact twins would share one inference)
-  // where the budget is tight enough that the cold copy exceeds it,
-  // while the warm copy (fed by the tier) stays inside — only because
-  // tier hits are not charged against the per-program budget.
-  std::vector<BatchItem> Items = {item("a", "c", TermSrc),
-                                  item("b", "c", TermLtSrc)};
-  BatchOptions Opt;
-  Opt.Threads = 1;
-  BatchAnalyzer Probe(Opt);
-  BatchResult Free = Probe.run(Items);
-  uint64_t F0 = Free.Programs[0].Result.FuelUsed;
-  uint64_t F1 = Free.Programs[1].Result.FuelUsed;
-  uint64_t ColdFuel = std::max(F0, F1), WarmFuel = std::min(F0, F1);
-  ASSERT_GT(ColdFuel, WarmFuel);
-
-  BatchOptions Tight;
-  Tight.Threads = 1;
-  Tight.Program.FuelBudget = (ColdFuel + WarmFuel) / 2;
-  BatchAnalyzer BA(Tight);
-  BatchResult R = BA.run(Items);
-  Outcome V0 = R.Programs[0].Verdict, V1 = R.Programs[1].Verdict;
-  // Exactly one copy — the one that ran cold — is over budget, and
-  // the over-budget one is the one with no tier hits.
-  ASSERT_NE(V0 == Outcome::Timeout, V1 == Outcome::Timeout);
-  const AnalysisResult &TimedOut = V0 == Outcome::Timeout
-                                       ? R.Programs[0].Result
-                                       : R.Programs[1].Result;
-  const AnalysisResult &Finished = V0 == Outcome::Timeout
-                                       ? R.Programs[1].Result
-                                       : R.Programs[0].Result;
-  EXPECT_EQ(TimedOut.SolverUsage.GlobalSatHits, 0u);
-  EXPECT_GT(Finished.SolverUsage.GlobalSatHits, 0u);
-  EXPECT_EQ(Finished.outcome(), Outcome::Yes);
+  BatchResult Warm = BatchAnalyzer(Opt).run(Items);
+  EXPECT_EQ(Warm.StoreMisses, 0u);
+  EXPECT_EQ(Warm.Programs[0].Result.FuelUsed, 0u);
+  EXPECT_EQ(Warm.Programs[0].Verdict, Outcome::Yes);
 }
 
 //===----------------------------------------------------------------------===//
@@ -383,11 +254,10 @@ TEST(BatchDedup, EachKeyInferredOnceAndOutcomesMatchSoloRuns) {
 
 TEST(BatchDedup, UnstoredLeaderReleasesFollowers) {
   // A budget cut leaves the cut group unstored, so each parked copy of
-  // it is released to lead in turn and runs inference itself. Without
-  // the global tier every copy burns the same fuel, so every copy's
-  // dec group is cut and its main group skipped.
+  // it is released to lead in turn and runs inference itself. Every
+  // copy burns the same fuel, so every copy's dec group is cut and its
+  // main group skipped.
   BatchOptions Probe;
-  Probe.GlobalTier = false;
   BatchAnalyzer Free(Probe);
   const uint64_t Fuel = Free.run({item("t", "a", TermSrc)})
                             .Programs[0].Result.FuelUsed;
@@ -516,7 +386,7 @@ TEST(BatchDedup, EntryNamingAnotherBlocksFreshSpellingIsAMiss) {
     ASSERT_EQ(PP->StoreEntries[0], nullptr); // Not in the snapshot.
     Store.insert(Key, Entry);                 // Mid-run.
 
-    GroupRun Run = runPipelineGroup(*PP, Cfg, 0, PP->GroupBlocks[0], nullptr);
+    GroupRun Run = runPipelineGroup(*PP, Cfg, 0, PP->GroupBlocks[0]);
     EXPECT_EQ(Run.FromStore, C.Replays) << C.Spelling;
     EXPECT_EQ(Store.stats().Hits, C.Replays ? 1u : 0u) << C.Spelling;
     EXPECT_EQ(Store.stats().Misses, C.Replays ? 0u : 1u) << C.Spelling;

@@ -99,8 +99,6 @@ TEST(ServerConcurrent, MultiClientByteIdenticalToSerialFreshRuns) {
   // Tight cadence: quiescent reclaim epochs must interleave with the
   // client races, not happen once at the end.
   CO.ReclaimEvery = 10;
-  CO.GlobalSatCapacity = 1u << 9;
-  CO.GlobalDnfCapacity = 1u << 6;
 
   constexpr unsigned Clients = 8;
   constexpr unsigned PerClient = 6;
@@ -151,7 +149,7 @@ TEST(ServerConcurrent, MultiClientByteIdenticalToSerialFreshRuns) {
 
 TEST(ServerConcurrent, BatchVerbMatchesSerialServer) {
   // analyze-batch through the worker pool produces exactly the response
-  // the serial, tier-less runProgramRequest bodies assemble for the
+  // the serial runProgramRequest bodies assemble for the
   // same line — batch elements run per-request sessions either way.
   std::vector<BatchItem> Items = corpusBatchItems(3);
   std::string Line = "{\"id\":7,\"verb\":\"analyze-batch\",\"programs\":[";
@@ -166,8 +164,7 @@ TEST(ServerConcurrent, BatchVerbMatchesSerialServer) {
   std::string Serial = "{\"id\":7,\"ok\":true,\"results\":[";
   for (size_t I = 0; I < Items.size(); ++I)
     Serial += (I ? ",{" : "{") +
-              runProgramRequest(Items[I].Source, "main", SO.Program, nullptr)
-                  .Body +
+              runProgramRequest(Items[I].Source, "main", SO.Program).Body +
               "}";
   Serial += "]}";
   EXPECT_EQ(ConcResp, Serial);

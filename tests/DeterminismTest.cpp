@@ -96,14 +96,12 @@ TEST(Determinism, CorpusSampleByteIdentical) {
 
 //===----------------------------------------------------------------------===//
 // Batch determinism stress: the same corpus slice at 1/2/4/8 worker
-// threads, with the shared global cache tier on and off, must produce
-// byte-identical AnalysisResult renderings. This covers the whole
-// two-tier contract at once: disjoint per-program fresh-variable
-// blocks, deterministic end-of-program merges, and semantic
-// transparency of both cache tiers.
+// threads must produce byte-identical AnalysisResult renderings. This
+// covers the batch contract at once: per-program sessions, the group
+// join order, and in-run dedup's replays.
 //===----------------------------------------------------------------------===//
 
-TEST(Determinism, BatchCorpusByteIdenticalAcrossThreadsAndTier) {
+TEST(Determinism, BatchCorpusByteIdenticalAcrossThreads) {
   // A deterministic cross-category stride keeps the stress affordable
   // while covering heap programs, conditionals and non-termination.
   const std::vector<BenchProgram> &All = corpus();
@@ -124,30 +122,25 @@ TEST(Determinism, BatchCorpusByteIdenticalAcrossThreadsAndTier) {
   {
     BatchOptions Opt;
     Opt.Threads = 1;
-    Opt.GlobalTier = false;
     BatchAnalyzer BA(Opt);
     Base = BA.run(Items).renderOutcomes();
   }
   ASSERT_FALSE(Base.empty());
 
+  // 1 again: the baseline ran with a cold intern table, this one warm.
   for (unsigned Threads : {1u, 2u, 4u, 8u}) {
-    for (bool Tier : {false, true}) {
-      if (Threads == 1 && !Tier)
-        continue; // The baseline itself.
-      BatchOptions Opt;
-      Opt.Threads = Threads;
-      Opt.GlobalTier = Tier;
-      BatchAnalyzer BA(Opt);
-      BatchResult R = BA.run(Items);
-      EXPECT_EQ(Base, R.renderOutcomes())
-          << "threads=" << Threads << " tier=" << (Tier ? "on" : "off");
-    }
+    BatchOptions Opt;
+    Opt.Threads = Threads;
+    BatchAnalyzer BA(Opt);
+    BatchResult R = BA.run(Items);
+    EXPECT_EQ(Base, R.renderOutcomes()) << "threads=" << Threads;
   }
 }
 
-TEST(Determinism, BatchWarmTierRunByteIdentical) {
-  // A second run() on the SAME BatchAnalyzer starts with a warm global
-  // tier (the server regime): results must not move.
+TEST(Determinism, BatchSecondRunByteIdentical) {
+  // A second run() on the SAME BatchAnalyzer starts with a warm intern
+  // table. Nothing else carries over between runs, so the results must
+  // not move and the second run must infer exactly what the first did.
   std::vector<BatchItem> Items;
   const std::vector<BenchProgram> &All = corpus();
   size_t Step = All.size() / 6;
@@ -164,10 +157,11 @@ TEST(Determinism, BatchWarmTierRunByteIdentical) {
   BatchOptions Opt;
   Opt.Threads = 4;
   BatchAnalyzer BA(Opt);
-  std::string Cold = BA.run(Items).renderOutcomes();
-  BatchResult Warm = BA.run(Items);
-  EXPECT_EQ(Cold, Warm.renderOutcomes());
-  EXPECT_GT(Warm.Usage.GlobalSatHits, 0u);
+  BatchResult First = BA.run(Items);
+  BatchResult Second = BA.run(Items);
+  EXPECT_EQ(First.renderOutcomes(), Second.renderOutcomes());
+  EXPECT_EQ(First.StoreMisses, Second.StoreMisses);
+  EXPECT_EQ(First.Usage.SatQueries, Second.Usage.SatQueries);
 }
 
 TEST(Determinism, MonolithicModeUnaffectedByThreads) {

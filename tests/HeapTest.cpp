@@ -2,7 +2,7 @@
 
 #include "heap/Entail.h"
 #include "lang/Parser.h"
-#include "solver/Solver.h"
+#include "solver/SolverContext.h"
 
 #include <gtest/gtest.h>
 
@@ -22,6 +22,7 @@ struct HeapFixture : ::testing::Test {
   Program P;
   std::unique_ptr<HeapEnv> Env;
   std::unique_ptr<HeapProver> Prover;
+  SolverContext SC;
 
   void SetUp() override {
     std::optional<Program> Parsed = parseProgram(ListDefs, Diags);
@@ -67,12 +68,12 @@ TEST_F(HeapFixture, SizeInvariantsInferred) {
   Formula LsegInv =
       Env->invariantAt("lseg", {LinExpr::var(mkVar("hr")),
                                 LinExpr(0), LinExpr::var(N)});
-  EXPECT_TRUE(Solver::entails(
+  EXPECT_TRUE(SC.entails(
       LsegInv, Formula::cmp(LinExpr::var(N), CmpKind::Ge, LinExpr(0))));
 
   Formula CllInv =
       Env->invariantAt("cll", {LinExpr::var(mkVar("hr")), LinExpr::var(N)});
-  EXPECT_TRUE(Solver::entails(
+  EXPECT_TRUE(SC.entails(
       CllInv, Formula::cmp(LinExpr::var(N), CmpKind::Ge, LinExpr(1))));
 }
 
@@ -93,7 +94,7 @@ TEST_F(HeapFixture, UnfoldLseg) {
   ASSERT_EQ(Bs.size(), 2u);
   // Base: x = 0 && n = 0, emp.
   EXPECT_TRUE(Bs[0].Atoms.empty());
-  EXPECT_TRUE(Solver::entails(
+  EXPECT_TRUE(SC.entails(
       Bs[0].Pure, Formula::cmp(LinExpr::var(N), CmpKind::Eq, LinExpr(0))));
   // Rec: x |-> node(p) * lseg(p, 0, n-1) with fresh p.
   ASSERT_EQ(Bs[1].Atoms.size(), 2u);
@@ -125,7 +126,7 @@ TEST_F(HeapFixture, MaterializeUnfoldsPredicate) {
   EXPECT_EQ(Pt.Root, X);
   // The unfolding pins n >= 1 implicitly via n - 1 = size of the tail;
   // at minimum the branch pure must be consistent.
-  EXPECT_NE(Solver::isSat(Formula::conj2(Pure, (*R)[0].PureAdd)),
+  EXPECT_NE(SC.isSat(Formula::conj2(Pure, (*R)[0].PureAdd)),
             Tri::False);
 }
 
@@ -168,7 +169,7 @@ TEST_F(HeapFixture, FoldEmptySegment) {
   SymHeap Tgt = {lseg(X, LinExpr::var(X), LinExpr::var(M))};
   auto R = Prover->entail(Formula::top(), {}, Tgt, {M});
   ASSERT_TRUE(R.has_value());
-  EXPECT_TRUE(Solver::entails(
+  EXPECT_TRUE(SC.entails(
       (*R)[0].PureAdd, Formula::cmp(LinExpr::var(M), CmpKind::Eq,
                                     LinExpr(0))));
 }
@@ -182,7 +183,7 @@ TEST_F(HeapFixture, FoldOneCell) {
   auto R = Prover->entail(Formula::top(), Src, Tgt, {M});
   ASSERT_TRUE(R.has_value());
   Formula Bind = (*R)[0].PureAdd;
-  EXPECT_TRUE(Solver::entails(
+  EXPECT_TRUE(SC.entails(
       Bind, Formula::cmp(LinExpr::var(M), CmpKind::Eq,
                          LinExpr::var(K) + 1)));
 }
@@ -196,7 +197,7 @@ TEST_F(HeapFixture, SegmentTailLemma) {
   SymHeap Tgt = {lseg(A, LinExpr::var(C), LinExpr::var(M))};
   auto R = Prover->entail(Formula::top(), Src, Tgt, {M});
   ASSERT_TRUE(R.has_value());
-  EXPECT_TRUE(Solver::entails(
+  EXPECT_TRUE(SC.entails(
       (*R)[0].PureAdd, Formula::cmp(LinExpr::var(M), CmpKind::Eq,
                                     LinExpr::var(N) + 1)));
 }
@@ -215,7 +216,7 @@ TEST_F(HeapFixture, CllRotation) {
   ASSERT_GE(R->size(), 1u);
   for (const HeapProver::Branch &Br : *R) {
     Formula All = Formula::conj2(Pure, Br.PureAdd);
-    EXPECT_TRUE(Solver::entails(
+    EXPECT_TRUE(SC.entails(
         All, Formula::cmp(LinExpr::var(M), CmpKind::Eq, LinExpr::var(N))))
         << All.str();
   }

@@ -1,7 +1,7 @@
 //===- tests/InferTest.cpp - end-to-end inference on paper examples ------===//
 
 #include "api/Analyzer.h"
-#include "solver/Solver.h"
+#include "solver/SolverContext.h"
 
 #include <gtest/gtest.h>
 
@@ -21,9 +21,10 @@ AnalysisResult analyzeOk(const std::string &Src,
 /// than the paper's presentation).
 void expectCase(const TntSummary &S, const Formula &Region,
                 TemporalSpec::Kind K) {
+  SolverContext SC;
   bool Intersected = false;
   for (const CaseOutcome &C : S.flatten()) {
-    if (Solver::isSat(Formula::conj2(Region, C.Guard)) != Tri::True)
+    if (SC.isSat(Formula::conj2(Region, C.Guard)) != Tri::True)
       continue;
     Intersected = true;
     EXPECT_EQ(C.Temporal.K, K)

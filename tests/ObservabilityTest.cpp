@@ -330,7 +330,7 @@ TEST(Observability, MetricsVerbSameSchemaOnBothFrontEnds) {
     const json::Value *Gauges = M->field("gauges");
     EXPECT_NE(Gauges->field("server.requests"), nullptr);
     EXPECT_NE(Gauges->field("solver.sat_queries"), nullptr);
-    EXPECT_NE(Gauges->field("tier.sat_lookups"), nullptr);
+    EXPECT_NE(Gauges->field("spec_store.entries"), nullptr);
     EXPECT_NE(Gauges->field("cond_term.emitted"), nullptr);
     const json::Value *Hists = M->field("histograms");
     const json::Value *Exec = Hists->field("server.request.exec_us");

@@ -5,11 +5,11 @@
 //  * Soak: >= 1000 requests (corpus programs cycled with
 //    fresh-variable-heavy variants) through an in-process server.
 //    EVERY response must be byte-identical to a fresh single-program
-//    analyzeProgram run of the same source — the tier and the epoch
-//    machinery must be unobservable in responses — and the interned
-//    node counts plus the arena-bytes RSS proxy must stay bounded
-//    across epochs (no monotone growth: reclamation plus tier rotation
-//    give a steady state).
+//    analyzeProgram run of the same source — the spec store and the
+//    epoch machinery must be unobservable in responses — and the
+//    interned node counts plus the arena-bytes RSS proxy must stay
+//    bounded across epochs (no monotone growth: every reclaim drops
+//    the epoch's terms).
 //
 //  * Protocol: stats/shutdown verbs, path requests, malformed input,
 //    blank lines, and the serve() stream loop.
@@ -38,14 +38,6 @@ using namespace tnt;
 TEST(ServerSoak, ThousandRequestsByteIdenticalAndBounded) {
   ServerOptions SO;
   SO.ReclaimEvery = 50;
-  // A tiny tier so capacity rotation — which is what bounds the
-  // retained root set on an unbounded stream — actually fires inside
-  // the soak horizon. Tinier than it used to be: per-request sessions
-  // mint POSITIONAL ids, so the variant requests' structurally
-  // distinct spellings alias to identical interned keys and the tier's
-  // distinct-entry population is now per-corpus, not per-request.
-  SO.GlobalSatCapacity = 1u << 6;
-  SO.GlobalDnfCapacity = 1u << 4;
   AnalysisServer Server(SO);
 
   std::vector<BatchItem> Items = corpusBatchItems(25);
@@ -66,8 +58,8 @@ TEST(ServerSoak, ThousandRequestsByteIdenticalAndBounded) {
                                                << Line;
     {
       // Fresh-context reference: same source, same config, no server,
-      // no tier. Byte-identity is the whole contract — the response
-      // may not depend on how warm the tier is or how many epochs have
+      // no store. Byte-identity is the whole contract — the response
+      // may not depend on what the store holds or how many epochs have
       // passed. The server runs each request in a virgin VarPool
       // session, so the reference runs in one too; a bare
       // analyzeProgram would carry pool history across the comparator
@@ -101,15 +93,12 @@ TEST(ServerSoak, ThousandRequestsByteIdenticalAndBounded) {
   EXPECT_EQ(S.Errors, 0u);
   EXPECT_EQ(S.Reclaims, N / SO.ReclaimEvery);
   EXPECT_GT(S.LastReclaim.dropped(), 0u) << "reclamation did no work";
-  EXPECT_GT(S.Global.SatHits, 0u) << "the warm tier never fired";
-  EXPECT_GT(S.Global.SatRotations, 0u)
-      << "tier never rotated; the bounded-footprint claim is untested";
+  EXPECT_GT(S.StoreHits, 0u) << "the server's store never replayed a group";
 
   // Bounded across epochs: the shared peak-to-peak fence
   // (soakSamplesBounded — same predicate the server-smoke CI gate
-  // uses). Warmup — the epochs before the first rotation, during
-  // which the retained root set legitimately grows — is excluded;
-  // past it, the late peak must stay within 25% of the early peak.
+  // uses). The first epochs are excluded as warmup; past them, the
+  // late peak must stay within 25% of the early peak.
   // Without reclamation every sample would grow by a full epoch's
   // garbage (~20k entries here) and the fence would blow immediately.
   auto bounded = [](const std::vector<size_t> &Samples, const char *What) {
@@ -303,13 +292,12 @@ TEST(ServerProtocol, DeeplyNestedProgramIsAnError) {
 }
 
 TEST(ServerProtocol, ConcurrentReclaimersStandDown) {
-  // Reclamation sweeps everything outside the reclaiming server's own
-  // tier, so it is only sound for a sole owner: while ANY other
-  // GlobalSolverCache is alive — a sibling reclaiming server, a
-  // non-reclaiming one, or a bare tier (as a BatchAnalyzer would own)
-  // — the server must not reclaim, or it would free interned pointers
-  // the other tier still keys on. Once the siblings die, reclamation
-  // resumes.
+  // A reclaim frees every term interned since the last one, so it is
+  // only sound while the reclaiming server is the process's one live
+  // engine: while a sibling server — reclaiming or not — or a bare
+  // BatchAnalyzer is alive, the server must not reclaim, or it would
+  // free interned terms the other engine may still hold. Once the
+  // siblings die, reclamation resumes.
   const char *Src = "int main(int n)\n{\n  return n;\n}\n";
   ServerOptions SO;
   SO.ReclaimEvery = 1; // Reclaim after every request — when allowed.
@@ -322,7 +310,7 @@ TEST(ServerProtocol, ConcurrentReclaimersStandDown) {
     EXPECT_EQ(B.stats().Reclaims, 0u);
   }
   {
-    // A NON-reclaiming sibling's tier is just as much a pointer owner.
+    // A NON-reclaiming sibling server is just as much a holder.
     ServerOptions NoReclaim;
     NoReclaim.ReclaimEvery = 0;
     AnalysisServer C(NoReclaim);
@@ -330,8 +318,8 @@ TEST(ServerProtocol, ConcurrentReclaimersStandDown) {
     EXPECT_EQ(A.stats().Reclaims, 0u);
   }
   {
-    // So is a bare tier with no server around it.
-    GlobalSolverCache Bare(16, 16);
+    // So is a bare BatchAnalyzer, even one that has not run yet.
+    BatchAnalyzer Bare;
     (void)A.submitAndWait(soakRequestJson(3, Src));
     EXPECT_EQ(A.stats().Reclaims, 0u);
   }
@@ -392,13 +380,13 @@ TEST(ServerProtocol, ServeLoopAndPathRequests) {
 
   // serve() on a 4-worker server still answers in request order: it
   // submits one line and waits for it. Program bodies, batch entries
-  // included, equal fresh session runs (tier-less runProgramRequest).
+  // included, equal fresh session runs (runProgramRequest).
   ServerOptions Four;
   Four.Workers = 4;
   AnalysisServer Pooled(Four);
   std::vector<BatchItem> Items = corpusBatchItems(4);
   auto body = [&](const std::string &Source) {
-    return runProgramRequest(Source, "main", Four.Program, nullptr).Body;
+    return runProgramRequest(Source, "main", Four.Program).Body;
   };
   std::istringstream Mixed(
       soakRequestJson(1, Items[0].Source) + "\n" +

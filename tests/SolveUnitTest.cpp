@@ -3,7 +3,7 @@
 #include "infer/CaseSplit.h"
 #include "infer/Graph.h"
 #include "infer/Solve.h"
-#include "solver/Solver.h"
+#include "solver/SolverContext.h"
 
 #include <gtest/gtest.h>
 
@@ -24,30 +24,32 @@ Formula cmpf(const char *V, CmpKind K, int64_t C) {
 //===----------------------------------------------------------------------===//
 
 TEST(SplitConditions, SingleConditionGetsComplement) {
+  SolverContext SC;
   std::vector<Formula> Mu =
       splitConditions({cmpf("sy", CmpKind::Ge, 0)});
   ASSERT_EQ(Mu.size(), 2u);
   // Exclusive and exhaustive.
-  EXPECT_EQ(Solver::isSat(Formula::conj2(Mu[0], Mu[1])), Tri::False);
-  EXPECT_EQ(Solver::isSat(Formula::neg(Formula::disj2(Mu[0], Mu[1]))),
+  EXPECT_EQ(SC.isSat(Formula::conj2(Mu[0], Mu[1])), Tri::False);
+  EXPECT_EQ(SC.isSat(Formula::neg(Formula::disj2(Mu[0], Mu[1]))),
             Tri::False);
 }
 
 TEST(SplitConditions, OverlappingPartitioned) {
   // x >= 0 and x <= 5 overlap in [0,5].
+  SolverContext SC;
   std::vector<Formula> Mu = splitConditions(
       {cmpf("sx", CmpKind::Ge, 0), cmpf("sx", CmpKind::Le, 5)});
   ASSERT_GE(Mu.size(), 2u);
   // Pairwise exclusive.
   for (size_t I = 0; I < Mu.size(); ++I)
     for (size_t J = I + 1; J < Mu.size(); ++J)
-      EXPECT_EQ(Solver::isSat(Formula::conj2(Mu[I], Mu[J])), Tri::False)
+      EXPECT_EQ(SC.isSat(Formula::conj2(Mu[I], Mu[J])), Tri::False)
           << Mu[I].str() << " vs " << Mu[J].str();
   // Exhaustive.
   std::vector<Formula> Negs;
   for (const Formula &M : Mu)
     Negs.push_back(Formula::neg(M));
-  EXPECT_EQ(Solver::isSat(Formula::conj(Negs)), Tri::False);
+  EXPECT_EQ(SC.isSat(Formula::conj(Negs)), Tri::False);
 }
 
 TEST(SplitConditions, DisjointKeptApart) {
@@ -66,6 +68,7 @@ TEST(SplitConditions, EmptyInputEmptyOutput) {
 //===----------------------------------------------------------------------===//
 
 TEST(Theta, RefineBaseShape) {
+  SolverContext SC;
   UnkRegistry Reg;
   Theta Th(Reg);
   UnkId Pre = Reg.createPair("m", 0, {mkVar("tx")});
@@ -79,8 +82,7 @@ TEST(Theta, RefineBaseShape) {
   EXPECT_TRUE(Th.isPendingLeaf(Subs[0]));
   EXPECT_FALSE(Th.fullyResolved(Pre));
   // The sub's region is the mu guard.
-  EXPECT_TRUE(Solver::entails(Th.region(Subs[0]),
-                              cmpf("tx", CmpKind::Ge, 0)));
+  EXPECT_TRUE(SC.entails(Th.region(Subs[0]), cmpf("tx", CmpKind::Ge, 0)));
   Th.resolve(Subs[0], DefCase::Kind::Loop);
   EXPECT_TRUE(Th.fullyResolved(Pre));
 
@@ -112,6 +114,7 @@ TEST(Theta, FinalizePendingToMayLoop) {
 //===----------------------------------------------------------------------===//
 
 TEST(Specialize, PreAssumptionSplitsOnTargetCases) {
+  SolverContext SC;
   UnkRegistry Reg;
   Theta Th(Reg);
   VarId X = mkVar("spx");
@@ -143,7 +146,7 @@ TEST(Specialize, PreAssumptionSplitsOnTargetCases) {
       SawUnknown = true;
       EXPECT_EQ(N.Dst, Subs[0]);
       // Context now carries x - 1 >= 0.
-      EXPECT_TRUE(Solver::entails(N.Ctx, cmpf("spx", CmpKind::Ge, 1)));
+      EXPECT_TRUE(SC.entails(N.Ctx, cmpf("spx", CmpKind::Ge, 1)));
     }
   }
   EXPECT_TRUE(SawTerm);
@@ -202,6 +205,7 @@ TEST(Specialize, PostItemsExpandAgainstDefinitions) {
 //===----------------------------------------------------------------------===//
 
 TEST(SynBase, FooBaseCase) {
+  SolverContext SC;
   UnkRegistry Reg;
   VarId X = mkVar("sbx"), Y = mkVar("sby");
   UnkId Pre = Reg.createPair("foo", 0, {X, Y});
@@ -223,11 +227,12 @@ TEST(SynBase, FooBaseCase) {
 
   Formula B = synBase(P, Reg);
   // Exactly x < 0 (the paper: x<0 && !(x>=0)).
-  EXPECT_TRUE(Solver::entails(B, cmpf("sbx", CmpKind::Lt, 0)));
-  EXPECT_TRUE(Solver::entails(cmpf("sbx", CmpKind::Lt, 0), B));
+  EXPECT_TRUE(SC.entails(B, cmpf("sbx", CmpKind::Lt, 0)));
+  EXPECT_TRUE(SC.entails(cmpf("sbx", CmpKind::Lt, 0), B));
 }
 
 TEST(SynBase, NoExitMeansNoBase) {
+  SolverContext SC;
   UnkRegistry Reg;
   VarId X = mkVar("sbx");
   UnkId Pre = Reg.createPair("lp", 0, {X});
@@ -241,7 +246,7 @@ TEST(SynBase, NoExitMeansNoBase) {
   Rec.DstArgs = {ex("sbx")};
   P.S.push_back(Rec);
   Formula B = synBase(P, Reg);
-  EXPECT_EQ(Solver::isSat(B), Tri::False);
+  EXPECT_EQ(SC.isSat(B), Tri::False);
 }
 
 //===----------------------------------------------------------------------===//

@@ -3,15 +3,13 @@
 // Coverage for the SolverContext refactor: per-context cache/stats
 // isolation, hit/miss and interval-rung accounting, fuel transparency
 // of the query ladder with its cache rung on and off, LRU bounding,
-// hash-consed interning pointer identity, and the legacy static facade
-// forwarding.
+// hash-consed interning pointer identity, and the process-wide default
+// context.
 //
 //===----------------------------------------------------------------------===//
 
 #include "arith/Intern.h"
 #include "solver/Cancellation.h"
-#include "solver/GlobalCache.h"
-#include "solver/Solver.h"
 #include "solver/SolverContext.h"
 
 #include <gtest/gtest.h>
@@ -96,41 +94,33 @@ TEST(SolverContext, ZeroCapacityDisablesCaching) {
 TEST(SolverContext, IntervalAnswerCountsAndChargesOnce) {
   // A query the interval prefilter answers is charged exactly like the
   // Omega run it replaces: one SatQueries, one Interval* count and one
-  // token charge — on the cache-disabled path, on the cached path, and
-  // on a cache-less context that still consults an (empty) global tier.
+  // token charge — on the cache-disabled path and on the cached path.
   ConstraintConj Unsat = {
       Constraint::make(ex("scx_iu"), CmpKind::Ge, LinExpr(5)),
       Constraint::make(ex("scx_iu"), CmpKind::Le, LinExpr(3))};
   ConstraintConj Sat = {
       Constraint::make(ex("scx_is"), CmpKind::Ge, LinExpr(1)),
       Constraint::make(ex("scx_is"), CmpKind::Le, LinExpr(4))};
-  GlobalSolverCache EmptyTier;
   for (size_t Capacity : {size_t(0), SolverContext::DefaultCacheCapacity}) {
-    for (bool WithTier : {false, true}) {
-      SCOPED_TRACE("capacity=" + std::to_string(Capacity) +
-                   " tier=" + std::to_string(WithTier));
-      CancellationToken T(100);
-      SolverContext SC(Capacity);
-      if (WithTier)
-        SC.attachGlobalTier(&EmptyTier);
-      SC.attachCancellation(&T);
+    SCOPED_TRACE("capacity=" + std::to_string(Capacity));
+    CancellationToken T(100);
+    SolverContext SC(Capacity);
+    SC.attachCancellation(&T);
 
-      EXPECT_EQ(SC.isSatConj(Unsat), Tri::False);
-      SolverStats S = SC.stats();
-      EXPECT_EQ(S.SatQueries, 1u);
-      EXPECT_EQ(S.IntervalUnsat, 1u);
-      EXPECT_EQ(S.IntervalSat, 0u);
-      EXPECT_EQ(T.charged(), 1u);
+    EXPECT_EQ(SC.isSatConj(Unsat), Tri::False);
+    SolverStats S = SC.stats();
+    EXPECT_EQ(S.SatQueries, 1u);
+    EXPECT_EQ(S.IntervalUnsat, 1u);
+    EXPECT_EQ(S.IntervalSat, 0u);
+    EXPECT_EQ(T.charged(), 1u);
 
-      EXPECT_EQ(SC.isSatConj(Sat), Tri::True);
-      S = SC.stats();
-      EXPECT_EQ(S.SatQueries, 2u);
-      EXPECT_EQ(S.IntervalUnsat, 1u);
-      EXPECT_EQ(S.IntervalSat, 1u);
-      EXPECT_EQ(S.GlobalSatHits, 0u);
-      EXPECT_EQ(S.fuelUsed(), 2u);
-      EXPECT_EQ(T.charged(), 2u);
-    }
+    EXPECT_EQ(SC.isSatConj(Sat), Tri::True);
+    S = SC.stats();
+    EXPECT_EQ(S.SatQueries, 2u);
+    EXPECT_EQ(S.IntervalUnsat, 1u);
+    EXPECT_EQ(S.IntervalSat, 1u);
+    EXPECT_EQ(S.fuelUsed(), 2u);
+    EXPECT_EQ(T.charged(), 2u);
   }
 }
 
@@ -458,17 +448,19 @@ TEST(ArithIntern, FormulaNodesAreHashConsed) {
   EXPECT_NE(G.node(), F1.node());
 }
 
-TEST(SolverFacade, ForwardsToDefaultContext) {
-  Solver::resetStats();
+TEST(SolverContext, DefaultContextIsProcessWide) {
+  // One context per process: every defaultCtx() call returns it, and
+  // its cache and counters persist between calls.
+  SolverContext &SC = SolverContext::defaultCtx();
+  EXPECT_EQ(&SC, &SolverContext::defaultCtx());
+  SC.resetStats();
   Formula F = Formula::conj2(cmpf("scx_f", CmpKind::Ge, 1),
                              cmpf("scx_f", CmpKind::Le, 4));
-  EXPECT_EQ(Solver::isSat(F), Tri::True);
-  EXPECT_EQ(Solver::isSat(F), Tri::True);
-  Solver::Stats S = Solver::stats();
+  EXPECT_EQ(SC.isSat(F), Tri::True);
+  EXPECT_EQ(SolverContext::defaultCtx().isSat(F), Tri::True);
+  SolverStats S = SolverContext::defaultCtx().stats();
   EXPECT_GE(S.SatQueries, 2u);
   EXPECT_GE(S.CacheHits, 1u);
-  // The facade and the default context are the same object.
-  EXPECT_EQ(S.SatQueries, SolverContext::defaultCtx().stats().SatQueries);
 }
 
 } // namespace

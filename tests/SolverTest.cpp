@@ -1,7 +1,7 @@
 //===- tests/SolverTest.cpp - Omega test and solver facade -----*- C++ -*-===//
 
 #include "solver/Model.h"
-#include "solver/Solver.h"
+#include "solver/SolverContext.h"
 
 #include <gtest/gtest.h>
 
@@ -174,82 +174,89 @@ TEST(OmegaDropRedundant, RemovesImplied) {
 }
 
 //===----------------------------------------------------------------------===//
-// Solver facade
+// Formula-level queries
 //===----------------------------------------------------------------------===//
 
 TEST(Solver, SatThroughDisjunction) {
+  SolverContext SC;
   Formula F = Formula::disj2(
       Formula::conj2(Formula::cmp(ex(X()), CmpKind::Le, LinExpr(0)),
                      Formula::cmp(ex(X()), CmpKind::Ge, LinExpr(5))),
       Formula::cmp(ex(X()), CmpKind::Eq, LinExpr(7)));
-  EXPECT_EQ(Solver::isSat(F), Tri::True);
+  EXPECT_EQ(SC.isSat(F), Tri::True);
 }
 
 TEST(Solver, UnsatAllBranches) {
+  SolverContext SC;
   Formula F = Formula::conj2(
       Formula::cmp(ex(X()), CmpKind::Ne, LinExpr(0)),
       Formula::conj2(Formula::cmp(ex(X()), CmpKind::Ge, LinExpr(0)),
                      Formula::cmp(ex(X()), CmpKind::Le, LinExpr(0))));
-  EXPECT_EQ(Solver::isSat(F), Tri::False);
+  EXPECT_EQ(SC.isSat(F), Tri::False);
 }
 
 TEST(Solver, Implies) {
+  SolverContext SC;
   Formula A = Formula::conj2(Formula::cmp(ex(X()), CmpKind::Ge, LinExpr(1)),
                              Formula::cmp(ex(Y()), CmpKind::Ge, ex(X())));
   Formula B = Formula::cmp(ex(Y()), CmpKind::Ge, LinExpr(1));
-  EXPECT_EQ(Solver::implies(A, B), Tri::True);
-  EXPECT_EQ(Solver::implies(B, A), Tri::False);
-  EXPECT_TRUE(Solver::entails(A, B));
+  EXPECT_EQ(SC.implies(A, B), Tri::True);
+  EXPECT_EQ(SC.implies(B, A), Tri::False);
+  EXPECT_TRUE(SC.entails(A, B));
 }
 
 TEST(Solver, ImpliesWithNegationAndExists) {
   // x >= 1 implies exists k . x = k + 1 && k >= 0.
+  SolverContext SC;
   VarId K = mkVar("sk");
   Formula A = Formula::cmp(ex(X()), CmpKind::Ge, LinExpr(1));
   Formula B = Formula::exists(
       {K}, Formula::conj2(Formula::cmp(ex(X()), CmpKind::Eq, ex(K) + 1),
                           Formula::cmp(ex(K), CmpKind::Ge, LinExpr(0))));
-  EXPECT_EQ(Solver::implies(A, B), Tri::True);
+  EXPECT_EQ(SC.implies(A, B), Tri::True);
 }
 
 TEST(Solver, EliminateSingleVar) {
   // exists y . x <= y && y <= 10: gives x <= 10.
+  SolverContext SC;
   Formula F = Formula::conj2(Formula::cmp(ex(X()), CmpKind::Le, ex(Y())),
                              Formula::cmp(ex(Y()), CmpKind::Le, LinExpr(10)));
-  Solver::ElimResult R = Solver::eliminate(F, {Y()});
+  SolverContext::ElimResult R = SC.eliminate(F, {Y()});
   EXPECT_TRUE(R.Exact);
-  EXPECT_TRUE(Solver::entails(R.F, Formula::cmp(ex(X()), CmpKind::Le,
-                                                LinExpr(10))));
-  EXPECT_TRUE(Solver::entails(Formula::cmp(ex(X()), CmpKind::Le, LinExpr(10)),
-                              R.F));
+  EXPECT_TRUE(
+      SC.entails(R.F, Formula::cmp(ex(X()), CmpKind::Le, LinExpr(10))));
+  EXPECT_TRUE(
+      SC.entails(Formula::cmp(ex(X()), CmpKind::Le, LinExpr(10)), R.F));
 }
 
 TEST(Solver, SimplifyDropsUnsatDisjunct) {
+  SolverContext SC;
   Formula Dead = Formula::conj2(Formula::cmp(ex(X()), CmpKind::Ge, LinExpr(1)),
                                 Formula::cmp(ex(X()), CmpKind::Le, LinExpr(0)));
   Formula Live = Formula::cmp(ex(X()), CmpKind::Ge, LinExpr(5));
-  Formula S = Solver::simplify(Formula::disj2(Dead, Live));
-  EXPECT_TRUE(S.structEq(Live) || Solver::entails(S, Live));
-  EXPECT_EQ(Solver::isSat(Formula::conj2(S, Formula::neg(Live))), Tri::False);
+  Formula S = SC.simplify(Formula::disj2(Dead, Live));
+  EXPECT_TRUE(S.structEq(Live) || SC.entails(S, Live));
+  EXPECT_EQ(SC.isSat(Formula::conj2(S, Formula::neg(Live))), Tri::False);
 }
 
 TEST(Solver, SimplifyDropsSubsumedDisjunct) {
+  SolverContext SC;
   Formula Narrow = Formula::conj2(
       Formula::cmp(ex(X()), CmpKind::Ge, LinExpr(2)),
       Formula::cmp(ex(X()), CmpKind::Le, LinExpr(3)));
   Formula Wide = Formula::cmp(ex(X()), CmpKind::Ge, LinExpr(0));
-  Formula S = Solver::simplify(Formula::disj2(Narrow, Wide));
+  Formula S = SC.simplify(Formula::disj2(Narrow, Wide));
   // Result must be equivalent to Wide.
-  EXPECT_TRUE(Solver::entails(S, Wide));
-  EXPECT_TRUE(Solver::entails(Wide, S));
+  EXPECT_TRUE(SC.entails(S, Wide));
+  EXPECT_TRUE(SC.entails(Wide, S));
 }
 
 TEST(Solver, StatsCount) {
-  Solver::resetStats();
+  SolverContext SC;
   Formula F = Formula::cmp(ex(X()), CmpKind::Le, LinExpr(0));
-  (void)Solver::isSat(F);
-  (void)Solver::isSat(F);
-  Solver::Stats St = Solver::stats();
+  (void)SC.isSat(F);
+  (void)SC.isSat(F);
+  SolverStats St = SC.stats();
   EXPECT_GE(St.SatQueries, 2u);
   EXPECT_GE(St.CacheHits, 1u);
 }

@@ -3,13 +3,13 @@
 // The spec store subsystem: canonical content hashing (rename
 // invariance, edit sensitivity, transitive-caller invalidation),
 // VarId-free serialization round trips, the SpecStore file format
-// (fingerprint guard, sat snapshot, outcomes digest, atomic save), the
-// pipeline round-trip property (analyze -> save -> reload -> re-analyze
-// is byte-identical with zero inference re-runs), the incremental
-// re-analysis contract (editing one function re-runs only its group
-// and transitive callers — pinned by the store's miss counter), the
-// GlobalSolverCache sat snapshot, server store persistence, and the
-// cooperative budget cancellation token.
+// (fingerprint guard, outcomes digest, atomic save, older layouts),
+// the pipeline round-trip property (analyze -> save -> reload ->
+// re-analyze is byte-identical with zero inference re-runs), saved
+// files as a function of the batch, the incremental re-analysis
+// contract (editing one function re-runs only its group and transitive
+// callers — pinned by the store's miss counter), server store
+// persistence, and the cooperative budget cancellation token.
 //
 //===----------------------------------------------------------------------===//
 
@@ -19,7 +19,6 @@
 #include "lang/Resolve.h"
 #include "lang/Transforms.h"
 #include "solver/Cancellation.h"
-#include "solver/GlobalCache.h"
 #include "store/ContentHash.h"
 #include "store/SpecSerial.h"
 #include "store/SpecStore.h"
@@ -100,15 +99,26 @@ size_t totalGroups(const BatchResult &R) {
   return N;
 }
 
-/// About \p Count programs spread evenly over the whole corpus, so every
-/// category is represented.
-std::vector<BatchItem> corpusSlice(size_t Count) {
-  const std::vector<BenchProgram> &All = corpus();
-  size_t Step = std::max<size_t>(All.size() / Count, 1);
-  std::vector<BatchItem> Items;
-  for (size_t I = 0; I < All.size(); I += Step)
-    Items.push_back({All[I].Name, All[I].Category, All[I].Source, All[I].Entry});
-  return Items;
+std::string readFile(const std::string &Path) {
+  std::ifstream In(Path, std::ios::binary);
+  std::stringstream Buf;
+  Buf << In.rdbuf();
+  return Buf.str();
+}
+
+/// What `hiptnt --batch --store` does: a batch over a fresh store, the
+/// outcomes digest recorded, the store saved to \p Path.
+BatchResult runAndSave(const std::vector<BatchItem> &Items, unsigned Threads,
+                       const std::string &Path) {
+  BatchOptions Opt;
+  Opt.Threads = Threads;
+  SpecStore Store(SpecStore::configFingerprint(Opt.Program));
+  Opt.Store = &Store;
+  BatchResult R = BatchAnalyzer(Opt).run(Items);
+  Store.setOutcomesDigest(Items.size(), SpecStore::fnv1a(R.renderOutcomes()));
+  std::string Err;
+  EXPECT_TRUE(Store.save(Path, &Err)) << Err;
+  return R;
 }
 
 } // namespace
@@ -519,7 +529,6 @@ TEST(SpecStore, SaveLoadRoundTripAndFingerprint) {
     S.insert("key1", "{\"v\":1,\"sc\":[]}");
     S.insert("key2", "{\"v\":1,\"sc\":[],\"b\":true}");
     S.insert("key1", "{\"ignored\":true}"); // First writer wins.
-    S.setSatSnapshot({{"l-1;x*1", Tri::True}, {"e0;y*2", Tri::False}});
     S.setOutcomesDigest(7, 0xdeadbeefcafe1234ull);
     std::string Err;
     ASSERT_TRUE(S.save(File.Path, &Err)) << Err;
@@ -534,10 +543,6 @@ TEST(SpecStore, SaveLoadRoundTripAndFingerprint) {
     ASSERT_NE(S.peek("key1"), nullptr);
     // The entry body round-trips byte-exactly (raw number lexemes).
     EXPECT_EQ(*S.peek("key1"), "{\"v\":1,\"sc\":[]}");
-    auto Snap = S.satSnapshot();
-    ASSERT_EQ(Snap.size(), 2u);
-    EXPECT_EQ(Snap[0].first, "l-1;x*1");
-    EXPECT_EQ(Snap[0].second, Tri::True);
     uint64_t Count = 0, Hash = 0;
     ASSERT_TRUE(S.outcomesDigest(Count, Hash));
     EXPECT_EQ(Count, 7u);
@@ -683,44 +688,48 @@ TEST(SpecStore, FingerprintBumpDiscardsStaleFiles) {
 }
 
 TEST(SpecStore, OlderLayoutLemmaSectionIsIgnored) {
-  // A current-fingerprint file written by a build that still had the
-  // unsat-core lemma tier: same layout plus a "solver_lemmas" section.
-  // Warm stores must survive the upgrade without a fingerprint bump —
-  // groups and sat entries load, the lemma section is dropped, and a
-  // re-save no longer carries it.
-  std::string Fp = SpecStore::configFingerprint(AnalyzerConfig());
-  TempFile File("lemmas");
-  {
-    std::ofstream Out(File.Path);
-    Out << "{\"version\":1,\"fingerprint\":" << json::quoted(Fp)
-        << ",\"groups\":{\"key1\":{\"v\":1,\"sc\":[]}}"
-        << ",\"solver_sat\":[[\"e0;y*2\",\"F\"],[\"l-1;x*1\",\"T\"]]"
-        << ",\"solver_lemmas\":{\"version\":1,\"cores\":"
-        << "[[\"l-3;z*1\",\"l5;z*-1\"]]}"
-        << ",\"outcomes\":{\"count\":3,\"hash\":\"00000000deadbeef\"}}\n";
-  }
-  SpecStore S(Fp);
-  std::string Err;
-  ASSERT_TRUE(S.load(File.Path, &Err)) << Err;
-  EXPECT_FALSE(S.stats().LoadDiscarded);
-  EXPECT_EQ(S.stats().LoadedGroups, 1u);
-  ASSERT_NE(S.peek("key1"), nullptr);
-  EXPECT_EQ(*S.peek("key1"), "{\"v\":1,\"sc\":[]}");
-  auto Snap = S.satSnapshot();
-  ASSERT_EQ(Snap.size(), 2u);
-  EXPECT_EQ(Snap[0], (std::pair<std::string, Tri>{"e0;y*2", Tri::False}));
-  EXPECT_EQ(Snap[1], (std::pair<std::string, Tri>{"l-1;x*1", Tri::True}));
-  uint64_t Count = 0, Hash = 0;
-  ASSERT_TRUE(S.outcomesDigest(Count, Hash));
-  EXPECT_EQ(Count, 3u);
-  EXPECT_EQ(Hash, 0xdeadbeefull);
+  // Current-fingerprint files written by older builds: one with the
+  // sat snapshot of the deleted global solver tier ("solver_sat"), one
+  // that also has the unsat-core lemma tier's "solver_lemmas". Warm
+  // stores must survive the upgrade without a fingerprint bump: every
+  // group loads and replays, the outcomes digest survives, and a
+  // re-save carries neither section.
+  std::vector<BatchItem> Items = {item("chain", ChainSrc)};
+  TempFile Current("layout");
+  const BatchResult Cold = runAndSave(Items, 1, Current.Path);
+  const std::string Text = readFile(Current.Path);
+  const size_t At = Text.find(",\"outcomes\":");
+  ASSERT_NE(At, std::string::npos) << Text;
+  const std::string Sat =
+      ",\"solver_sat\":[[\"e0;y*2\",\"F\"],[\"l-1;x*1\",\"T\"]]";
+  const std::string Lemmas = ",\"solver_lemmas\":{\"version\":1,\"cores\":"
+                             "[[\"l-3;z*1\",\"l5;z*-1\"]]}";
+  for (const std::string &Older : {Sat, Sat + Lemmas}) {
+    SCOPED_TRACE(Older);
+    TempFile File("older");
+    {
+      std::ofstream Out(File.Path, std::ios::binary);
+      Out << Text.substr(0, At) << Older << Text.substr(At);
+    }
+    BatchOptions Opt;
+    SpecStore S(SpecStore::configFingerprint(Opt.Program));
+    std::string Err;
+    ASSERT_TRUE(S.load(File.Path, &Err)) << Err;
+    EXPECT_FALSE(S.stats().LoadDiscarded);
+    EXPECT_EQ(S.stats().LoadedGroups, totalGroups(Cold));
+    uint64_t Count = 0, Hash = 0;
+    ASSERT_TRUE(S.outcomesDigest(Count, Hash));
+    EXPECT_EQ(Hash, SpecStore::fnv1a(Cold.renderOutcomes()));
 
-  ASSERT_TRUE(S.save(File.Path, &Err)) << Err;
-  std::ifstream In(File.Path);
-  std::stringstream Saved;
-  Saved << In.rdbuf();
-  EXPECT_EQ(Saved.str().find("solver_lemmas"), std::string::npos);
-  EXPECT_NE(Saved.str().find("l-1;x*1"), std::string::npos);
+    Opt.Store = &S;
+    BatchResult Warm = BatchAnalyzer(Opt).run(Items);
+    EXPECT_EQ(Warm.StoreMisses, 0u);
+    EXPECT_EQ(Warm.StoreHits, totalGroups(Warm));
+    EXPECT_EQ(Warm.renderOutcomes(), Cold.renderOutcomes());
+
+    ASSERT_TRUE(S.save(File.Path, &Err)) << Err;
+    EXPECT_EQ(readFile(File.Path), Text);
+  }
 }
 
 //===----------------------------------------------------------------------===//
@@ -778,6 +787,21 @@ TEST(StoreRoundTrip, CorpusReplayIsByteIdenticalWithZeroReRuns) {
     Opt.Threads = 1;
     BatchAnalyzer BA1(Opt);
     EXPECT_EQ(BA1.run(Items).renderOutcomes(), Cold);
+  }
+}
+
+TEST(StoreRoundTrip, SavedFileIsAFunctionOfTheBatch) {
+  // The bytes of a saved store depend on the batch alone: the full
+  // corpus saved once at 1 thread and five times at 4 threads gives
+  // one file every time, whatever the schedule did.
+  std::vector<BatchItem> Items = corpusBatchItems();
+  TempFile File("function");
+  runAndSave(Items, 1, File.Path);
+  const std::string Serial = readFile(File.Path);
+  ASSERT_FALSE(Serial.empty());
+  for (int Run = 0; Run < 5; ++Run) {
+    runAndSave(Items, 4, File.Path);
+    EXPECT_EQ(readFile(File.Path), Serial) << "4-thread run " << Run;
   }
 }
 
@@ -914,95 +938,6 @@ TEST(StoreRoundTrip, TermCondSurvivesFreshProcessRehydration) {
 }
 
 //===----------------------------------------------------------------------===//
-// GlobalSolverCache sat snapshot
-//===----------------------------------------------------------------------===//
-
-TEST(SatSnapshot, ExportImportServesWarmStarts) {
-  ConstraintConj Conj = {Constraint::make(LinExpr::var(mkVar("snap_x")),
-                                          CmpKind::Ge, LinExpr(3))};
-  GlobalSolverCache Producer;
-  {
-    SolverContext Ctx;
-    Ctx.attachGlobalTier(&Producer);
-    EXPECT_EQ(Ctx.isSatConj(Conj), Tri::True);
-    Ctx.promoteTo(Producer);
-  }
-  std::vector<std::pair<std::string, Tri>> Snap =
-      Producer.exportSatSnapshot();
-  ASSERT_EQ(Snap.size(), 1u);
-  // Name-canonical key: no VarIds, spelling-sorted terms.
-  EXPECT_NE(Snap[0].first.find("snap_x"), std::string::npos);
-  EXPECT_EQ(Snap[0].second, Tri::True);
-
-  // A fresh tier warm-started from the snapshot answers the query
-  // without an Omega run, and the hit is fuel-transparent (counted as
-  // a global tier hit).
-  GlobalSolverCache Consumer;
-  Consumer.importSatSnapshot(Snap);
-  EXPECT_EQ(Consumer.stats().SatSnapshotEntries, 1u);
-  SolverContext Ctx;
-  Ctx.attachGlobalTier(&Consumer);
-  EXPECT_EQ(Ctx.isSatConj(Conj), Tri::True);
-  SolverStats S = Ctx.stats();
-  EXPECT_EQ(S.GlobalSatHits, 1u);
-  EXPECT_EQ(S.fuelUsed(), 0u);
-  EXPECT_EQ(Consumer.stats().SatSnapshotHits, 1u);
-
-  // Re-export includes unconsumed snapshot entries: a save after a
-  // partial warm run never drops still-valid answers.
-  GlobalSolverCache Idle;
-  Idle.importSatSnapshot(Snap);
-  EXPECT_EQ(Idle.exportSatSnapshot(), Snap);
-}
-
-TEST(SatSnapshot, CanonKeyIsIdAgnostic) {
-  // Same conjunction built from differently ordered interning must
-  // canonicalize identically (keys are spelling-sorted).
-  ConstraintConj C1 = {
-      Constraint::make(LinExpr::var(mkVar("ck_a")) + LinExpr::var(mkVar("ck_b")),
-                       CmpKind::Le, LinExpr(4)),
-      Constraint::make(LinExpr::var(mkVar("ck_c")), CmpKind::Eq, LinExpr(0))};
-  ConstraintConj C2 = {C1[1], C1[0]}; // Permuted conjunction order.
-  EXPECT_EQ(GlobalSolverCache::satKeyCanon(internConj(C1)),
-            GlobalSolverCache::satKeyCanon(internConj(C2)));
-}
-
-TEST(SatSnapshot, BatchByteIdenticalAcrossThreadsAndWarmth) {
-  // Whole batches warm-started from exportSatSnapshot: a cold
-  // single-thread run is the baseline and produces the snapshot; every
-  // thread count, cold and warm, must render the same outcome bytes.
-  std::vector<BatchItem> Items = corpusSlice(20);
-  std::string Base;
-  std::vector<std::pair<std::string, Tri>> Snap;
-  {
-    BatchOptions Opt;
-    Opt.Threads = 1;
-    BatchAnalyzer BA(Opt);
-    Base = BA.run(Items).renderOutcomes();
-    Snap = BA.globalTier()->exportSatSnapshot();
-  }
-  ASSERT_FALSE(Base.empty());
-  ASSERT_FALSE(Snap.empty());
-
-  for (unsigned Threads : {1u, 2u, 4u, 8u}) {
-    for (bool Warm : {false, true}) {
-      if (Threads == 1 && !Warm)
-        continue; // The baseline itself.
-      BatchOptions Opt;
-      Opt.Threads = Threads;
-      BatchAnalyzer BA(Opt);
-      if (Warm)
-        BA.globalTier()->importSatSnapshot(Snap);
-      BatchResult R = BA.run(Items);
-      EXPECT_EQ(Base, R.renderOutcomes())
-          << "threads=" << Threads << " warm=" << Warm;
-      EXPECT_EQ(R.Global.SatSnapshotHits > 0, Warm)
-          << "threads=" << Threads << " warm=" << Warm;
-    }
-  }
-}
-
-//===----------------------------------------------------------------------===//
 // Server persistence
 //===----------------------------------------------------------------------===//
 
@@ -1051,7 +986,7 @@ TEST(ServerStore, DefaultStoreInfersEachKeyOnce) {
     Groups += Keys.size();
     Distinct.insert(Keys.begin(), Keys.end());
     RequestOutcome Fresh =
-        runProgramRequest(Sources[I], "main", ServerOptions().Program, nullptr);
+        runProgramRequest(Sources[I], "main", ServerOptions().Program);
     ASSERT_FALSE(Fresh.Failed) << Items[I % Items.size()].Name;
     Expected.push_back("{\"id\":" + std::to_string(I) + "," + Fresh.Body +
                        "}");
@@ -1139,27 +1074,6 @@ TEST(Cancellation, TokenFlipsExactlyPastBudget) {
   T.charge();
   EXPECT_TRUE(T.cancelled());
   EXPECT_EQ(T.charged(), 4u);
-}
-
-TEST(Cancellation, SolverContextChargesAnswersNotTierHits) {
-  ConstraintConj Conj = {Constraint::make(LinExpr::var(mkVar("cc_x")),
-                                          CmpKind::Ge, LinExpr(1))};
-  GlobalSolverCache Tier;
-  {
-    SolverContext Payer;
-    Payer.attachGlobalTier(&Tier);
-    (void)Payer.isSatConj(Conj);
-    Payer.promoteTo(Tier);
-  }
-  CancellationToken T(100);
-  SolverContext Ctx;
-  Ctx.attachGlobalTier(&Tier);
-  Ctx.attachCancellation(&T);
-  (void)Ctx.isSatConj(Conj); // Tier answers: not charged.
-  EXPECT_EQ(T.charged(), 0u);
-  (void)Ctx.isSatConj(Conj); // Local cache hit: charged.
-  EXPECT_EQ(T.charged(), 1u);
-  EXPECT_FALSE(Ctx.cancelled());
 }
 
 TEST(Cancellation, SerialBudgetCutoffIsDeterministic) {

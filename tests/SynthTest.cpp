@@ -1,6 +1,5 @@
 //===- tests/SynthTest.cpp - Farkas / ranking / abduction ------*- C++ -*-===//
 
-#include "solver/Solver.h"
 #include "solver/SolverContext.h"
 #include "synth/Abduction.h"
 #include "synth/Farkas.h"
@@ -314,6 +313,7 @@ TEST(Abduction, PaperFooExample) {
   // ctx: x >= 0 && x' = x + y && y' = y; target: x' >= 0.
   // The paper's engine discovers y >= 0 (one variable), better than the
   // trivial x + y >= 0 (two variables).
+  SolverContext SC;
   VarId X = mkVar("abx"), Y = mkVar("aby");
   VarId XP = mkVar("abx'"), YP = mkVar("aby'");
   ConstraintConj Ctx = {ge(ex(X), LinExpr(0)), eq(ex(XP), ex(X) + ex(Y)),
@@ -327,7 +327,7 @@ TEST(Abduction, PaperFooExample) {
   // Check it really works: ctx && alpha ==> target.
   Formula Strengthened = Formula::conj2(conjToFormula(Ctx),
                                         Formula::atom(R.Alpha));
-  EXPECT_TRUE(Solver::entails(Strengthened, conjToFormula(Target)));
+  EXPECT_TRUE(SC.entails(Strengthened, conjToFormula(Target)));
 }
 
 TEST(Abduction, AlreadyImpliedNeedsNothing) {
@@ -352,6 +352,7 @@ TEST(Abduction, RejectsContradictoryTarget) {
 
 TEST(Abduction, TwoVariableCondition) {
   // ctx: x' = x - y; target: x' >= 1. Needs x - y >= 1: two variables.
+  SolverContext SC;
   VarId X = mkVar("abx"), Y = mkVar("aby"), XP = mkVar("abx'");
   ConstraintConj Ctx = {eq(ex(XP), ex(X) - ex(Y))};
   ConstraintConj Target = {ge(ex(XP), LinExpr(1))};
@@ -361,8 +362,8 @@ TEST(Abduction, TwoVariableCondition) {
   EXPECT_NE(R.Alpha.expr().coeff(Y), 0);
   Formula Strengthened =
       Formula::conj2(conjToFormula(Ctx), Formula::atom(R.Alpha));
-  EXPECT_TRUE(Solver::entails(Strengthened, conjToFormula(Target)));
-  EXPECT_TRUE(Solver::definitelySat(Strengthened));
+  EXPECT_TRUE(SC.entails(Strengthened, conjToFormula(Target)));
+  EXPECT_TRUE(SC.definitelySat(Strengthened));
 }
 
 TEST(Abduction, ConstantOnlyCondition) {
@@ -380,14 +381,15 @@ TEST(Abduction, EmptyAntecedent) {
   // projected away entirely). An empty conjunction is "true": alpha
   // alone must establish the target, so abduction reduces to "is the
   // target itself expressible over the candidate variables".
+  SolverContext SC;
   VarId X = mkVar("abx");
   ConstraintConj Ctx = {};
   ConstraintConj Target = {ge(ex(X), LinExpr(0))};
   AbductionResult R = abduce(Ctx, Target, {X});
   ASSERT_TRUE(R.Success);
   Formula Strengthened = Formula::atom(R.Alpha);
-  EXPECT_TRUE(Solver::entails(Strengthened, conjToFormula(Target)));
-  EXPECT_TRUE(Solver::definitelySat(Strengthened));
+  EXPECT_TRUE(SC.entails(Strengthened, conjToFormula(Target)));
+  EXPECT_TRUE(SC.definitelySat(Strengthened));
 }
 
 TEST(Abduction, ContradictoryCaseSplits) {
@@ -409,6 +411,7 @@ TEST(Abduction, Int64ExtremeCoefficients) {
   // overflow-aware implementation may fail the query, but a returned
   // alpha must genuinely strengthen ctx to the target and stay
   // satisfiable with it.
+  SolverContext SC;
   const int64_t Big = int64_t(1) << 62;
   VarId X = mkVar("abx"), XP = mkVar("abx'");
   {
@@ -419,8 +422,8 @@ TEST(Abduction, Int64ExtremeCoefficients) {
     if (R.Success) {
       Formula Strengthened =
           Formula::conj2(conjToFormula(Ctx), Formula::atom(R.Alpha));
-      EXPECT_TRUE(Solver::entails(Strengthened, conjToFormula(Target)));
-      EXPECT_TRUE(Solver::definitelySat(Strengthened));
+      EXPECT_TRUE(SC.entails(Strengthened, conjToFormula(Target)));
+      EXPECT_TRUE(SC.definitelySat(Strengthened));
     }
   }
   {
@@ -432,8 +435,8 @@ TEST(Abduction, Int64ExtremeCoefficients) {
     if (R.Success) {
       Formula Strengthened =
           Formula::conj2(conjToFormula(Ctx), Formula::atom(R.Alpha));
-      EXPECT_TRUE(Solver::entails(Strengthened, conjToFormula(Target)));
-      EXPECT_TRUE(Solver::definitelySat(Strengthened));
+      EXPECT_TRUE(SC.entails(Strengthened, conjToFormula(Target)));
+      EXPECT_TRUE(SC.definitelySat(Strengthened));
     }
   }
   {
@@ -449,6 +452,7 @@ TEST(Abduction, Int64ExtremeCoefficients) {
 TEST(Abduction, EqualityTarget) {
   // ctx: x' = x + y && y <= 0; target: x' = x. One direction follows
   // from y <= 0; the other needs the abduced y >= 0 (jointly y = 0).
+  SolverContext SC;
   VarId X = mkVar("abx"), Y = mkVar("aby"), XP = mkVar("abx'");
   ConstraintConj Ctx = {eq(ex(XP), ex(X) + ex(Y)), le(ex(Y), LinExpr(0))};
   ConstraintConj Target = {eq(ex(XP), ex(X))};
@@ -456,6 +460,6 @@ TEST(Abduction, EqualityTarget) {
   ASSERT_TRUE(R.Success);
   Formula Strengthened =
       Formula::conj2(conjToFormula(Ctx), Formula::atom(R.Alpha));
-  EXPECT_TRUE(Solver::entails(Strengthened, conjToFormula(Target)));
-  EXPECT_TRUE(Solver::definitelySat(Strengthened));
+  EXPECT_TRUE(SC.entails(Strengthened, conjToFormula(Target)));
+  EXPECT_TRUE(SC.definitelySat(Strengthened));
 }

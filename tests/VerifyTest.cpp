@@ -3,7 +3,7 @@
 #include "lang/Parser.h"
 #include "lang/Resolve.h"
 #include "lang/Transforms.h"
-#include "solver/Solver.h"
+#include "solver/SolverContext.h"
 #include "verify/Verifier.h"
 
 #include <gtest/gtest.h>
@@ -44,6 +44,7 @@ void foo(int x, int y)
 } // namespace
 
 TEST(Verify, FooAssumptionShapes) {
+  SolverContext SC;
   Pipeline PL(FooSrc);
   auto Rs = PL.V->runGroup({"foo"});
   ASSERT_EQ(Rs.size(), 1u);
@@ -57,13 +58,13 @@ TEST(Verify, FooAssumptionShapes) {
   // The recursive context entails x >= 0.
   Formula XGe0 =
       Formula::cmp(LinExpr::var(mkVar("x")), CmpKind::Ge, LinExpr(0));
-  EXPECT_TRUE(Solver::entails(A.S[0].Ctx, XGe0));
+  EXPECT_TRUE(SC.entails(A.S[0].Ctx, XGe0));
   // Arguments are (x + y, y) over the canonical parameters.
   ASSERT_EQ(A.S[0].DstArgs.size(), 2u);
   Formula ArgIsSum = Formula::cmp(
       A.S[0].DstArgs[0], CmpKind::Eq,
       LinExpr::var(mkVar("x")) + LinExpr::var(mkVar("y")));
-  EXPECT_TRUE(Solver::entails(A.S[0].Ctx, ArgIsSum));
+  EXPECT_TRUE(SC.entails(A.S[0].Ctx, ArgIsSum));
   // One exit is the base case (no items), the other carries the callee
   // post item.
   bool SawBase = false, SawRec = false;
@@ -72,7 +73,7 @@ TEST(Verify, FooAssumptionShapes) {
       SawBase = true;
       Formula XNeg =
           Formula::cmp(LinExpr::var(mkVar("x")), CmpKind::Lt, LinExpr(0));
-      EXPECT_TRUE(Solver::entails(T.Ctx, XNeg));
+      EXPECT_TRUE(SC.entails(T.Ctx, XNeg));
     } else {
       SawRec = true;
       ASSERT_EQ(T.Items.size(), 1u);
@@ -156,6 +157,7 @@ void m() { lp(1); }
 }
 
 TEST(Verify, RefParamPostApplied) {
+  SolverContext SC;
   Pipeline PL(R"(
 void bump(ref int x)
   requires true & Term ensures x' = x + 1;
@@ -172,7 +174,7 @@ void m(int a)
   // At the exit, a == 1 must be derivable from the callee's post.
   const PostAssume &T = Rs[0].Assumptions.T[0];
   // Find m's exit context and check it has a variable constrained to 1.
-  EXPECT_NE(Solver::isSat(T.Ctx), Tri::False);
+  EXPECT_NE(SC.isSat(T.Ctx), Tri::False);
 }
 
 TEST(Verify, NondetBranchesTagged) {

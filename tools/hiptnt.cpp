@@ -6,11 +6,11 @@
 //
 // Batch mode:
 //   hiptnt --batch <dir|@corpus[:N]|@fig11> [--threads <n>]
-//          [--no-global-tier] [--stats] [--outcomes]
+//          [--stats] [--outcomes]
 //          [--monolithic] [--no-abduction] [--cond-term] [--entry <name>]
 //
 // Server mode:
-//   hiptnt --serve [--no-global-tier] [--reclaim-every <n>]
+//   hiptnt --serve [--reclaim-every <n>]
 //   hiptnt --serve-socket <path> [--serve-workers <n>] [--serve-queue <n>]
 //   hiptnt --serve-smoke <n>
 //
@@ -22,11 +22,11 @@
 // the entry method's whole-program verdict. Batch mode analyzes a
 // whole corpus — every .t/.tnt file of a directory, the built-in benchmark
 // corpus (@corpus, optionally sliced to its first N programs), or the
-// Fig. 11 loop-based set (@fig11) — over a shared work-stealing pool
-// with the two-tier solver cache, and prints the per-category
+// Fig. 11 loop-based set (@fig11) — over a shared work-stealing pool,
+// inferring each content key once, and prints the per-category
 // Fig. 10/11-style outcome table (plus a soundness check against
 // ground truth for the built-in corpora). Server mode runs the one
-// analysis server (api/AnalysisServer.h: protocol, warm tier,
+// analysis server (api/AnalysisServer.h: protocol, spec store,
 // per-request intern reclamation) over a transport: --serve reads
 // newline-delimited JSON requests on stdin and answers one line each,
 // in request order; --serve-socket serves many clients on a
@@ -103,8 +103,6 @@ void printUsage(std::ostream &OS) {
         "                        column to the batch table\n"
         "  --threads <n>         worker threads for batch group "
         "scheduling\n"
-        "  --no-global-tier      disable the shared global solver cache "
-        "tier (batch/serve)\n"
         "  --stats               print solver/cache/store statistics\n"
         "  --outcomes            print every program's rendered summary "
         "(batch)\n"
@@ -118,7 +116,7 @@ void printUsage(std::ostream &OS) {
         "(batch)\n"
         "  --profile             batch mode: print the top-20 slowest "
         "groups with their\n"
-        "                        solver query counts and tier/store "
+        "                        solver query counts and store "
         "attribution\n"
         "  --trace-out <file>    write a Chrome trace-event JSON file "
         "(Perfetto-loadable)\n"
@@ -236,7 +234,7 @@ bool batchItems(const std::string &Target, const std::string &Entry,
 }
 
 int runBatch(const std::string &Target, const AnalyzerConfig &Cli,
-             const std::string &Entry, bool GlobalTier, bool ShowStats,
+             const std::string &Entry, bool ShowStats,
              bool ShowOutcomes, const std::string &StorePath,
              bool ExpectStoreHits, bool Profile) {
   std::vector<BatchItem> Items;
@@ -250,7 +248,6 @@ int runBatch(const std::string &Target, const AnalyzerConfig &Cli,
 
   BatchOptions Opt;
   Opt.Threads = Cli.Threads == 0 ? 1 : Cli.Threads;
-  Opt.GlobalTier = GlobalTier;
   // Honor the per-program CLI knobs on top of the batch defaults
   // (deadline-free, tightened group fuel — see batchProgramConfig).
   Opt.Program.Modular = Cli.Modular;
@@ -258,9 +255,9 @@ int runBatch(const std::string &Target, const AnalyzerConfig &Cli,
   Opt.Program.Solve.EnableCondTerm = Cli.Solve.EnableCondTerm;
   Opt.Profile = Profile;
 
-  // Persistent spec store: load (or cold-start) the file, remember the
-  // previous run's outcomes digest for the --expect-store-hits replay
-  // check, and warm the solver tier from the sat snapshot.
+  // Persistent spec store: load (or cold-start) the file and remember
+  // the previous run's outcomes digest for the --expect-store-hits
+  // replay check.
   std::unique_ptr<SpecStore> Store;
   uint64_t PrevCount = 0, PrevHash = 0;
   bool HavePrevDigest = false;
@@ -276,15 +273,12 @@ int runBatch(const std::string &Target, const AnalyzerConfig &Cli,
     Opt.Store = Store.get();
   }
   BatchAnalyzer BA(Opt);
-  if (Store && BA.globalTier() != nullptr)
-    BA.globalTier()->importSatSnapshot(Store->satSnapshot());
   BatchResult R = BA.run(Items);
 
   if (ShowOutcomes)
     std::cout << R.renderOutcomes();
   std::cout << "Batch: " << Items.size() << " programs, " << R.Threads
-            << " thread(s), global tier "
-            << (R.GlobalTierEnabled ? "on" : "off") << "\n\n";
+            << " thread(s)\n\n";
   std::cout << R.table();
 
   unsigned Unsound = 0, Failed = 0;
@@ -314,9 +308,9 @@ int runBatch(const std::string &Target, const AnalyzerConfig &Cli,
   if (ShowStats) {
     // Groups that ran inference vs. replayed an entry (stored, or
     // inserted earlier in this run — so also without --store), then the
-    // per-tier breakdown: the local (per-context LRU) tier, the shared
-    // global tier split by cache generation, and the intern-table
-    // footprint — the counters a soak regression shows up in first.
+    // solver counters summed over every context (per-context LRU and
+    // DNF memo, LP, interval prefilter) and the intern-table footprint
+    // — the counters a soak regression shows up in first.
     std::cout << "groups: inferred=" << R.StoreMisses
               << " replayed=" << R.StoreHits << "\n";
     const SolverStats &S = R.Usage;
@@ -329,21 +323,6 @@ int runBatch(const std::string &Target, const AnalyzerConfig &Cli,
     std::cout << "local dnf memo: queries=" << S.DnfQueries
               << " hits=" << S.DnfHits << " misses=" << S.DnfMisses
               << " hit_rate=" << rate(S.DnfHits, S.DnfMisses) << "\n";
-    if (R.GlobalTierEnabled) {
-      const GlobalCacheStats &G = R.Global;
-      std::cout << "global tier (sat): entries=" << G.SatEntries << "+"
-                << G.SatPrevEntries << "prev lookups=" << G.SatLookups
-                << " hits=" << G.SatHits << " (prev " << G.SatPrevHits
-                << ") misses=" << (G.SatLookups - G.SatHits)
-                << " hit_rate=" << G.satHitRate()
-                << " rotations=" << G.SatRotations << "\n";
-      std::cout << "global tier (dnf): entries=" << G.DnfEntries << "+"
-                << G.DnfPrevEntries << "prev lookups=" << G.DnfLookups
-                << " hits=" << G.DnfHits << " (prev " << G.DnfPrevHits
-                << ") misses=" << (G.DnfLookups - G.DnfHits)
-                << " hit_rate=" << G.dnfHitRate()
-                << " rotations=" << G.DnfRotations << "\n";
-    }
     std::cout << "ladder: interval_unsat=" << S.IntervalUnsat
               << " interval_sat=" << S.IntervalSat << "\n";
     ArithIntern &I = ArithIntern::global();
@@ -354,8 +333,8 @@ int runBatch(const std::string &Target, const AnalyzerConfig &Cli,
   }
   unsigned StoreFailures = 0;
   if (Store) {
-    // Replay / persistence epilogue: record this run's outcomes digest
-    // and the tier's sat entries, then publish atomically.
+    // Replay / persistence epilogue: record this run's outcomes digest,
+    // then publish atomically.
     std::string Rendered = R.renderOutcomes();
     uint64_t Hash = SpecStore::fnv1a(Rendered);
     if (ExpectStoreHits) {
@@ -380,8 +359,6 @@ int runBatch(const std::string &Target, const AnalyzerConfig &Cli,
       }
     }
     Store->setOutcomesDigest(Items.size(), Hash);
-    if (BA.globalTier() != nullptr)
-      Store->setSatSnapshot(BA.globalTier()->exportSatSnapshot());
     std::string Err;
     if (!Store->save(StorePath, &Err)) {
       std::cerr << Err << "\n";
@@ -392,7 +369,6 @@ int runBatch(const std::string &Target, const AnalyzerConfig &Cli,
       std::cout << "spec store: entries=" << SS.Entries
                 << " loaded=" << SS.LoadedGroups << " hits=" << SS.Hits
                 << " misses=" << SS.Misses << " inserts=" << SS.Inserts
-                << " sat_snapshot=" << SS.SatSnapshotEntries
                 << (SS.LoadDiscarded ? " (stale file discarded)" : "")
                 << "\n";
     }
@@ -423,12 +399,6 @@ int runServeSmoke(unsigned N) {
   // below is the footprint right after a reclaim, not a mid-epoch mix
   // of retained terms and garbage that depends on the schedule.
   SO.ReclaimEvery = 2 * Clients;
-  // Tiny tier: rotation (which bounds the retained root set) and
-  // reclamation both reach steady state within a short run — the
-  // bounded-arena fence below only makes sense past the warmup in
-  // which the tier legitimately fills.
-  SO.GlobalSatCapacity = 1u << 9;
-  SO.GlobalDnfCapacity = 1u << 6;
 
   std::vector<BatchItem> Items = corpusBatchItems(20);
   std::vector<std::string> Sources(N), Responses(N);
@@ -465,7 +435,7 @@ int runServeSmoke(unsigned N) {
   unsigned Failures = 0;
   for (unsigned Idx = 0; Idx < N; ++Idx) {
     RequestOutcome Fresh =
-        runProgramRequest(Sources[Idx], "main", SO.Program, nullptr);
+        runProgramRequest(Sources[Idx], "main", SO.Program);
     if (Fresh.Failed || Responses[Idx] != "{\"id\":" + std::to_string(Idx) +
                                               "," + Fresh.Body + "}") {
       std::cerr << "response " << Idx
@@ -480,7 +450,6 @@ int runServeSmoke(unsigned N) {
             << " ok responses, " << Clients << " clients, reclaims="
             << S.Reclaims << " last_dropped=" << S.LastReclaim.dropped()
             << " shed=" << Server.shedCount()
-            << " sat_rotations=" << S.Global.SatRotations
             << " arena_bytes=" << S.InternArenaBytes
             << " store_hits=" << S.StoreHits
             << " store_misses=" << S.StoreMisses << "\n";
@@ -516,7 +485,7 @@ int runServeSmoke(unsigned N) {
   auto bounded = [&](const std::vector<size_t> &Samples, const char *What) {
     if (Samples.size() < SoakMinSamples || soakSamplesBounded(Samples))
       return;
-    std::cerr << What << " kept growing after tier warmup: ";
+    std::cerr << What << " kept growing after warmup: ";
     for (size_t V : Samples)
       std::cerr << V << " ";
     std::cerr << "\n";
@@ -532,8 +501,7 @@ int runServeSmoke(unsigned N) {
 int main(int Argc, char **Argv) {
   std::string Path, Entry = "main", BatchTarget, StorePath, ServeSocket,
       TraceOut;
-  bool ShowStats = false, Batch = false, GlobalTier = true,
-       ShowOutcomes = false, Serve = false, ExpectStoreHits = false,
+  bool ShowStats = false, Batch = false, ShowOutcomes = false, Serve = false, ExpectStoreHits = false,
        Profile = false;
   unsigned ServeSmoke = 0, ReclaimEvery = 64,
            ServeWorkers = 4, ServeQueue = 64;
@@ -631,8 +599,6 @@ int main(int Argc, char **Argv) {
       }
       TraceOut = Argv[++I];
     }
-    else if (Arg == "--no-global-tier")
-      GlobalTier = false;
     else if (Arg == "--outcomes")
       ShowOutcomes = true;
     else if (Arg == "--threads") {
@@ -693,7 +659,6 @@ int main(int Argc, char **Argv) {
     return Finish(runServeSmoke(ServeSmoke));
   if (Serve || !ServeSocket.empty()) {
     ServerOptions SO;
-    SO.GlobalTier = GlobalTier;
     SO.ReclaimEvery = ReclaimEvery;
     SO.Program.Modular = Config.Modular;
     SO.Program.Solve.EnableAbduction = Config.Solve.EnableAbduction;
@@ -713,9 +678,8 @@ int main(int Argc, char **Argv) {
     return Finish(RC);
   }
   if (Batch)
-    return Finish(runBatch(BatchTarget, Config, Entry, GlobalTier, ShowStats,
-                           ShowOutcomes, StorePath, ExpectStoreHits,
-                           Profile));
+    return Finish(runBatch(BatchTarget, Config, Entry, ShowStats, ShowOutcomes,
+                           StorePath, ExpectStoreHits, Profile));
   if (Path.empty())
     return usage();
 
@@ -727,8 +691,7 @@ int main(int Argc, char **Argv) {
   std::stringstream Buf;
   Buf << In.rdbuf();
 
-  // Single-program spec store: summaries persist across invocations
-  // (no solver tier in this mode, so no sat snapshot to warm).
+  // Single-program spec store: summaries persist across invocations.
   std::unique_ptr<SpecStore> Store;
   if (!StorePath.empty()) {
     Store =
