@@ -168,7 +168,6 @@ RequestOutcome tnt::runProgramRequest(const std::string &Source,
   // G+1, bottom-up group order — so the response is byte-identical to a
   // fresh single-program run.
   std::unique_ptr<PreparedProgram> PP = prepareProgram(Source, Config);
-  prescanSpecStore(*PP, Config);
   AnalysisResult R;
   if (!PP->Ok) {
     R = finalizeProgram(*PP, {}, Config);
@@ -176,8 +175,7 @@ RequestOutcome tnt::runProgramRequest(const std::string &Source,
     const size_t N = PP->Groups.size();
     std::vector<GroupRun> Runs(N);
     for (size_t G = 0; G < N; ++G)
-      Runs[G] =
-          runPipelineGroup(*PP, Config, G, static_cast<uint32_t>(G) + 1);
+      Runs[G] = runPipelineGroup(*PP, Config, G);
     R = finalizeProgram(*PP, std::move(Runs), Config);
   }
   O.Usage = R.SolverUsage;

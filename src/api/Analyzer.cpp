@@ -74,11 +74,8 @@ AnalysisResult tnt::analyzeProgram(const std::string &Source,
                                    const AnalyzerConfig &Config) {
   auto Start = std::chrono::steady_clock::now();
 
-  // Front end + group schedule (pipeline stage 1), on the historical
-  // single-program fresh-variable blocks: root block 0, group G on
-  // block G + 1.
+  // Front end + group schedule (pipeline stage 1).
   std::unique_ptr<PreparedProgram> PP = prepareProgram(Source, Config);
-  prescanSpecStore(*PP, Config);
   if (!PP->Ok) {
     AnalysisResult Result = finalizeProgram(*PP, {}, Config);
     Result.Millis = std::chrono::duration<double, std::milli>(
@@ -89,7 +86,6 @@ AnalysisResult tnt::analyzeProgram(const std::string &Source,
 
   const size_t N = PP->Groups.size();
   std::vector<GroupRun> Runs(N);
-  auto ScopeBlock = [](size_t G) { return static_cast<uint32_t>(G) + 1; };
 
   unsigned Threads = Config.Threads == 0 ? 1 : Config.Threads;
   if (Threads <= 1 || N <= 1) {
@@ -97,7 +93,7 @@ AnalysisResult tnt::analyzeProgram(const std::string &Source,
     // classical regime. Same per-group isolation as the parallel path,
     // so both produce byte-identical results.
     for (size_t G = 0; G < N; ++G)
-      Runs[G] = runPipelineGroup(*PP, Config, G, ScopeBlock(G));
+      Runs[G] = runPipelineGroup(*PP, Config, G);
   } else {
     // Parallel schedule over the SCC-group dependency DAG: a group is
     // ready once every group it calls into has been registered.
@@ -126,7 +122,7 @@ AnalysisResult tnt::analyzeProgram(const std::string &Source,
           G = Ready.front();
           Ready.pop_front();
         }
-        Runs[G] = runPipelineGroup(*PP, Config, G, ScopeBlock(G));
+        Runs[G] = runPipelineGroup(*PP, Config, G);
         {
           std::lock_guard<std::mutex> L(Mu);
           ++Finished;

@@ -79,40 +79,34 @@ BatchResult BatchAnalyzer::run(const std::vector<BatchItem> &Items) {
 
   WorkStealingPool Pool(R.Threads);
 
-  // --- Phase 1: every program's front end and spec-store prescan, one
-  // pool task per program. Each program gets its OWN VarPool::Session
-  // lease (the analysis server's per-request mechanism), owned by its
-  // BatchProgramResult so rendering can re-activate it later. Inside
-  // its session every program uses the single-program block schedule —
-  // root block 0, group G on block G + 1 (prepareProgram's default) —
-  // because sessions are private views: every id and spelling a
-  // program mints, parsed identifiers included, is positional, a
-  // function of that program alone, whichever worker runs it and
-  // whatever runs beside it. That also makes store content keys
-  // (block-qualified) identical across programs with content-identical
-  // same-index groups, so twins share entries; and block overflow,
-  // should a program ever mint ~16k groups, falls back to the
-  // SESSION's id region — still positional, so even the overflow tail
-  // keeps byte-determinism (pinned by VarPoolOverflowTest).
-  // The prescan computes the group keys, interns the spellings of the
-  // entries already stored (session-scoped) and snapshots those
-  // entries (PreparedProgram::StoreEntries).
+  // --- Phase 1: every program's front end, one pool task per program.
+  // Each program gets its OWN VarPool::Session lease (the analysis
+  // server's per-request mechanism), owned by its BatchProgramResult so
+  // rendering can re-activate it later. Inside its session every
+  // program runs VarPool's one block schedule — root block 0, group G
+  // on block G + 1 — because sessions are private views: every id and
+  // spelling a program mints, parsed identifiers included, is
+  // positional, a function of that program alone, whichever worker
+  // runs it and whatever runs beside it. That also makes store content
+  // keys (block-qualified) identical across programs with
+  // content-identical same-index groups, so twins share entries; and
+  // block overflow, should a program ever mint ~16k groups, falls back
+  // to the SESSION's id region — still positional, so even the overflow
+  // tail keeps byte-determinism (pinned by VarPoolOverflowTest).
   std::vector<std::unique_ptr<PreparedProgram>> Prepared(NP);
   for (size_t P = 0; P < NP; ++P)
     Pool.submit([&, P] {
       R.Programs[P].Session = std::make_shared<VarPool::Session>();
       VarPool::SessionScope Active(*R.Programs[P].Session);
       trace::ScopedTag ProgTag("program", Items[P].Name);
-      Prepared[P] = prepareProgram(Items[P].Source, Cfg, 0);
-      prescanSpecStore(*Prepared[P], Cfg);
+      Prepared[P] = prepareProgram(Items[P].Source, Cfg);
     });
-  // The barrier: no group task starts before every prescan is done, so
-  // every prescan sees the store exactly as it was when run() began.
-  // The snapshot, the hit/miss split and which entries count as
-  // mid-run (the own-block rule, singleflight) are then the same at
-  // any thread count; entries the group phase inserts are picked up
-  // from the live store by later groups with the same key (see
-  // runPipelineGroup).
+  // No group task starts before every front end is done. Outputs and
+  // the hit/miss split do not depend on this barrier; it is a
+  // scheduling choice. Letting each front-end task submit its own
+  // ready groups instead lowered store-incremental's req_p50_ms and
+  // peak_rss_mb but raised its cpu_s and req_p99_ms, and fig11-cold's
+  // req_p50_ms (docs/ARCHITECTURE.md "Batch engine").
   Pool.wait();
 
   // --- Phase 2: all programs' group tasks share the pool. A finished
@@ -133,9 +127,10 @@ BatchResult BatchAnalyzer::run(const std::vector<BatchItem> &Items) {
   // cannot answer leads (runs it); later groups with that key park
   // here, holding no worker, until the leader's run returns. The
   // leader then resubmits them: they rehydrate its entry, or, when it
-  // stored nothing (budget cut, deadline bail, fallback ids,
-  // root-block leak), the first of them to run leads in turn. Flights
-  // maps each key being led to the (program, group) pairs parked on it.
+  // stored nothing (budget cut, deadline bail, fallback ids, a fresh
+  // variable in its summaries), the first of them to run leads in
+  // turn. Flights maps each key being led to the (program, group)
+  // pairs parked on it.
   std::mutex FlightMu;
   std::map<std::string, std::vector<std::pair<size_t, size_t>>> Flights;
 
@@ -148,7 +143,7 @@ BatchResult BatchAnalyzer::run(const std::vector<BatchItem> &Items) {
     // lookup and the park.
     const std::string *Leads = nullptr;
     const PreparedProgram &PP = *Prepared[P];
-    if (G < PP.GroupKeys.size() && PP.StoreEntries[G] == nullptr) {
+    if (G < PP.GroupKeys.size()) {
       std::lock_guard<std::mutex> L(FlightMu);
       if (Cfg.Store->peek(PP.GroupKeys[G]) == nullptr) {
         auto [It, First] = Flights.try_emplace(PP.GroupKeys[G]);
@@ -167,8 +162,7 @@ BatchResult BatchAnalyzer::run(const std::vector<BatchItem> &Items) {
       // run them concurrently).
       VarPool::SessionScope Active(*R.Programs[P].Session);
       trace::ScopedTag ProgTag("program", Items[P].Name);
-      Run = runPipelineGroup(*Prepared[P], Cfg, G,
-                             Prepared[P]->GroupBlocks[G]);
+      Run = runPipelineGroup(*Prepared[P], Cfg, G);
     }
     double Ms =
         std::chrono::duration<double, std::milli>(Clock::now() - T0).count();

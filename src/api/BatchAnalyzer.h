@@ -46,18 +46,16 @@
 /// later groups with the key park without holding a worker, and the
 /// leader resubmits them once its run returns, so they rehydrate the
 /// entry it inserted. When the leader stored nothing (budget cut,
-/// fallback ids, root-block leak) the first resubmitted group leads
-/// instead. Entries present when the run starts replay through the
-/// prescan snapshot (PreparedProgram::StoreEntries); every prescan
-/// finishes before the first group task starts, so that snapshot is
-/// the same at any thread count. An entry inserted mid-run replays
-/// only if every fresh spelling it names lies in the consuming group's
-/// own block, which that group interns itself (see
-/// internOwnBlockSpellings). That check reads only the entry and the
-/// block map, and an entry is a pure function of its key, so which
-/// program leads never shows in the rendered outcomes. Which program
-/// pays for a key's solver work does depend on scheduling; with a
-/// nonzero FuelBudget it can move a budget cutoff.
+/// fallback ids, a fresh variable in its summaries) the first
+/// resubmitted group leads instead. Every group looks its key up in
+/// the live store, whether the entry was there when the run started or
+/// a sibling's leader inserted it since; each key is inferred once
+/// either way, so the hit/miss split is the same at any thread count.
+/// An entry is a pure function of its key and names no fresh variable
+/// (store/SpecSerial.h), so which program leads never shows in the
+/// rendered outcomes. Which program pays for a key's solver work does
+/// depend on scheduling; with a nonzero FuelBudget it can move a
+/// budget cutoff.
 ///
 /// Each BatchProgramResult OWNS its session: rendering resolves VarIds
 /// through the session that built the result, so renderOutcomes() (and

@@ -16,17 +16,15 @@
 using namespace tnt;
 
 std::unique_ptr<PreparedProgram>
-tnt::prepareProgram(const std::string &Source, const AnalyzerConfig &Config,
-                    uint32_t RootBlock) {
+tnt::prepareProgram(const std::string &Source, const AnalyzerConfig &Config) {
   trace::Span PrepSpan("prepare", "pipeline");
   auto PP = std::make_unique<PreparedProgram>();
 
   // Deterministic ids/names for everything the front end and the heap
-  // environment create, independent of pool history. Every driver
-  // passes block 0: batch programs and server requests each run in
-  // their own VarPool::Session, so concurrent front ends cannot
-  // interleave allocations.
-  VarPool::Scope RootScope(RootBlock);
+  // environment create, independent of pool history. Batch programs and
+  // server requests each run in their own VarPool::Session, so
+  // concurrent front ends cannot interleave allocations.
+  VarPool::Scope RootScope(VarPool::RootBlock);
   PP->RootCtx = std::make_unique<SolverContext>();
   if (Config.FuelBudget != 0) {
     // The cooperative budget token: charged by every context of this
@@ -96,69 +94,20 @@ tnt::prepareProgram(const std::string &Source, const AnalyzerConfig &Config,
           PP->Deps[G].insert(It->second);
       }
 
-  // The single-program block schedule, which every driver uses
-  // (prescanSpecStore derives the store keys from it).
-  PP->RootBlock = RootBlock;
-  PP->GroupBlocks.resize(PP->Groups.size());
-  for (size_t G = 0; G < PP->Groups.size(); ++G)
-    PP->GroupBlocks[G] = static_cast<uint32_t>(G) + 1;
+  // Content keys — bottom-up, so each key embeds its callee keys, and
+  // block-qualified, so a hit implies the entry's numbering is this
+  // group's numbering (see ContentHash.h).
+  if (Config.Store != nullptr) {
+    trace::Span KeysSpan("keys", "store");
+    PP->GroupKeys = computeGroupKeys(PP->P, PP->Groups);
+  }
 
   PP->Ok = true;
   return PP;
 }
 
-void tnt::prescanSpecStore(PreparedProgram &PP,
-                           const AnalyzerConfig &Config) {
-  if (Config.Store == nullptr || !PP.Ok)
-    return;
-  trace::Span PrescanSpan("prescan", "store");
-  // Content keys — bottom-up, so each key embeds its callee keys, and
-  // block-qualified, so a hit implies the entry's numbering is this
-  // group's numbering (see ContentHash.h).
-  PP.GroupKeys = computeGroupKeys(PP.P, *PP.CG, PP.Groups, PP.Deps,
-                                  PP.GroupBlocks, PP.RootBlock);
-
-  // Block <-> token map: a group's block is named by its content key
-  // plus a duplicate ordinal (content-identical sibling groups get
-  // distinct tokens, so their witnesses never conflate).
-  PP.StoreBlocks = BlockTokenMap();
-  std::map<std::string, unsigned> Dups;
-  for (size_t G = 0; G < PP.GroupKeys.size(); ++G) {
-    std::string Token =
-        PP.GroupKeys[G] + "#" + std::to_string(Dups[PP.GroupKeys[G]]++);
-    PP.StoreBlocks.TokenOf[PP.GroupBlocks[G]] = Token;
-    PP.StoreBlocks.BlockOf[Token] = PP.GroupBlocks[G];
-  }
-
-  // Intern every fresh spelling the hit entries resolve to, HERE,
-  // before any group task of the program starts, in canonical (block,
-  // counter) order. Group tasks may rehydrate concurrently later; by
-  // then every spelling they can touch is a deterministic function of
-  // the program + store content, like the pre-interned "res"/primed
-  // spellings of prepareProgram. The peek results are snapshotted
-  // alongside, so the group phase skips a second lookup. Entries that
-  // arrive later are interned by their consuming group task (see
-  // runPipelineGroup); the prescan stays as a hoist, keeping that
-  // interning out of the timed group tasks when the store is already
-  // populated.
-  PP.StoreEntries.assign(PP.GroupKeys.size(), nullptr);
-  std::vector<std::string> Fresh;
-  for (size_t G = 0; G < PP.GroupKeys.size(); ++G)
-    if (const std::string *Entry = Config.Store->peek(PP.GroupKeys[G])) {
-      PP.StoreEntries[G] = Entry;
-      collectFreshSpellings(*Entry, PP.StoreBlocks, Fresh);
-    }
-  internFreshSpellings(std::move(Fresh));
-}
-
-namespace {
-
-/// The deterministic scenario enumeration of one group — methods in
-/// group order, spec indices ascending — mirroring Verifier::runGroup.
-/// Shared by the store's hit (rehydrate) and miss (serialize) paths so
-/// slot order cannot drift between them.
-std::vector<ScenarioSlot> scenarioSlots(const PreparedProgram &PP,
-                                        size_t GroupIdx) {
+std::vector<ScenarioSlot> tnt::scenarioSlots(const PreparedProgram &PP,
+                                             size_t GroupIdx) {
   std::vector<ScenarioSlot> Slots;
   for (size_t MI = 0; MI < PP.Groups[GroupIdx].size(); ++MI) {
     const MethodDecl *M = PP.P.findMethod(PP.Groups[GroupIdx][MI]);
@@ -177,6 +126,8 @@ std::vector<ScenarioSlot> scenarioSlots(const PreparedProgram &PP,
   }
   return Slots;
 }
+
+namespace {
 
 /// The call-site-resolved view of a finished scenario: the flattened
 /// summary cases over its canonical parameters, degraded to
@@ -254,8 +205,8 @@ void assembleFromStore(PreparedProgram &PP, size_t GroupIdx,
 } // namespace
 
 GroupRun tnt::runPipelineGroup(PreparedProgram &PP,
-                               const AnalyzerConfig &Config, size_t GroupIdx,
-                               uint32_t ScopeBlock) {
+                               const AnalyzerConfig &Config,
+                               size_t GroupIdx) {
   GroupRun Out;
   if (PP.Budget && PP.Budget->cancelled()) {
     // The program-wide budget ran out before this group started;
@@ -269,22 +220,17 @@ GroupRun tnt::runPipelineGroup(PreparedProgram &PP,
 
   // Deterministic fresh-variable block: names and ids depend on the
   // block number and the group's own execution, never on worker
-  // scheduling. Entered before the store path too, so the (rare)
-  // spelling a rehydration interns that the prescan and the front end
-  // did not cover allocates from this group's block rather than the
-  // shared global region.
-  VarPool::Scope FreshScope(ScopeBlock);
+  // scheduling. Entered before the store path too, so a spelling a
+  // rehydration interns that the front end did not cover allocates
+  // from this group's block, where no other task allocates, rather
+  // than from the shared global region.
+  VarPool::Scope FreshScope(VarPool::groupBlock(GroupIdx));
 
   // Spec store, hit path: rehydrate the stored summaries and register
   // them for the callers above — no verification, no inference, no
   // solver context. A malformed or slot-mismatched entry (scheme
-  // drift, key collision) falls through to a normal run. The prescan
-  // snapshot answers first; on its miss the live store does, with an
-  // entry a sibling group inserted mid-run. Such an entry's fresh
-  // spellings were never prescanned, so they are interned here, under
-  // this group's block, and an entry naming a fresh spelling of any
-  // other block counts as a miss: only this task allocates in its own
-  // block, so the interning order cannot depend on scheduling.
+  // drift, key collision, an older build's fresh-variable form) falls
+  // through to a normal run.
   SpecStore *Store = Config.Store;
   const std::string *StoreKey =
       Store != nullptr && GroupIdx < PP.GroupKeys.size()
@@ -292,22 +238,13 @@ GroupRun tnt::runPipelineGroup(PreparedProgram &PP,
           : nullptr;
   trace::ScopedTag KeyTag("group_key",
                           StoreKey != nullptr ? *StoreKey : std::string());
-  if (StoreKey != nullptr)
-    GroupSpan.arg("key", *StoreKey);
   if (StoreKey != nullptr) {
-    const std::string *Entry =
-        GroupIdx < PP.StoreEntries.size() ? PP.StoreEntries[GroupIdx]
-                                          : nullptr;
-    const bool MidRun = Entry == nullptr;
-    if (MidRun)
-      Entry = Store->peek(*StoreKey);
-    if (Entry != nullptr) {
+    GroupSpan.arg("key", *StoreKey);
+    if (const std::string *Entry = Store->peek(*StoreKey)) {
       trace::Span RehydrateSpan("rehydrate", "store");
       std::vector<ScenarioSlot> Slots = scenarioSlots(PP, GroupIdx);
       RehydratedGroup RG;
-      if ((!MidRun || internOwnBlockSpellings(*Entry, PP.StoreBlocks,
-                                              PP.GroupBlocks[GroupIdx])) &&
-          rehydrateGroupEntry(*Entry, Slots, PP.StoreBlocks, RG)) {
+      if (rehydrateGroupEntry(*Entry, Slots, RG)) {
         assembleFromStore(PP, GroupIdx, Slots, std::move(RG), Out);
         Store->noteHit();
         return Out;
@@ -319,8 +256,8 @@ GroupRun tnt::runPipelineGroup(PreparedProgram &PP,
   SolverContext SC;
   if (PP.Budget)
     SC.attachCancellation(PP.Budget.get());
-  // Fallback allocations void the fresh-spelling determinism a stored
-  // entry relies on; sample the counter so such a group is not stored.
+  // Fallback allocations void the block determinism a stored entry
+  // relies on; sample the counter so such a group is not stored.
   // Under a per-request session the SESSION's counter is the right
   // probe: the pool-global one sums every live session, so a sibling
   // request's oversized batch would spuriously veto this group's
@@ -435,13 +372,15 @@ GroupRun tnt::runPipelineGroup(PreparedProgram &PP,
   Out.Diags = VDiags.str();
 
   // Spec store, miss path: persist the group's summaries — but only
-  // when they are a pure function of the key. Three exclusions:
+  // when they are a pure function of the key. Three exclusions here:
   //  * a budget cancellation truncated this group at a point that
   //    depends on program-wide fuel history;
   //  * a wall-clock deadline bail is schedule-dependent (fuel bails
   //    are deterministic and stored — the batch config relies on it);
-  //  * fresh-variable fallback allocations (block overflow) void the
-  //    spelling determinism rehydration depends on.
+  //  * fallback allocations (block overflow) void the block
+  //    determinism of the group's ids.
+  // A fourth is serializeGroupEntry's: summaries naming a fresh
+  // variable are not stored.
   if (StoreKey != nullptr && !(PP.Budget && PP.Budget->cancelled()) &&
       !(Out.Bailed && Config.Solve.GroupDeadlineMs != 0) &&
       FallbackProbe() == FallbacksBefore) {
@@ -466,11 +405,8 @@ GroupRun tnt::runPipelineGroup(PreparedProgram &PP,
           R.TermCond = &Out.Methods[I].Summary.TermCond;
         Records.push_back(std::move(R));
       }
-      // nullopt: the summaries mention a root- or foreign-block
-      // variable, whose allocation counter has no meaning outside this
-      // program's front-end history — such a group is not stored.
       if (std::optional<std::string> Entry = serializeGroupEntry(
-              Records, Out.Diags, Out.Bailed, PP.StoreBlocks, Out.Cond))
+              Records, Out.Diags, Out.Bailed, Out.Cond))
         Store->insert(*StoreKey, std::move(*Entry));
     }
   }

@@ -17,10 +17,20 @@
 ///   finalizeProgram  — deterministic join in group order and budget
 ///                      classification.
 ///
-/// analyzeProgram composes the three over a private thread pool;
+/// Every driver runs the one block schedule of VarPool: the front end
+/// on VarPool::RootBlock, group G on VarPool::groupBlock(G).
+/// analyzeProgram composes the three stages over a private thread pool,
+/// the analysis server runs them serially per request, and
 /// BatchAnalyzer schedules many programs' front ends and group tasks on
 /// one shared work-stealing pool, each program in its own
 /// VarPool::Session so concurrently active scopes never collide.
+///
+/// With a spec store attached (Config.Store), prepareProgram also
+/// computes the groups' content keys, and each group task looks its key
+/// up in the live store: a hit rehydrates the stored summaries, a miss
+/// runs inference and stores the result unless it depends on more than
+/// the key (a budget cut, a deadline bail, fallback ids) or names a
+/// fresh variable (see store/SpecSerial.h).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -85,32 +95,6 @@ struct PreparedProgram {
   /// is exactly the store's invalidation rule.
   std::vector<std::string> GroupKeys;
 
-  /// The fresh-variable block schedule this program's groups will run
-  /// under. prepareProgram fills the single-program default (root
-  /// block = the RootBlock argument, group G on block G + 1), which
-  /// BatchAnalyzer keeps too: each of its programs runs in a private
-  /// VarPool::Session. The spec store serializes fresh variables
-  /// relative to these blocks (by group content key), which is what
-  /// keeps entries position-independent.
-  uint32_t RootBlock = 0;
-  std::vector<uint32_t> GroupBlocks;
-  /// Block <-> content-key token map for the spec store; built by
-  /// prescanSpecStore.
-  BlockTokenMap StoreBlocks;
-
-  /// Prescan-time snapshot of the store's answer per group (parallel
-  /// to GroupKeys; null = miss at prescan time). runPipelineGroup
-  /// consults this snapshot first, and the live store only on its
-  /// miss: an entry a sibling program (or sibling server request)
-  /// inserted mid-run is a hit only when all its fresh spellings lie in
-  /// the consuming group's own block, which that group then interns
-  /// itself. The snapshot is a hoist, not a determinism requirement:
-  /// it keeps the interning of entries present before the run out of
-  /// the timed group tasks. SpecStore entries are node-stable and
-  /// insert-only, so the pointers stay valid for the program's
-  /// lifetime.
-  std::vector<const std::string *> StoreEntries;
-
   /// Cooperative program-wide budget (null when Config.FuelBudget is
   /// 0). Attached to the root context and every group context; charged
   /// at solver query boundaries (matching fuelUsed()), so the cutoff
@@ -119,40 +103,30 @@ struct PreparedProgram {
   std::unique_ptr<CancellationToken> Budget;
 };
 
-/// Runs the front end under VarPool::Scope(RootBlock) and builds the
-/// group schedule. Never returns null; check result->Ok.
+/// Runs the front end under VarPool::Scope(VarPool::RootBlock), builds
+/// the group schedule and, with a store attached, the group keys.
+/// Never returns null; check result->Ok.
 std::unique_ptr<PreparedProgram> prepareProgram(const std::string &Source,
-                                                const AnalyzerConfig &Config,
-                                                uint32_t RootBlock = 0);
+                                                const AnalyzerConfig &Config);
 
-/// Spec-store prescan (no-op without Config.Store or when the front end
-/// failed): computes the group keys, builds the program's block-token
-/// map, snapshots the store's answer per group (StoreEntries) and
-/// interns every fresh spelling those entries resolve to, in canonical
-/// (block, counter) order. Run it in the program's session after
-/// prepareProgram and before any of the program's group tasks is
-/// scheduled. Prescans of distinct programs, each in its own session,
-/// may run concurrently. BatchAnalyzer lets every prescan finish before
-/// the first group task starts, so no prescan sees an entry the run
-/// itself inserts and the hit/miss split does not depend on the
-/// schedule; the server has no such barrier, only per-response byte
-/// identity.
-void prescanSpecStore(PreparedProgram &PP, const AnalyzerConfig &Config);
-
-/// Analyzes one group under VarPool::Scope(ScopeBlock) on a fresh
-/// SolverContext, freed when the group returns. Thread-safe
+/// Analyzes one group under VarPool::Scope(VarPool::groupBlock(GroupIdx))
+/// on a fresh SolverContext, freed when the group returns. Thread-safe
 /// across distinct groups of one program once every dependency group
 /// has finished, and across groups of distinct programs provided they
-/// run in distinct sessions or on distinct ScopeBlocks. Both drivers
-/// pass ScopeBlock = GroupBlocks[GroupIdx] (= GroupIdx + 1).
+/// run in distinct sessions.
 ///
-/// With a store attached, the group is answered from the prescan
-/// snapshot, else from an entry the live store gained mid-run whose
-/// fresh spellings all lie in this group's block (interned here), else
-/// by inference, whose summaries are then inserted when they are a
-/// pure function of the key.
+/// With a store attached, the group is answered by the entry the live
+/// store holds for its key, else by inference, whose summaries are then
+/// inserted when they are a pure function of the key.
 GroupRun runPipelineGroup(PreparedProgram &PP, const AnalyzerConfig &Config,
-                          size_t GroupIdx, uint32_t ScopeBlock);
+                          size_t GroupIdx);
+
+/// The deterministic scenario enumeration of one group — methods in
+/// group order, spec indices ascending — mirroring Verifier::runGroup.
+/// Shared by the store's hit (rehydrate) and miss (serialize) paths so
+/// slot order cannot drift between them.
+std::vector<ScenarioSlot> scenarioSlots(const PreparedProgram &PP,
+                                        size_t GroupIdx);
 
 /// Joins per-group results in group order into the AnalysisResult
 /// (Millis is left to the caller).

@@ -60,6 +60,7 @@
 #ifndef TNT_ARITH_VAR_H
 #define TNT_ARITH_VAR_H
 
+#include <cstddef>
 #include <cstdint>
 #include <map>
 #include <mutex>
@@ -95,6 +96,12 @@ public:
   /// session-local bindings are not counted — their boundedness is
   /// exactly that they die with the session).
   size_t size() const;
+
+  /// The one block schedule every analysis driver uses: the front end
+  /// runs in Scope(RootBlock) and SCC group G in Scope(groupBlock(G)).
+  /// The spec store's content keys mix the same numbers.
+  static constexpr uint32_t RootBlock = 0;
+  static uint32_t groupBlock(size_t G) { return static_cast<uint32_t>(G) + 1; }
 
   /// RAII deterministic allocation scope (see file comment). Scopes
   /// nest per thread; ids allocated inside come from the scope's block.

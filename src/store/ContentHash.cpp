@@ -2,6 +2,8 @@
 
 #include "store/ContentHash.h"
 
+#include "arith/Var.h"
+
 #include <algorithm>
 #include <cassert>
 #include <map>
@@ -425,13 +427,8 @@ StructHash hashEnvironment(const Program &P) {
 } // namespace
 
 std::vector<std::string>
-tnt::computeGroupKeys(const Program &P, const CallGraph &CG,
-                      const std::vector<std::vector<std::string>> &Groups,
-                      const std::vector<std::set<size_t>> &Deps,
-                      const std::vector<uint32_t> &GroupBlocks,
-                      uint32_t RootBlock, const std::string &Salt) {
-  (void)CG;
-  (void)Deps;
+tnt::computeGroupKeys(const Program &P,
+                      const std::vector<std::vector<std::string>> &Groups) {
   StructHash Env = hashEnvironment(P);
 
   // Method -> (group index, index within group).
@@ -449,14 +446,12 @@ tnt::computeGroupKeys(const Program &P, const CallGraph &CG,
   for (size_t G = 0; G < Groups.size(); ++G) {
     StructHash H;
     H.mix(TagGroup);
-    if (!Salt.empty())
-      H.mixStr(Salt);
     H.mixUnordered(Env);
     H.mix(TagGroup);
     // The block schedule (see header: entries are exact only for the
     // numbering they were inferred under).
-    H.mix(RootBlock);
-    H.mix(G < GroupBlocks.size() ? GroupBlocks[G] : 0);
+    H.mix(VarPool::RootBlock);
+    H.mix(VarPool::groupBlock(G));
     H.mix(Groups[G].size());
 
     // Member order within the group is alphabetical (CallGraph sorts

@@ -45,10 +45,9 @@
 #ifndef TNT_STORE_CONTENTHASH_H
 #define TNT_STORE_CONTENTHASH_H
 
-#include "lang/CallGraph.h"
+#include "lang/Ast.h"
 
 #include <cstdint>
-#include <set>
 #include <string>
 #include <vector>
 
@@ -78,33 +77,23 @@ private:
 };
 
 /// Computes the spec-store key of every SCC group of a prepared
-/// program, in group order. \p Groups / \p Deps are the bottom-up
-/// schedule prepareProgram built (callee groups precede callers, so
-/// dependency keys are available when a group is hashed).
+/// program, in group order. \p Groups is the bottom-up schedule
+/// prepareProgram built (callee groups precede callers, so dependency
+/// keys are available when a group is hashed).
 ///
-/// \p GroupBlocks / \p RootBlock — the fresh-variable block schedule
-/// the group will run under — are mixed into every key. This is a
-/// correctness requirement, not bookkeeping: the hash-consed formula
-/// layer canonicalizes And/Or children by a VarId-bearing structural
-/// hash, so two content-identical groups whose fresh witnesses live in
+/// The block schedule group G runs under — VarPool::RootBlock and
+/// VarPool::groupBlock(G) — is mixed into its key, so the same content
+/// at another group position keys apart. This is a correctness
+/// requirement, not bookkeeping: the hash-consed formula layer
+/// canonicalizes And/Or children by a VarId-bearing structural hash,
+/// so two content-identical groups whose fresh witnesses live in
 /// DIFFERENT blocks can legitimately explore inference candidates in
 /// different orders and settle on different (equally sound) case
-/// trees. Keying on (content, blocks) makes a store hit mean "the
-/// fresh run would reproduce this entry bit for bit": reuse stays
-/// exact across process restarts and server requests (stable block
-/// schedules), while a batch whose earlier programs changed group
-/// counts conservatively re-runs the shifted tail instead of serving
-/// summaries from a different numbering.
-///
-/// A non-empty \p Salt is mixed into every key (a scheme-evolution
-/// hook; the store-level fingerprint already covers analyzer
-/// configuration).
+/// trees. Keying on (content, position) makes a store hit mean "the
+/// fresh run would reproduce this entry bit for bit".
 std::vector<std::string>
-computeGroupKeys(const Program &P, const CallGraph &CG,
-                 const std::vector<std::vector<std::string>> &Groups,
-                 const std::vector<std::set<size_t>> &Deps,
-                 const std::vector<uint32_t> &GroupBlocks,
-                 uint32_t RootBlock, const std::string &Salt = "");
+computeGroupKeys(const Program &P,
+                 const std::vector<std::vector<std::string>> &Groups);
 
 } // namespace tnt
 

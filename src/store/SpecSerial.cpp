@@ -10,100 +10,26 @@
 
 using namespace tnt;
 
-namespace {
-
-/// Parses a block-scoped fresh spelling "base!b<block>!<n>"; the base
-/// may itself contain such a suffix (fresh-of-fresh), in which case
-/// the LAST suffix wins — that is the scope that allocated it. When
-/// \p Base is non-null it receives the prefix before the suffix.
-bool parseFreshSpelling(const std::string &S, uint32_t &Block, uint64_t &N,
-                        std::string *Base = nullptr) {
-  size_t Last = S.rfind('!');
-  if (Last == std::string::npos || Last == 0 || Last + 1 >= S.size())
-    return false;
-  size_t Prev = S.rfind('!', Last - 1);
-  if (Prev == std::string::npos || Prev == 0 || Prev + 2 >= Last ||
-      S[Prev + 1] != 'b')
-    return false;
-  uint64_t B = 0, Cnt = 0;
-  for (size_t I = Prev + 2; I < Last; ++I) {
-    if (S[I] < '0' || S[I] > '9')
-      return false;
-    B = B * 10 + static_cast<uint64_t>(S[I] - '0');
-    if (B > VarPool::MaxBlocks)
-      return false;
-  }
-  for (size_t I = Last + 1; I < S.size(); ++I) {
-    if (S[I] < '0' || S[I] > '9')
-      return false;
-    Cnt = Cnt * 10 + static_cast<uint64_t>(S[I] - '0');
-  }
-  Block = static_cast<uint32_t>(B);
-  N = Cnt;
-  if (Base != nullptr)
-    *Base = S.substr(0, Prev);
-  return true;
-}
-
-} // namespace
-
 //===----------------------------------------------------------------------===//
 // Serialization
 //===----------------------------------------------------------------------===//
 
 namespace {
 
-/// Entry-level serialization state: the block-token table accumulated
-/// in first-use order, and the "still canonically serializable" flag.
-struct EntryWriter {
-  const BlockTokenMap &Blocks;
-  std::vector<std::string> Table;
-  std::map<std::string, size_t> TableIdx;
-  bool Ok = true;
-
-  size_t tableIndex(const std::string &Token) {
-    auto [It, Inserted] = TableIdx.emplace(Token, Table.size());
-    if (Inserted)
-      Table.push_back(Token);
-    return It->second;
-  }
-
-  /// The ["f", t, n, base] form of a fresh spelling; sets \p IsFresh
-  /// false (and returns nothing) for non-fresh spellings. A fresh
-  /// spelling whose block has no token clears Ok — the caller's group
-  /// cannot be stored.
-  std::string freshForm(const std::string &Spelling, bool &IsFresh) {
-    uint32_t Block;
-    uint64_t N;
-    std::string Base;
-    if (!parseFreshSpelling(Spelling, Block, N, &Base)) {
-      IsFresh = false;
-      return "";
-    }
-    IsFresh = true;
-    auto It = Blocks.TokenOf.find(Block);
-    if (It == Blocks.TokenOf.end()) {
-      // Root or foreign block: no canonical identity across programs.
-      Ok = false;
-      return "false";
-    }
-    size_t Idx = tableIndex(It->second);
-    bool BaseFresh = false;
-    std::string BaseForm = freshForm(Base, BaseFresh);
-    if (!BaseFresh)
-      BaseForm = json::quoted(Base);
-    return "[\"f\"," + std::to_string(Idx) + "," + std::to_string(N) +
-           "," + BaseForm + "]";
-  }
-};
+/// A fresh variable's spelling: VarPool::fresh joins base and counter
+/// with '!', which no parsed identifier can contain.
+bool isFreshSpelling(const std::string &S) {
+  return S.find('!') != std::string::npos;
+}
 
 /// Variable-reference resolution context for one scenario.
 struct RefWriter {
-  EntryWriter &Entry;
   const std::vector<VarId> &Params;
   size_t NumMethodParams;
   /// Exists binder frames, innermost last.
   std::vector<const std::vector<VarId> *> Frames;
+  /// Cleared by a fresh variable: the scenario cannot be stored.
+  bool Ok = true;
 
   std::string ref(VarId V) {
     // Bound variable: flat de-Bruijn index counting from the innermost
@@ -120,10 +46,8 @@ struct RefWriter {
       if (Params[I] == V)
         return "[\"p\"," + std::to_string(I) + "]";
     const std::string &Name = varName(V);
-    bool IsFresh = false;
-    std::string FF = Entry.freshForm(Name, IsFresh);
-    if (IsFresh)
-      return FF;
+    if (isFreshSpelling(Name))
+      Ok = false;
     if (!Name.empty() && Name.back() == '\'') {
       for (size_t I = 0; I < NumMethodParams && I < Params.size(); ++I) {
         const std::string &P = varName(Params[I]);
@@ -135,13 +59,12 @@ struct RefWriter {
     return "[\"n\"," + json::quoted(Name) + "]";
   }
 
-  /// A binder DEFINES a variable; fresh binders use the canonical
-  /// ["f",...] form, source-named ones their spelling.
+  /// A binder DEFINES a variable, serialized as its spelling.
   std::string binder(VarId V) {
     const std::string &Name = varName(V);
-    bool IsFresh = false;
-    std::string FF = Entry.freshForm(Name, IsFresh);
-    return IsFresh ? FF : json::quoted(Name);
+    if (isFreshSpelling(Name))
+      Ok = false;
+    return json::quoted(Name);
   }
 };
 
@@ -267,40 +190,26 @@ std::string writeTree(const CaseTree &T, RefWriter &Refs) {
 std::optional<std::string>
 tnt::serializeGroupEntry(const std::vector<ScenarioRecord> &Scenarios,
                          const std::string &Diags, bool Bailed,
-                         const BlockTokenMap &Blocks,
                          const CondTermStats &Ct) {
-  EntryWriter Entry{Blocks, {}, {}, true};
-  std::string Body = "\"sc\":[";
+  std::string Out = "{\"v\":1,\"sc\":[";
   for (size_t I = 0; I < Scenarios.size(); ++I) {
     const ScenarioRecord &R = Scenarios[I];
     assert(R.Cases != nullptr && "scenario without a case tree");
-    RefWriter Refs{Entry, R.Slot.Params, R.Slot.NumMethodParams, {}};
+    RefWriter Refs{R.Slot.Params, R.Slot.NumMethodParams, {}};
     if (I != 0)
-      Body += ',';
-    Body += "{\"m\":" + std::to_string(R.Slot.MethodIdx) +
-            ",\"s\":" + std::to_string(R.Slot.SpecIdx) +
-            ",\"sf\":" + (R.SafetyFailed ? "true" : "false") +
-            ",\"rv\":" + (R.ReVerified ? "true" : "false") +
-            ",\"c\":" + writeTree(*R.Cases, Refs);
+      Out += ',';
+    Out += "{\"m\":" + std::to_string(R.Slot.MethodIdx) +
+           ",\"s\":" + std::to_string(R.Slot.SpecIdx) +
+           ",\"sf\":" + (R.SafetyFailed ? "true" : "false") +
+           ",\"rv\":" + (R.ReVerified ? "true" : "false") +
+           ",\"c\":" + writeTree(*R.Cases, Refs);
     if (R.TermCond != nullptr)
-      Body += ",\"tc\":" + writeFormula(*R.TermCond, Refs);
-    Body += "}";
+      Out += ",\"tc\":" + writeFormula(*R.TermCond, Refs);
+    Out += "}";
+    if (!Refs.Ok)
+      return std::nullopt;
   }
-  Body += "]";
-  if (!Entry.Ok)
-    return std::nullopt;
-
-  std::string Out = "{\"v\":1,";
-  if (!Entry.Table.empty()) {
-    Out += "\"bl\":[";
-    for (size_t I = 0; I < Entry.Table.size(); ++I) {
-      if (I != 0)
-        Out += ',';
-      Out += json::quoted(Entry.Table[I]);
-    }
-    Out += "],";
-  }
-  Out += Body;
+  Out += "]";
   if (!Diags.empty())
     Out += ",\"d\":" + json::quoted(Diags);
   if (Bailed)
@@ -320,10 +229,11 @@ tnt::serializeGroupEntry(const std::vector<ScenarioRecord> &Scenarios,
 
 namespace {
 
-/// Entry-level rehydration state: the block table resolved into the
-/// CONSUMER's block numbers.
-struct EntryReader {
-  std::vector<uint32_t> Blocks;
+/// Parser state for one scenario's formulas.
+struct RefReader {
+  const ScenarioSlot &Slot;
+  /// Binder frames, innermost last.
+  std::vector<std::vector<VarId>> Frames;
   std::string Err;
 
   bool fail(const std::string &Msg) {
@@ -332,72 +242,15 @@ struct EntryReader {
     return false;
   }
 
-  bool resolveTable(const json::Value *Bl, const BlockTokenMap &Map) {
-    if (Bl == nullptr)
-      return true; // No fresh variables in this entry.
-    if (!Bl->isArray())
-      return fail("malformed block table");
-    for (const json::Value &Tok : Bl->elements()) {
-      if (!Tok.isString())
-        return fail("malformed block token");
-      auto It = Map.BlockOf.find(Tok.asString());
-      if (It == Map.BlockOf.end())
-        return fail("unresolvable block token " + Tok.asString());
-      Blocks.push_back(It->second);
-    }
-    return true;
-  }
-
-  /// Resolves ["f", t, n, base] to the consumer-block spelling.
-  bool freshSpelling(const json::Value &V, std::string &Out) {
-    if (!V.isArray() || V.elements().size() != 4 ||
-        !V.elements()[0].isString() || V.elements()[0].asString() != "f")
-      return fail("malformed fresh reference");
-    std::optional<int64_t> T = json::toInt64(V.elements()[1]);
-    std::optional<int64_t> N = json::toInt64(V.elements()[2]);
-    if (!T || !N || *T < 0 || *N < 0 ||
-        static_cast<size_t>(*T) >= Blocks.size())
-      return fail("fresh reference out of range");
-    const json::Value &Base = V.elements()[3];
-    std::string BaseStr;
-    if (Base.isString()) {
-      BaseStr = Base.asString();
-    } else if (!freshSpelling(Base, BaseStr)) {
-      return false;
-    }
-    Out = BaseStr + "!b" + std::to_string(Blocks[*T]) + "!" +
-          std::to_string(*N);
-    return true;
-  }
-};
-
-/// Parser state for one scenario's formulas.
-struct RefReader {
-  EntryReader &Entry;
-  const ScenarioSlot &Slot;
-  /// Binder frames, innermost last.
-  std::vector<std::vector<VarId>> Frames;
-
-  bool fail(const std::string &Msg) { return Entry.fail(Msg); }
-
   bool readRef(const json::Value &V, VarId &Out) {
-    if (!V.isArray() || V.elements().size() < 2 ||
+    if (!V.isArray() || V.elements().size() != 2 ||
         !V.elements()[0].isString())
       return fail("malformed variable reference");
     const std::string &Tag = V.elements()[0].asString();
-    if (Tag == "f") {
-      std::string Spelling;
-      if (!Entry.freshSpelling(V, Spelling))
-        return false;
-      Out = mkVar(Spelling);
-      return true;
-    }
-    if (V.elements().size() != 2)
-      return fail("malformed variable reference");
     const json::Value &Arg = V.elements()[1];
     if (Tag == "n") {
-      if (!Arg.isString())
-        return fail("named reference without a spelling");
+      if (!Arg.isString() || isFreshSpelling(Arg.asString()))
+        return fail("named reference without a source spelling");
       Out = mkVar(Arg.asString());
       return true;
     }
@@ -514,14 +367,9 @@ struct RefReader {
         return fail("malformed existential");
       std::vector<VarId> Binders;
       for (const json::Value &B : Body.elements()[0].elements()) {
-        if (B.isString()) {
-          Binders.push_back(mkVar(B.asString()));
-        } else {
-          std::string Spelling;
-          if (!Entry.freshSpelling(B, Spelling))
-            return false;
-          Binders.push_back(mkVar(Spelling));
-        }
+        if (!B.isString() || isFreshSpelling(B.asString()))
+          return fail("binder without a source spelling");
+        Binders.push_back(mkVar(B.asString()));
       }
       Frames.push_back(Binders);
       Formula F;
@@ -599,7 +447,6 @@ struct RefReader {
 
 bool tnt::rehydrateGroupEntry(const std::string &EntryJson,
                               const std::vector<ScenarioSlot> &Slots,
-                              const BlockTokenMap &Blocks,
                               RehydratedGroup &Out, std::string *Err) {
   auto fail = [&](const std::string &Msg) {
     if (Err != nullptr)
@@ -618,10 +465,6 @@ bool tnt::rehydrateGroupEntry(const std::string &EntryJson,
     return fail("entry without scenarios");
   if (Sc->elements().size() != Slots.size())
     return fail("scenario count mismatch");
-
-  EntryReader Entry;
-  if (!Entry.resolveTable(Doc->field("bl"), Blocks))
-    return fail(Entry.Err);
 
   Out.Scenarios.clear();
   for (size_t I = 0; I < Slots.size(); ++I) {
@@ -647,12 +490,12 @@ bool tnt::rehydrateGroupEntry(const std::string &EntryJson,
     R.SpecIdx = Slots[I].SpecIdx;
     R.SafetyFailed = SF->asBool();
     R.ReVerified = RV->asBool();
-    RefReader Reader{Entry, Slots[I], {}};
+    RefReader Reader{Slots[I], {}, {}};
     if (!Reader.readTree(*C, R.Cases))
-      return fail("scenario " + std::to_string(I) + ": " + Entry.Err);
+      return fail("scenario " + std::to_string(I) + ": " + Reader.Err);
     if (const json::Value *TC = SV.field("tc")) {
       if (!Reader.readFormula(*TC, R.TermCond))
-        return fail("scenario " + std::to_string(I) + ": " + Entry.Err);
+        return fail("scenario " + std::to_string(I) + ": " + Reader.Err);
       R.HasTermCond = true;
     }
     Out.Scenarios.push_back(std::move(R));
@@ -684,125 +527,5 @@ bool tnt::rehydrateGroupEntry(const std::string &EntryJson,
     Out.Cond.NonTrivial = Vals[3];
     Out.Cond.LeavesCertified = Vals[4];
   }
-  return true;
-}
-
-//===----------------------------------------------------------------------===//
-// Fresh-spelling prescan
-//===----------------------------------------------------------------------===//
-
-namespace {
-
-void collectFRefs(const json::Value &V, EntryReader &Entry,
-                  std::vector<std::string> &Out) {
-  if (V.isArray()) {
-    const auto &Elems = V.elements();
-    if (Elems.size() == 4 && Elems[0].isString() &&
-        Elems[0].asString() == "f") {
-      std::string Spelling;
-      if (Entry.freshSpelling(V, Spelling)) {
-        Out.push_back(std::move(Spelling));
-        return; // Nested base already folded into the spelling.
-      }
-      Entry.Err.clear();
-    }
-    for (const json::Value &E : Elems)
-      collectFRefs(E, Entry, Out);
-    return;
-  }
-  if (V.isObject())
-    for (const auto &[Key, Member] : V.members())
-      collectFRefs(Member, Entry, Out);
-}
-
-} // namespace
-
-void tnt::collectFreshSpellings(const std::string &EntryJson,
-                                const BlockTokenMap &Blocks,
-                                std::vector<std::string> &Out) {
-  // serializeGroupEntry spells every fresh reference with this literal
-  // prefix, and SpecStore::load re-writes each entry compactly with
-  // json::write, so a stored entry without it names no fresh variable
-  // and needs no parse.
-  if (EntryJson.find("[\"f\",") == std::string::npos)
-    return;
-  std::optional<json::Value> Doc = json::parse(EntryJson);
-  if (!Doc || !Doc->isObject())
-    return;
-  EntryReader Entry;
-  if (!Entry.resolveTable(Doc->field("bl"), Blocks))
-    return;
-  std::vector<std::string> All;
-  collectFRefs(*Doc, Entry, All);
-  // A resolved spelling's nested BASE spelling is itself a variable of
-  // a lower block; the prescan must intern it too, in its own block's
-  // order, exactly as the producing run allocated it first.
-  for (std::string &S : All) {
-    std::string Cur = S;
-    uint32_t Block;
-    uint64_t N;
-    std::string Base;
-    Out.push_back(Cur);
-    while (parseFreshSpelling(Cur, Block, N, &Base) &&
-           parseFreshSpelling(Base, Block, N)) {
-      Out.push_back(Base);
-      Cur = Base;
-    }
-  }
-}
-
-void tnt::internFreshSpellings(std::vector<std::string> Spellings) {
-  struct Rec {
-    uint32_t Block;
-    uint64_t N;
-    std::string Spelling;
-    bool operator<(const Rec &O) const {
-      if (Block != O.Block)
-        return Block < O.Block;
-      if (N != O.N)
-        return N < O.N;
-      return Spelling < O.Spelling;
-    }
-    bool operator==(const Rec &O) const {
-      return Block == O.Block && N == O.N && Spelling == O.Spelling;
-    }
-  };
-  std::vector<Rec> Recs;
-  Recs.reserve(Spellings.size());
-  for (std::string &S : Spellings) {
-    Rec R;
-    if (parseFreshSpelling(S, R.Block, R.N)) {
-      R.Spelling = std::move(S);
-      Recs.push_back(std::move(R));
-    }
-  }
-  std::sort(Recs.begin(), Recs.end());
-  Recs.erase(std::unique(Recs.begin(), Recs.end()), Recs.end());
-
-  // Intern per block inside the matching scope, ascending by the
-  // allocation counter the spelling encodes: ids land in the block's
-  // region in the producing run's relative order (dense is fine — only
-  // the ORDER feeds the id-sorted child canonicalization).
-  size_t I = 0;
-  while (I < Recs.size()) {
-    uint32_t Block = Recs[I].Block;
-    VarPool::Scope Sc(Block);
-    for (; I < Recs.size() && Recs[I].Block == Block; ++I)
-      mkVar(Recs[I].Spelling);
-  }
-}
-
-bool tnt::internOwnBlockSpellings(const std::string &EntryJson,
-                                  const BlockTokenMap &Blocks,
-                                  uint32_t Block) {
-  std::vector<std::string> Fresh;
-  collectFreshSpellings(EntryJson, Blocks, Fresh);
-  for (const std::string &S : Fresh) {
-    uint32_t B;
-    uint64_t N;
-    if (parseFreshSpelling(S, B, N) && B != Block)
-      return false;
-  }
-  internFreshSpellings(std::move(Fresh));
   return true;
 }

@@ -15,61 +15,32 @@
 /// Variable references never serialize a numeric VarId (ids are a
 /// per-process artifact of interning order). The reference forms:
 ///
-///   ["p", i]          the i-th canonical parameter of the scenario —
-///                     positional, so the entry rehydrates against the
-///                     CURRENT method's parameter list;
-///   ["q", i]          the post-state prime of parameter i ("x'");
-///   ["b", k]          de-Bruijn index into the enclosing Exists
-///                     binder frames (innermost first);
-///   ["f", t, n, base] a block-scoped fresh variable ("base!b<B>!<n>"):
-///                     n is the per-scope allocation counter the
-///                     spelling encodes, base is the fresh base (a
-///                     string, or a nested ["f",...] for
-///                     fresh-of-fresh), and t indexes the entry's
-///                     block-token table;
-///   ["n", name]       any other variable, by spelling — "res", spec
-///                     ghosts, source-named binders. Spelling-to-id
-///                     interning is the pool's stability contract, so
-///                     a spelling reproduces the exact rendered name.
+///   ["p", i]      the i-th canonical parameter of the scenario —
+///                 positional, so the entry rehydrates against the
+///                 CURRENT method's parameter list;
+///   ["q", i]      the post-state prime of parameter i ("x'");
+///   ["b", k]      de-Bruijn index into the enclosing Exists binder
+///                 frames (innermost first);
+///   ["n", name]   any other variable, by spelling — "res", spec
+///                 ghosts, source-named binders. Spelling-to-id
+///                 interning is the pool's stability contract, so a
+///                 spelling reproduces the exact rendered name.
 ///
-/// Exists binders serialize in the same forms (string or ["f",...]);
-/// rehydration re-interns them through the ordinary constructors, so
-/// And/Or re-canonicalize under current ids.
+/// Exists binders serialize as their spellings; rehydration re-interns
+/// them through the ordinary constructors, so And/Or re-canonicalize
+/// under current ids.
 ///
-/// Fresh variables are POSITION-INDEPENDENT: the entry's block-token
-/// table ("bl") names each mentioned fresh-variable block by the
-/// CONTENT KEY of the group that allocated it (plus a duplicate
-/// ordinal for content-identical sibling groups), never by block
-/// number. The producer maps its blocks to tokens; the consumer maps
-/// tokens back to ITS blocks — a group key hit guarantees every
-/// callee key matches, so the tokens always resolve — and re-spells
-/// the variable as "base!b<current block>!<n>". The rehydrated
-/// spelling is therefore exactly the spelling a fresh run of the
-/// CONSUMER would mint: entries stay byte-exact across process
-/// restarts, across batch block renumbering after corpus edits, and
-/// across content-identical programs sharing one entry. It also makes
-/// an entry a pure function of its key, so concurrent first-writer
-/// races between twin producers write identical bytes.
-///
-/// Blocks with no token — the root (front-end) block, foreign blocks —
-/// make the group unserializable (serializeGroupEntry returns
-/// nullopt): a root-block variable's counter means nothing in another
-/// program's root phase, so such groups are simply not stored.
-///
-/// Byte-identity of VarId-sorted structure: internFreshSpellings()
-/// interns every fresh spelling a program's hit entries resolve to,
-/// grouped by block and sorted by counter, inside the matching
-/// VarPool scope, BEFORE any of the program's group tasks runs
-/// (drivers call it from the prescan, in the program's own session,
-/// so programs prescan concurrently). Ids land in their block regions
-/// in allocation-counter order — the same relative order a full
-/// fresh run produces — so the id-sorted And/Or child
-/// canonicalization, and with it every rendered summary, is
-/// byte-identical to a storeless run's. An entry that reaches the
-/// store after the prescan is interned by its consuming group task
-/// instead (internOwnBlockSpellings), and only when all its fresh
-/// spellings lie in that group's own block, which no other task
-/// allocates in.
+/// A summary that names a FRESH variable — a spelling with a '!',
+/// which no parsed identifier can contain — is not serializable, free
+/// or bound, whatever block minted it: serializeGroupEntry returns
+/// nullopt, the group is not stored, and its next use re-infers it.
+/// A stored entry is therefore stated over the method's parameters and
+/// source-level names alone, the paper's reusable artifact: every
+/// spelling a rehydration interns is a parameter, its prime, "res", a
+/// ghost or a source-named binder, never a block-scoped fresh spelling
+/// whose allocation order a replay would have to reproduce. The reader
+/// rejects fresh spellings too, including the ["f",...] form older
+/// builds wrote: such an entry fails rehydration and counts as a miss.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -79,21 +50,11 @@
 #include "infer/CondTerm.h"
 #include "spec/Spec.h"
 
-#include <map>
 #include <optional>
 #include <string>
 #include <vector>
 
 namespace tnt {
-
-/// Two-way map between fresh-variable blocks and canonical block
-/// tokens (group content key + "#<dup ordinal>"). Built per prepared
-/// program by the pipeline; the producer direction serializes, the
-/// consumer direction rehydrates.
-struct BlockTokenMap {
-  std::map<uint32_t, std::string> TokenOf; ///< block -> token
-  std::map<std::string, uint32_t> BlockOf; ///< token -> block
-};
 
 /// One scenario slot of a group entry, in the group's deterministic
 /// enumeration order (methods in group order, spec indices ascending —
@@ -129,9 +90,8 @@ struct ScenarioRecord {
 /// bail flag) into a canonical JSON object. Term order inside linear
 /// expressions is sorted by the serialized reference form, so the
 /// bytes are a function of the summaries alone, not of VarId history.
-/// Returns nullopt when a mentioned fresh variable's block has no
-/// token in \p Blocks (root/foreign block): the group is not
-/// canonically serializable and must not be stored.
+/// Returns nullopt when a summary names a fresh variable (see file
+/// comment): the group must not be stored.
 ///
 /// \p Ct carries the group's audited conditional-termination counters;
 /// nonzero counts serialize as the optional "ct" record so a warm
@@ -142,7 +102,6 @@ struct ScenarioRecord {
 std::optional<std::string>
 serializeGroupEntry(const std::vector<ScenarioRecord> &Scenarios,
                     const std::string &Diags, bool Bailed,
-                    const BlockTokenMap &Blocks,
                     const CondTermStats &Ct = {});
 
 /// One rehydrated scenario.
@@ -170,47 +129,14 @@ struct RehydratedGroup {
 };
 
 /// Rebuilds a stored entry against the current program's scenario
-/// slots and block-token map. Returns false — leaving \p Out
-/// unspecified — when the entry is malformed or does not match the
-/// slots (wrong count, method/spec indices, out-of-range references,
-/// unresolvable block tokens): the caller treats that as a store miss
-/// and re-runs inference.
+/// slots. Returns false — leaving \p Out unspecified — when the entry
+/// is malformed or does not match the slots (wrong count, method/spec
+/// indices, out-of-range references, fresh spellings): the caller
+/// treats that as a store miss and re-runs inference.
 bool rehydrateGroupEntry(const std::string &EntryJson,
                          const std::vector<ScenarioSlot> &Slots,
-                         const BlockTokenMap &Blocks,
                          RehydratedGroup &Out,
                          std::string *Err = nullptr);
-
-/// Appends every fresh spelling \p EntryJson resolves to under
-/// \p Blocks — ["f",...] references and binders, in consumer block
-/// numbering — to \p Out. Malformed entries and unresolvable tokens
-/// contribute nothing (rehydration will reject them later). Expects
-/// the compact form serializeGroupEntry writes and SpecStore::load
-/// restores: an entry without the literal ["f", returns at once,
-/// unparsed.
-void collectFreshSpellings(const std::string &EntryJson,
-                           const BlockTokenMap &Blocks,
-                           std::vector<std::string> &Out);
-
-/// Interns the collected spellings in canonical (block, counter)
-/// order, each inside VarPool::Scope(block), reproducing the producing
-/// run's relative id order (see file comment). Call it before any
-/// group task of the program starts (the prescan), per VarPool's scope
-/// contract — or from a group task whose spellings all lie in that
-/// task's own block (see internOwnBlockSpellings), since no other task
-/// of the session allocates in that block.
-void internFreshSpellings(std::vector<std::string> Spellings);
-
-/// The mid-run form of the prescan, for an entry that reached the
-/// store after the consuming program's prescan: when every fresh
-/// spelling \p EntryJson resolves to under \p Blocks (nested bases
-/// included) lies in \p Block — the consuming group's own block —
-/// interns them as internFreshSpellings does and returns true.
-/// Otherwise interns nothing and returns false; the caller treats the
-/// entry as a miss. The answer depends only on the entry and the
-/// block map, never on what the session interned before.
-bool internOwnBlockSpellings(const std::string &EntryJson,
-                             const BlockTokenMap &Blocks, uint32_t Block);
 
 } // namespace tnt
 

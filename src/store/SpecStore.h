@@ -34,9 +34,12 @@
 ///
 /// Bound: the key and entry bytes held are capped at MaxBytes. An
 /// insert (or a loaded entry) that would cross the cap is REFUSED and
-/// counted, never made room for by evicting: eviction would break the
-/// peek() lifetime promise above, which in-flight analyses rely on.
-/// A refused group is simply inferred again by its next consumer.
+/// counted, never made room for by evicting. A group task holds a
+/// peek() pointer only while it rehydrates that one entry, but the
+/// pointer is valid only because entries are never removed: eviction
+/// would need that window guarded, and would make which groups re-run
+/// depend on eviction order, for a cap no measured traffic reaches. A
+/// refused group is simply inferred again by its next consumer.
 ///
 //===----------------------------------------------------------------------===//
 

@@ -10,7 +10,6 @@
 #include "api/BatchAnalyzer.h"
 #include "api/Pipeline.h"
 #include "lang/Parser.h"
-#include "store/SpecSerial.h"
 #include "store/SpecStore.h"
 #include "workloads/Corpus.h"
 
@@ -281,11 +280,10 @@ TEST(BatchDedup, UnstoredLeaderReleasesFollowers) {
 }
 
 TEST(BatchDedup, CallerStoreHitsIdenticalAtAnyThreadCount) {
-  // A caller store already holds TermSrc's keys. Its copies replay
-  // from the prescan snapshot; the first LoopSrc copy to run leads and
-  // the others replay its entry mid-run; TermLtSrc runs cold. Every
-  // prescan finishes before the first group task starts, so the split
-  // is the same at every thread count.
+  // A caller store already holds TermSrc's keys, and its copies replay
+  // them; the first LoopSrc copy to run leads and the others replay its
+  // entry; TermLtSrc runs cold. Each key is inferred once whichever
+  // copy leads, so the split is the same at every thread count.
   std::vector<BatchItem> Items = {
       item("l1", "b", LoopSrc),  item("t1", "a", TermSrc),
       item("t3", "a", TermLtSrc), item("l2", "b", LoopSrc),
@@ -313,7 +311,8 @@ TEST(BatchDedup, CallerStoreHitsIdenticalAtAnyThreadCount) {
     if (Threads == 1) {
       Hits1 = R.StoreHits;
       Misses1 = R.StoreMisses;
-      // 2 x 2 prescan hits, 2 x 2 mid-run replays, 2 + 2 inferred.
+      // 2 x 2 replays of the caller's entries, 2 x 2 of this run's
+      // LoopSrc leader, 2 + 2 inferred.
       EXPECT_EQ(Hits1, 8u);
       EXPECT_EQ(Misses1, 4u);
     }
@@ -325,75 +324,39 @@ TEST(BatchDedup, CallerStoreHitsIdenticalAtAnyThreadCount) {
   }
 }
 
-namespace {
+TEST(BatchDedup, EntryNamingAFreshVariableIsAMiss) {
+  // An older build could store a summary naming a fresh variable, in
+  // the ["f",...] form with a block table. This build rejects such an
+  // entry: TermSrc's dec group runs inference, counts one miss, and
+  // renders as a store-less run does.
+  const std::string FreshEntry =
+      R"({"v":1,"bl":["k#0"],"sc":[{"m":0,"s":0,"sf":false,"rv":true,)"
+      R"("c":{"ch":[[{"a":["le",{"k":0,"t":[[1,["f",0,3,"w"]]]}]},)"
+      R"({"t":{"k":"T"},"p":true}]]}}]})";
 
-/// A dec-group entry of TermSrc whose one guard names the fresh
-/// variable \p Spelling, serialized in a session of its own. Sets
-/// \p Key to the dec group's content key.
-std::string decEntryNaming(const std::string &Spelling, std::string &Key) {
+  std::string Plain;
+  {
+    VarPool::Session S;
+    VarPool::SessionScope Active(S);
+    Plain = analyzeProgram(TermSrc, batchProgramConfig()).str();
+  }
+
   VarPool::Session S;
   VarPool::SessionScope Active(S);
   AnalyzerConfig Cfg = batchProgramConfig();
   SpecStore Store;
   Cfg.Store = &Store;
   std::unique_ptr<PreparedProgram> PP = prepareProgram(TermSrc, Cfg);
-  prescanSpecStore(*PP, Cfg);
-  Key = PP->GroupKeys[0];
+  ASSERT_TRUE(PP->Ok);
+  ASSERT_EQ(PP->Groups.size(), 2u);
+  ASSERT_EQ(PP->Groups[0], std::vector<std::string>{"dec"});
+  Store.insert(PP->GroupKeys[0], FreshEntry);
 
-  CaseTree Leaf;
-  Leaf.Temporal = TemporalSpec::mayLoop();
-  CaseTree Tree;
-  Tree.Children.emplace_back(
-      Formula::cmp(LinExpr::var(mkVar(Spelling)), CmpKind::Ge, LinExpr(0)),
-      Leaf);
-  ScenarioRecord Rec;
-  Rec.Slot.Params = Verifier::canonicalParams(*PP->P.findMethod("dec"),
-                                              Verifier::defaultSpec());
-  Rec.Slot.NumMethodParams = 1;
-  Rec.Cases = &Tree;
-  std::optional<std::string> Entry =
-      serializeGroupEntry({Rec}, "", false, PP->StoreBlocks);
-  return Entry ? *Entry : std::string();
-}
-
-} // namespace
-
-TEST(BatchDedup, EntryNamingAnotherBlocksFreshSpellingIsAMiss) {
-  // An entry that reaches the store after a program's prescan replays
-  // only when every fresh spelling it names lies in the consuming
-  // group's own block. TermSrc's dec group runs on block 1 and main on
-  // block 2; the entry's guard names a block-1 variable, a block-2
-  // one, or a block-1 variable whose fresh base is from block 2.
-  struct Case {
-    std::string Spelling;
-    bool Replays;
-  };
-  for (const Case &C : {Case{"w!b1!3", true}, Case{"w!b2!0", false},
-                        Case{"w!b2!0!b1!3", false}}) {
-    std::string Key;
-    std::string Entry = decEntryNaming(C.Spelling, Key);
-    ASSERT_FALSE(Entry.empty()) << C.Spelling;
-
-    VarPool::Session S;
-    VarPool::SessionScope Active(S);
-    AnalyzerConfig Cfg = batchProgramConfig();
-    SpecStore Store;
-    Cfg.Store = &Store;
-    std::unique_ptr<PreparedProgram> PP = prepareProgram(TermSrc, Cfg);
-    prescanSpecStore(*PP, Cfg);
-    ASSERT_EQ(PP->Groups[0], std::vector<std::string>{"dec"});
-    ASSERT_EQ(PP->GroupKeys[0], Key);
-    ASSERT_EQ(PP->StoreEntries[0], nullptr); // Not in the snapshot.
-    Store.insert(Key, Entry);                 // Mid-run.
-
-    GroupRun Run = runPipelineGroup(*PP, Cfg, 0, PP->GroupBlocks[0]);
-    EXPECT_EQ(Run.FromStore, C.Replays) << C.Spelling;
-    EXPECT_EQ(Store.stats().Hits, C.Replays ? 1u : 0u) << C.Spelling;
-    EXPECT_EQ(Store.stats().Misses, C.Replays ? 0u : 1u) << C.Spelling;
-    if (C.Replays) {
-      ASSERT_EQ(Run.Methods.size(), 1u);
-      EXPECT_NE(Run.Methods[0].Summary.str().find(C.Spelling),
-                std::string::npos);
-    }
-  }
+  std::vector<GroupRun> Runs;
+  Runs.push_back(runPipelineGroup(*PP, Cfg, 0));
+  EXPECT_FALSE(Runs[0].FromStore);
+  EXPECT_EQ(Store.stats().Hits, 0u);
+  EXPECT_EQ(Store.stats().Misses, 1u);
+  Runs.push_back(runPipelineGroup(*PP, Cfg, 1));
+  EXPECT_EQ(finalizeProgram(*PP, std::move(Runs), Cfg).str(), Plain);
 }

@@ -108,6 +108,12 @@ TEST(CondTerm, Fig11AuditCleanVerdictsUnchangedUnknownsGetConditions) {
 
   // 5. The table's Cond column golden (crafted 30 + crafted-lit 47).
   EXPECT_EQ(Total.Cond, 77u);
+
+  // 6. In-run dedup infers each of the 165 keys once and replays the
+  // other 297 groups. A summary naming a fresh variable is not stored,
+  // so a twin of its group would lead again and the miss count rise.
+  EXPECT_EQ(R.StoreMisses, 165u);
+  EXPECT_EQ(R.StoreHits, 297u);
 }
 
 TEST(CondTerm, ByteIdenticalAcrossThreadCounts) {

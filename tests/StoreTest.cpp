@@ -15,6 +15,7 @@
 
 #include "api/AnalysisServer.h"
 #include "api/BatchAnalyzer.h"
+#include "api/Pipeline.h"
 #include "lang/Parser.h"
 #include "lang/Resolve.h"
 #include "lang/Transforms.h"
@@ -30,6 +31,7 @@
 #include <algorithm>
 #include <cstdio>
 #include <fstream>
+#include <random>
 #include <set>
 #include <sstream>
 #include <thread>
@@ -52,20 +54,13 @@ struct TempFile {
   ~TempFile() { std::remove(Path.c_str()); }
 };
 
-/// Group keys of a source program under the single-program block
-/// schedule, mirroring prepare + prescan.
+/// Group keys of a source program, as prepareProgram computes them.
 std::vector<std::string> keysOf(const std::string &Source) {
   DiagnosticEngine Diags;
   std::optional<Program> P = parseProgram(Source, Diags);
   if (!P || !resolveProgram(*P, Diags) || !lowerLoops(*P, Diags))
     return {};
-  CallGraph CG = CallGraph::build(*P);
-  std::vector<std::vector<std::string>> Groups = CG.sccs();
-  std::vector<std::set<size_t>> Deps(Groups.size());
-  std::vector<uint32_t> Blocks(Groups.size());
-  for (size_t G = 0; G < Groups.size(); ++G)
-    Blocks[G] = static_cast<uint32_t>(G) + 1;
-  return computeGroupKeys(*P, CG, Groups, Deps, Blocks, 0);
+  return computeGroupKeys(*P, CallGraph::build(*P).sccs());
 }
 
 const char *ChainSrc = R"(
@@ -237,22 +232,26 @@ int main(int n) { return h(n); }
   EXPECT_NE(C1.back(), C2.back());
 }
 
-TEST(ContentHash, BlockScheduleIsPartOfTheKey) {
-  // Identical content under different block schedules must key apart:
-  // formula child canonicalization is VarId-hash-based, so inference
-  // may legitimately differ between numberings (see ContentHash.h).
+TEST(ContentHash, GroupPositionIsPartOfTheKey) {
+  // The same leaf method at group 0 and at group 1 must key apart: the
+  // key mixes the block the group runs on, and formula child
+  // canonicalization is VarId-hash-based, so inference may
+  // legitimately differ between numberings (see ContentHash.h).
   DiagnosticEngine Diags;
-  std::optional<Program> P =
-      parseProgram("int main(int n) { return n; }", Diags);
+  std::optional<Program> P = parseProgram(R"(
+int a(int n) { return n; }
+int b(int n) { return n; }
+)",
+                                          Diags);
   ASSERT_TRUE(P && resolveProgram(*P, Diags) && lowerLoops(*P, Diags));
-  CallGraph CG = CallGraph::build(*P);
-  auto Groups = CG.sccs();
-  std::vector<std::set<size_t>> Deps(Groups.size());
-  std::vector<uint32_t> B1(Groups.size(), 1), B2(Groups.size(), 7);
-  EXPECT_NE(computeGroupKeys(*P, CG, Groups, Deps, B1, 0),
-            computeGroupKeys(*P, CG, Groups, Deps, B2, 0));
-  EXPECT_EQ(computeGroupKeys(*P, CG, Groups, Deps, B1, 0),
-            computeGroupKeys(*P, CG, Groups, Deps, B1, 0));
+  std::vector<std::string> AB = computeGroupKeys(*P, {{"a"}, {"b"}});
+  std::vector<std::string> BA = computeGroupKeys(*P, {{"b"}, {"a"}});
+  ASSERT_EQ(AB.size(), 2u);
+  // a and b have the same content, so position alone separates them.
+  EXPECT_EQ(AB[0], BA[0]);
+  EXPECT_EQ(AB[1], BA[1]);
+  EXPECT_NE(AB[0], AB[1]);
+  EXPECT_EQ(AB, computeGroupKeys(*P, {{"a"}, {"b"}}));
 }
 
 //===----------------------------------------------------------------------===//
@@ -261,18 +260,14 @@ TEST(ContentHash, BlockScheduleIsPartOfTheKey) {
 
 namespace {
 
-/// A scenario slot over two parameters plus the block map of a
-/// one-group program on block 5 (token "k#0").
+/// A scenario slot over two parameters.
 struct SerialFixture {
   ScenarioSlot Slot;
-  BlockTokenMap Blocks;
   SerialFixture() {
     Slot.MethodIdx = 0;
     Slot.SpecIdx = 0;
     Slot.Params = {mkVar("sx"), mkVar("sy")};
     Slot.NumMethodParams = 2;
-    Blocks.TokenOf[5] = "k#0";
-    Blocks.BlockOf["k#0"] = 5;
   }
 };
 
@@ -283,13 +278,9 @@ TEST(SpecSerial, TreeRoundTripPreservesRendering) {
   VarId X = F.Slot.Params[0], Y = F.Slot.Params[1];
 
   // A nested tree exercising: conjunction guards, negation, Ne atoms,
-  // existential binders (fresh-style and named), int64-extreme
-  // coefficients, primed params, lexicographic measures.
-  VarId W;
-  {
-    VarPool::Scope Sc(5);
-    W = VarPool::get().fresh("w"); // "w!b5!0"
-  }
+  // a source-named existential binder, int64-extreme coefficients,
+  // primed params, lexicographic measures.
+  VarId W = mkVar("w");
   VarId G = mkVar("ghost0");
   Formula Guard1 = Formula::conj2(
       Formula::cmp(LinExpr::var(X, 3) - LinExpr::var(Y, 5) + 1, CmpKind::Le,
@@ -323,12 +314,12 @@ TEST(SpecSerial, TreeRoundTripPreservesRendering) {
   R.ReVerified = true;
   R.Cases = &Root;
   std::optional<std::string> Entry =
-      serializeGroupEntry({R}, "some diags\n", true, F.Blocks);
+      serializeGroupEntry({R}, "some diags\n", true);
   ASSERT_TRUE(Entry.has_value());
 
   RehydratedGroup RG;
   std::string Err;
-  ASSERT_TRUE(rehydrateGroupEntry(*Entry, {F.Slot}, F.Blocks, RG, &Err))
+  ASSERT_TRUE(rehydrateGroupEntry(*Entry, {F.Slot}, RG, &Err))
       << Err;
   ASSERT_EQ(RG.Scenarios.size(), 1u);
   EXPECT_TRUE(RG.Bailed);
@@ -342,137 +333,37 @@ TEST(SpecSerial, TreeRoundTripPreservesRendering) {
   ScenarioRecord R2 = R;
   R2.Cases = &RG.Scenarios[0].Cases;
   std::optional<std::string> Entry2 =
-      serializeGroupEntry({R2}, "some diags\n", true, F.Blocks);
+      serializeGroupEntry({R2}, "some diags\n", true);
   ASSERT_TRUE(Entry2.has_value());
   EXPECT_EQ(*Entry, *Entry2);
 }
 
-TEST(SpecSerial, FreshVariablesRespellToConsumerBlocks) {
+TEST(SpecSerial, FreshVariablesAreNotSerializable) {
+  // A fresh variable of the root block or of a group block, named free
+  // or bound, makes the group unstorable.
   SerialFixture F;
-  VarId W;
-  {
-    VarPool::Scope Sc(5);
-    W = VarPool::get().fresh("fv"); // "fv!b5!<n>"
+  for (uint32_t Block : {0u, 5u}) {
+    VarId W;
+    {
+      VarPool::Scope Sc(Block);
+      W = VarPool::get().fresh("fv");
+    }
+    Formula Free = Formula::cmp(LinExpr::var(W), CmpKind::Ge, LinExpr(0));
+    Formula Bound = Formula::exists(
+        {W}, Formula::cmp(LinExpr::var(W) + LinExpr::var(F.Slot.Params[0]),
+                          CmpKind::Eq, LinExpr(0)));
+    for (const Formula &Guard : {Free, Bound}) {
+      CaseTree Leaf;
+      Leaf.Temporal = TemporalSpec::mayLoop();
+      CaseTree Root;
+      Root.Children.emplace_back(Guard, Leaf);
+      ScenarioRecord R;
+      R.Slot = F.Slot;
+      R.Cases = &Root;
+      EXPECT_FALSE(serializeGroupEntry({R}, "", false).has_value())
+          << varName(W) << ": " << Guard.str();
+    }
   }
-  CaseTree Root;
-  CaseTree Leaf;
-  Leaf.Temporal = TemporalSpec::mayLoop();
-  Root.Children.emplace_back(
-      Formula::cmp(LinExpr::var(W), CmpKind::Ge, LinExpr(0)), Leaf);
-
-  ScenarioRecord R;
-  R.Slot = F.Slot;
-  R.Cases = &Root;
-  std::optional<std::string> Entry =
-      serializeGroupEntry({R}, "", false, F.Blocks);
-  ASSERT_TRUE(Entry.has_value());
-  // The producer's block number must not appear in the entry.
-  EXPECT_EQ(Entry->find("b5"), std::string::npos);
-
-  // A consumer whose group for token "k#0" runs on block 9 rehydrates
-  // the SAME variable respelled into ITS block.
-  BlockTokenMap Consumer;
-  Consumer.TokenOf[9] = "k#0";
-  Consumer.BlockOf["k#0"] = 9;
-  RehydratedGroup RG;
-  std::string Err;
-  ASSERT_TRUE(rehydrateGroupEntry(*Entry, {F.Slot}, Consumer, RG, &Err))
-      << Err;
-  EXPECT_NE(RG.Scenarios[0].Cases.str(1).find("!b9!"), std::string::npos);
-
-  // Prescan resolves the same spellings the rehydration will intern.
-  std::vector<std::string> Fresh;
-  collectFreshSpellings(*Entry, Consumer, Fresh);
-  ASSERT_EQ(Fresh.size(), 1u);
-  EXPECT_EQ(Fresh[0].find("fv!b9!"), 0u);
-}
-
-TEST(SpecSerial, FreshReferencesAreSpelledLiterally) {
-  // collectFreshSpellings skips the parse of an entry without the
-  // literal ["f", — sound because the serializer spells every fresh
-  // reference so and SpecStore::load re-writes entries compactly.
-  VarPool::Session S;
-  VarPool::SessionScope Active(S);
-  SerialFixture F;
-  BlockTokenMap Consumer;
-  Consumer.TokenOf[9] = "k#0";
-  Consumer.BlockOf["k#0"] = 9;
-  auto collect = [&](const std::string &Entry) {
-    std::vector<std::string> Fresh;
-    collectFreshSpellings(Entry, Consumer, Fresh);
-    return Fresh;
-  };
-  const std::vector<std::string> Want = {"w!b9!3"};
-
-  // A guard naming block 5's "w!b5!3", plus diagnostics quoting the
-  // literal of another fresh reference.
-  CaseTree Leaf;
-  Leaf.Temporal = TemporalSpec::mayLoop();
-  CaseTree Tree;
-  Tree.Children.emplace_back(
-      Formula::cmp(LinExpr::var(mkVar("w!b5!3")), CmpKind::Ge, LinExpr(0)),
-      Leaf);
-  ScenarioRecord R;
-  R.Slot = F.Slot;
-  R.Cases = &Tree;
-  const std::string Diags = "see [\"f\",0,7,\"v\"]\n";
-  std::optional<std::string> Entry =
-      serializeGroupEntry({R}, Diags, false, F.Blocks);
-  ASSERT_TRUE(Entry.has_value());
-  const std::string Literal = "[\"f\",0,3,\"w\"]";
-  ASSERT_NE(Entry->find(Literal), std::string::npos) << *Entry;
-  // The serializer's bytes are already what load re-writes them to,
-  // and the quoted diagnostics add no spelling.
-  std::optional<json::Value> Doc = json::parse(*Entry);
-  ASSERT_TRUE(Doc.has_value());
-  EXPECT_EQ(json::write(*Doc), *Entry);
-  EXPECT_EQ(collect(*Entry), Want);
-
-  // A store file that spells the reference with blanks collects the
-  // same spelling once loaded.
-  std::string Spaced = *Entry;
-  Spaced.replace(Spaced.find(Literal), Literal.size(),
-                 "[ \"f\" , 0, 3, \"w\" ]");
-  TempFile File("spaced");
-  {
-    std::ofstream Out(File.Path);
-    Out << "{\"version\":1,\"fingerprint\":\"fp\",\"groups\":{\"k\":" << Spaced
-        << "}}\n";
-  }
-  SpecStore Store("fp");
-  std::string Err;
-  ASSERT_TRUE(Store.load(File.Path, &Err)) << Err;
-  ASSERT_NE(Store.peek("k"), nullptr);
-  EXPECT_EQ(*Store.peek("k"), *Entry);
-  EXPECT_EQ(collect(*Store.peek("k")), Want);
-
-  // Diagnostics quoting the literal, in an entry that names no fresh
-  // variable, collect nothing.
-  CaseTree Plain;
-  Plain.Temporal = TemporalSpec::mayLoop();
-  R.Cases = &Plain;
-  std::optional<std::string> NoFresh =
-      serializeGroupEntry({R}, Diags, false, F.Blocks);
-  ASSERT_TRUE(NoFresh.has_value());
-  EXPECT_TRUE(collect(*NoFresh).empty());
-}
-
-TEST(SpecSerial, RootBlockVariablesAreNotSerializable) {
-  SerialFixture F;
-  VarId RootVar;
-  {
-    VarPool::Scope Sc(0); // The root block has no token.
-    RootVar = VarPool::get().fresh("rv");
-  }
-  CaseTree Root;
-  CaseTree Leaf;
-  Leaf.Temporal = TemporalSpec::mayLoop();
-  Root.Children.emplace_back(
-      Formula::cmp(LinExpr::var(RootVar), CmpKind::Ge, LinExpr(0)), Leaf);
-  ScenarioRecord R;
-  R.Slot = F.Slot;
-  R.Cases = &Root;
-  EXPECT_FALSE(serializeGroupEntry({R}, "", false, F.Blocks).has_value());
 }
 
 TEST(SpecSerial, RejectsMismatchesAndCorruption) {
@@ -482,40 +373,109 @@ TEST(SpecSerial, RejectsMismatchesAndCorruption) {
   ScenarioRecord R;
   R.Slot = F.Slot;
   R.Cases = &Root;
-  std::optional<std::string> Entry =
-      serializeGroupEntry({R}, "", false, F.Blocks);
+  std::optional<std::string> Entry = serializeGroupEntry({R}, "", false);
   ASSERT_TRUE(Entry.has_value());
 
   RehydratedGroup RG;
   // Slot mismatch: different spec index.
   ScenarioSlot Wrong = F.Slot;
   Wrong.SpecIdx = 3;
-  EXPECT_FALSE(rehydrateGroupEntry(*Entry, {Wrong}, F.Blocks, RG));
+  EXPECT_FALSE(rehydrateGroupEntry(*Entry, {Wrong}, RG));
   // Count mismatch.
-  EXPECT_FALSE(
-      rehydrateGroupEntry(*Entry, {F.Slot, F.Slot}, F.Blocks, RG));
+  EXPECT_FALSE(rehydrateGroupEntry(*Entry, {F.Slot, F.Slot}, RG));
   // Corrupt JSON.
-  EXPECT_FALSE(rehydrateGroupEntry("{not json", {F.Slot}, F.Blocks, RG));
-  // Unresolvable block token: build an entry whose table names a token
-  // the consumer lacks.
-  VarId W;
-  {
-    VarPool::Scope Sc(5);
-    W = VarPool::get().fresh("zz");
+  EXPECT_FALSE(rehydrateGroupEntry("{not json", {F.Slot}, RG));
+  // An older build's fresh-variable form, as a reference and as a
+  // binder, and a fresh spelling by name: each is rejected.
+  const std::string Leaf = R"({"t":{"k":"M"},"p":true})";
+  auto entryWithGuard = [&](const std::string &Guard) {
+    return R"({"v":1,"bl":["k#0"],"sc":[{"m":0,"s":0,"sf":false,"rv":false,)"
+           R"("c":{"ch":[[)" +
+           Guard + "," + Leaf + "]]}}]}";
+  };
+  const std::string Ok = entryWithGuard(R"({"a":["le",{"k":0,"t":[[1,["p",0]]]}]})");
+  ASSERT_TRUE(rehydrateGroupEntry(Ok, {F.Slot}, RG));
+  for (const char *Guard :
+       {R"({"a":["le",{"k":0,"t":[[1,["f",0,3,"w"]]]}]})",
+        R"({"ex":[[["f",0,1,"w"]],{"a":["le",{"k":0,"t":[[1,["b",0]]]}]}]})",
+        R"({"a":["le",{"k":0,"t":[[1,["n","w!b1!3"]]]}]})",
+        R"({"ex":[["w!b1!1"],{"a":["le",{"k":0,"t":[[1,["b",0]]]}]}]})"}) {
+    std::string Err;
+    EXPECT_FALSE(rehydrateGroupEntry(entryWithGuard(Guard), {F.Slot}, RG, &Err))
+        << Guard;
+    EXPECT_FALSE(Err.empty()) << Guard;
   }
-  CaseTree Root2;
-  CaseTree Leaf2;
-  Leaf2.Temporal = TemporalSpec::mayLoop();
-  Root2.Children.emplace_back(
-      Formula::cmp(LinExpr::var(W), CmpKind::Ge, LinExpr(0)), Leaf2);
-  ScenarioRecord R2;
-  R2.Slot = F.Slot;
-  R2.Cases = &Root2;
-  std::optional<std::string> E2 =
-      serializeGroupEntry({R2}, "", false, F.Blocks);
-  ASSERT_TRUE(E2.has_value());
-  BlockTokenMap Empty;
-  EXPECT_FALSE(rehydrateGroupEntry(*E2, {F.Slot}, Empty, RG));
+}
+
+TEST(SpecSerial, MutatedEntriesAreRejectedOrReplayed) {
+  // A damaged or hostile store entry gets an error, never a crash:
+  // every entry of a @corpus:12 store, put through seeded deletions,
+  // insertions and substitutions, either rehydrates or is rejected.
+  std::vector<BatchItem> Items = corpusBatchItems(12);
+  SpecStore Store;
+  BatchOptions Opt;
+  Opt.Store = &Store;
+  BatchAnalyzer(Opt).run(Items);
+
+  const std::vector<std::string> Tokens = {
+      "[",     "]",      "{",      "}",     ",",     ":",
+      "\"f\"", "\"ex\"", "\"p\"",  "\"q\"", "\"b\"", "\"n\"",
+      "\"t\"", "\"ch\"", "\"a\"",  "true",  "null",  "\"\"",
+      "0",     "-1",     "2",      "1e999", "0.5",
+      "9223372036854775807",  "-9223372036854775808",
+      "9223372036854775808",  "-9223372036854775809"};
+  std::mt19937_64 Rng(2026);
+  auto pick = [&](size_t N) { return static_cast<size_t>(Rng() % N); };
+  size_t Entries = 0, Replayed = 0, Rejected = 0;
+  for (const BatchItem &It : Items) {
+    VarPool::Session S;
+    VarPool::SessionScope Active(S);
+    AnalyzerConfig Cfg = Opt.Program;
+    Cfg.Store = &Store;
+    std::unique_ptr<PreparedProgram> PP = prepareProgram(It.Source, Cfg);
+    ASSERT_TRUE(PP->Ok) << It.Name;
+    for (size_t G = 0; G < PP->Groups.size(); ++G) {
+      const std::string *Entry = Store.peek(PP->GroupKeys[G]);
+      ASSERT_NE(Entry, nullptr) << It.Name;
+      ++Entries;
+      const std::vector<ScenarioSlot> Slots = scenarioSlots(*PP, G);
+      VarPool::Scope Block(VarPool::groupBlock(G));
+      RehydratedGroup Clean;
+      ASSERT_TRUE(rehydrateGroupEntry(*Entry, Slots, Clean)) << It.Name;
+      for (int Round = 0; Round < 1000; ++Round) {
+        std::string Mut = *Entry;
+        for (size_t Edits = 1 + pick(3); Edits > 0; --Edits) {
+          const size_t Pos = pick(Mut.size() + 1);
+          const size_t Len = std::min<size_t>(1 + pick(8), Mut.size() - Pos);
+          const std::string &Tok = Tokens[pick(Tokens.size())];
+          switch (pick(3)) {
+          case 0:
+            Mut.erase(Pos, Len);
+            break;
+          case 1:
+            Mut.insert(Pos, Tok);
+            break;
+          default:
+            Mut.replace(Pos, Len, Tok);
+            break;
+          }
+        }
+        RehydratedGroup RG;
+        std::string Err;
+        if (rehydrateGroupEntry(Mut, Slots, RG, &Err)) {
+          ++Replayed;
+          for (const RehydratedScenario &Sc : RG.Scenarios)
+            EXPECT_FALSE(Sc.Cases.str(1).empty());
+        } else {
+          ++Rejected;
+          EXPECT_FALSE(Err.empty()) << Mut;
+        }
+      }
+    }
+  }
+  EXPECT_GT(Entries, 12u);
+  EXPECT_GT(Rejected, 0u);
+  EXPECT_GT(Replayed, 0u);
 }
 
 //===----------------------------------------------------------------------===//
