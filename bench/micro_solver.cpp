@@ -8,7 +8,6 @@
 
 #include "api/Analyzer.h"
 #include "api/BatchAnalyzer.h"
-#include "solver/Interval.h"
 #include "synth/Abduction.h"
 #include "synth/Ranking.h"
 #include "workloads/Corpus.h"
@@ -74,143 +73,6 @@ void BM_SolverEntailment(benchmark::State &State) {
 }
 BENCHMARK(BM_SolverEntailment);
 
-/// The repeated-query workload of the BENCH_solver.json artifact: a
-/// fixed family of entailments, re-asked round after round (the shape
-/// the inference loop produces across case-split iterations).
-std::vector<std::pair<Formula, Formula>> repeatedQueries() {
-  std::vector<std::pair<Formula, Formula>> Qs;
-  for (int I = 0; I < 24; ++I) {
-    std::string X = "bm_q" + std::to_string(I);
-    std::string Y = "bm_r" + std::to_string(I);
-    std::string Z = "bm_s" + std::to_string(I);
-    std::string W = "bm_t" + std::to_string(I);
-    // A chain x < y < z < w inside a box: several eliminations per
-    // Omega run, so a cache miss carries real decision work.
-    Formula A = Formula::conj(
-        {Formula::cmp(ex(X.c_str()), CmpKind::Ge, LinExpr(I)),
-         Formula::cmp(ex(Y.c_str()), CmpKind::Ge, ex(X.c_str()) + 1),
-         Formula::cmp(ex(Z.c_str()), CmpKind::Ge, ex(Y.c_str()) + 1),
-         Formula::cmp(ex(W.c_str()), CmpKind::Ge, ex(Z.c_str()) + 1),
-         Formula::cmp(ex(W.c_str()), CmpKind::Le, LinExpr(100 + I))});
-    Formula B = Formula::cmp(ex(W.c_str()), CmpKind::Ge, LinExpr(I + 3));
-    Qs.emplace_back(A, B);
-  }
-  return Qs;
-}
-
-void BM_ContextCachedEntailment(benchmark::State &State) {
-  auto Qs = repeatedQueries();
-  SolverContext SC;
-  for (auto _ : State)
-    for (const auto &[A, B] : Qs)
-      benchmark::DoNotOptimize(SC.entails(A, B));
-}
-BENCHMARK(BM_ContextCachedEntailment);
-
-void BM_ContextUncachedEntailment(benchmark::State &State) {
-  auto Qs = repeatedQueries();
-  SolverContext SC(/*CacheCapacity=*/0);
-  for (auto _ : State)
-    for (const auto &[A, B] : Qs)
-      benchmark::DoNotOptimize(SC.entails(A, B));
-}
-BENCHMARK(BM_ContextUncachedEntailment);
-
-/// The repeated-toDNF workload of the dnf_memo artifact section: a
-/// fixed family of formulas whose expansion does real distribution
-/// work (2^6 clauses each) plus an existential block, so memo hits
-/// exercise the skeleton-renaming path.
-std::vector<Formula> dnfWorkload() {
-  std::vector<Formula> Fs;
-  for (int I = 0; I < 12; ++I) {
-    std::vector<Formula> Parts;
-    for (int J = 0; J < 6; ++J) {
-      std::string V = "bm_dnf" + std::to_string(I) + "_" + std::to_string(J);
-      Parts.push_back(Formula::disj2(
-          Formula::cmp(ex(V.c_str()), CmpKind::Le, LinExpr(J)),
-          Formula::cmp(ex(V.c_str()), CmpKind::Ge, LinExpr(J + 10))));
-    }
-    VarId W = mkVar("bm_dnfw" + std::to_string(I));
-    Parts.push_back(Formula::exists(
-        {W}, Formula::cmp(LinExpr::var(W), CmpKind::Ge,
-                          ex(("bm_dnf" + std::to_string(I) + "_0").c_str()))));
-    Fs.push_back(Formula::conj(Parts));
-  }
-  return Fs;
-}
-
-void BM_MemoizedToDNF(benchmark::State &State) {
-  auto Fs = dnfWorkload();
-  SolverContext SC;
-  for (auto _ : State)
-    for (const Formula &F : Fs)
-      benchmark::DoNotOptimize(SC.toDNF(F, 256));
-}
-BENCHMARK(BM_MemoizedToDNF);
-
-void BM_UnmemoizedToDNF(benchmark::State &State) {
-  auto Fs = dnfWorkload();
-  SolverContext SC(SolverContext::DefaultCacheCapacity,
-                   /*DnfMemoCapacity=*/0);
-  for (auto _ : State)
-    for (const Formula &F : Fs)
-      benchmark::DoNotOptimize(SC.toDNF(F, 256));
-}
-BENCHMARK(BM_UnmemoizedToDNF);
-
-/// The constraint-heavy workload of the prefilter artifact section:
-/// difference chains x0 >= Off, x_{i+1} >= x_i + 1, x_{N-1} <= Top.
-/// With Top < Off + N - 1 the chain is UNSAT, and interval propagation
-/// decides it in a couple of passes where Omega runs a full
-/// elimination over N variables. Every query gets its own constants
-/// (and its own variable block), so no cache can answer — the
-/// timing isolates prefilter-vs-Omega on the engine itself. A quarter
-/// of the family are satisfiable boxes, exercising the witness path.
-std::vector<ConstraintConj> chainFamily(unsigned Count, int N) {
-  std::vector<ConstraintConj> Out;
-  Out.reserve(Count);
-  for (unsigned Q = 0; Q < Count; ++Q) {
-    std::string Base = "bm_chain" + std::to_string(Q) + "_";
-    ConstraintConj Conj;
-    if (Q % 4 == 3) {
-      // Satisfiable box: x_i in [Q % 7 + 1, Q % 7 + 10].
-      for (int I = 0; I < N; ++I) {
-        LinExpr X = ex((Base + std::to_string(I)).c_str());
-        Conj.push_back(ge(X, int64_t(Q % 7) + 1));
-        Conj.push_back(le(X, int64_t(Q % 7) + 10));
-      }
-    } else {
-      int64_t Off = int64_t(Q % 11);
-      Conj.push_back(ge(ex((Base + "0").c_str()), Off));
-      for (int I = 0; I + 1 < N; ++I)
-        Conj.push_back(Constraint::make(
-            ex((Base + std::to_string(I + 1)).c_str()), CmpKind::Ge,
-            ex((Base + std::to_string(I)).c_str()) + 1));
-      // Top bound below the chain's reach: UNSAT by propagation.
-      Conj.push_back(
-          le(ex((Base + std::to_string(N - 1)).c_str()), Off + N - 2));
-    }
-    Out.push_back(std::move(Conj));
-  }
-  return Out;
-}
-
-void BM_IntervalPrefilterChain(benchmark::State &State) {
-  auto Family = chainFamily(64, static_cast<int>(State.range(0)));
-  for (auto _ : State)
-    for (const ConstraintConj &Conj : Family)
-      benchmark::DoNotOptimize(intervalPrefilter(Conj));
-}
-BENCHMARK(BM_IntervalPrefilterChain)->Arg(12)->Arg(16);
-
-void BM_OmegaOnChainFamily(benchmark::State &State) {
-  auto Family = chainFamily(64, static_cast<int>(State.range(0)));
-  for (auto _ : State)
-    for (const ConstraintConj &Conj : Family)
-      benchmark::DoNotOptimize(Omega::isSatConj(Conj));
-}
-BENCHMARK(BM_OmegaOnChainFamily)->Arg(12)->Arg(16);
-
 void BM_RankingSynthesis(benchmark::State &State) {
   VarId X = mkVar("bm_rx"), Y = mkVar("bm_ry");
   VarId XP = mkVar("bm_rx'"), YP = mkVar("bm_ry'");
@@ -275,67 +137,7 @@ int emitJson(const std::string &Path) {
     return std::chrono::duration<double>(B - A).count();
   };
 
-  // 1. Repeated-query throughput, uncached vs LRU-cached context.
-  auto Qs = repeatedQueries();
-  const unsigned Rounds = 400;
-  uint64_t Queries = 0;
-
-  SolverContext Uncached(/*CacheCapacity=*/0);
-  auto U0 = Clock::now();
-  for (unsigned R = 0; R < Rounds; ++R)
-    for (const auto &[A, B] : Qs)
-      benchmark::DoNotOptimize(Uncached.entails(A, B));
-  auto U1 = Clock::now();
-  double UncachedSec = Secs(U0, U1);
-  Queries = Uncached.stats().SatQueries;
-
-  SolverContext Cached;
-  auto C0 = Clock::now();
-  for (unsigned R = 0; R < Rounds; ++R)
-    for (const auto &[A, B] : Qs)
-      benchmark::DoNotOptimize(Cached.entails(A, B));
-  auto C1 = Clock::now();
-  double CachedSec = Secs(C0, C1);
-  SolverStats CS = Cached.stats();
-  double HitRate =
-      CS.SatQueries ? double(CS.CacheHits) / double(CS.SatQueries) : 0.0;
-  double UncachedQps = UncachedSec > 0 ? double(Queries) / UncachedSec : 0.0;
-  double CachedQps = CachedSec > 0 ? double(CS.SatQueries) / CachedSec : 0.0;
-  double Speedup = UncachedSec > 0 && CachedSec > 0 ? UncachedSec / CachedSec
-                                                    : 0.0;
-
-  // 2. Repeated-toDNF throughput, unmemoized vs pointer-keyed memo.
-  auto DnfFs = dnfWorkload();
-  const unsigned DnfRounds = 600;
-
-  SolverContext DnfUnmemo(SolverContext::DefaultCacheCapacity,
-                          /*DnfMemoCapacity=*/0);
-  auto DU0 = Clock::now();
-  for (unsigned R = 0; R < DnfRounds; ++R)
-    for (const Formula &F : DnfFs)
-      benchmark::DoNotOptimize(DnfUnmemo.toDNF(F, 256));
-  auto DU1 = Clock::now();
-  double DnfUnmemoSec = Secs(DU0, DU1);
-  uint64_t DnfQueries = DnfUnmemo.stats().DnfQueries;
-
-  SolverContext DnfMemo;
-  auto DM0 = Clock::now();
-  for (unsigned R = 0; R < DnfRounds; ++R)
-    for (const Formula &F : DnfFs)
-      benchmark::DoNotOptimize(DnfMemo.toDNF(F, 256));
-  auto DM1 = Clock::now();
-  double DnfMemoSec = Secs(DM0, DM1);
-  SolverStats DS = DnfMemo.stats();
-  uint64_t DnfLookups = DS.DnfHits + DS.DnfMisses;
-  double DnfHitRate = DnfLookups ? double(DS.DnfHits) / double(DnfLookups)
-                                 : 0.0;
-  double DnfUnmemoQps =
-      DnfUnmemoSec > 0 ? double(DnfQueries) / DnfUnmemoSec : 0.0;
-  double DnfMemoQps = DnfMemoSec > 0 ? double(DS.DnfQueries) / DnfMemoSec : 0.0;
-  double DnfSpeedup =
-      DnfUnmemoSec > 0 && DnfMemoSec > 0 ? DnfUnmemoSec / DnfMemoSec : 0.0;
-
-  // 3. Parallel SCC scheduler speedup on a multi-group program.
+  // 1. Parallel SCC scheduler speedup on a multi-group program.
   unsigned Hw = std::thread::hardware_concurrency();
   unsigned Threads = Hw == 0 ? 4 : std::max(Hw, 2u);
   std::string Prog = multiSccProgram(12);
@@ -355,45 +157,14 @@ int emitJson(const std::string &Path) {
   double ParSpeedup = ParSec > 0 ? SeqSec / ParSec : 0.0;
   bool Deterministic = RS.Ok && RP.Ok && RS.str() == RP.str();
 
-  // 4. Interval prefilter: plain Omega against the uncached query path
-  // (prefilter first, Omega when it cannot decide) on the
-  // constraint-heavy chain family, where every query is distinct; then
-  // the share of @fig11's queries the prefilter answers.
-  auto Family = chainFamily(2000, 14);
-
-  auto OF0 = Clock::now();
-  for (const ConstraintConj &Conj : Family)
-    benchmark::DoNotOptimize(Omega::isSatConj(Conj));
-  auto OF1 = Clock::now();
-  double OmegaSec = Secs(OF0, OF1);
-
-  SolverContext Prefiltered(/*CacheCapacity=*/0);
-  auto PF0 = Clock::now();
-  for (const ConstraintConj &Conj : Family)
-    benchmark::DoNotOptimize(Prefiltered.isSatConj(Conj));
-  auto PF1 = Clock::now();
-  double PrefilteredSec = Secs(PF0, PF1);
-  SolverStats LS = Prefiltered.stats();
-  double AnswerRate =
-      LS.SatQueries
-          ? double(LS.IntervalUnsat + LS.IntervalSat) / double(LS.SatQueries)
-          : 0.0;
-  double PrefilterSpeedup =
-      OmegaSec > 0 && PrefilteredSec > 0 ? OmegaSec / PrefilteredSec : 0.0;
-
-  // 5. The exact LP on a 1-thread @fig11 batch, whose counts do not
-  // depend on the schedule; the prefilter share above reads it too.
+  // 2. The exact LP on a 1-thread @fig11 batch, whose counts do not
+  // depend on the schedule.
   BatchOptions FigOpt;
   FigOpt.Threads = 1;
   BatchAnalyzer FigBA(FigOpt);
   auto F0 = Clock::now();
   BatchResult FigR = FigBA.run(loopBasedBatchItems());
   auto F1 = Clock::now();
-  double FigAnswerRate =
-      FigR.Usage.SatQueries
-          ? double(FigR.Usage.IntervalUnsat + FigR.Usage.IntervalSat) /
-                double(FigR.Usage.SatQueries)
-          : 0.0;
 
   std::ofstream Out(Path);
   if (!Out) {
@@ -401,21 +172,6 @@ int emitJson(const std::string &Path) {
     return 1;
   }
   Out << "{\n";
-  Out << "  \"repeated_query\": {\n";
-  Out << "    \"queries\": " << Queries << ",\n";
-  Out << "    \"uncached_qps\": " << UncachedQps << ",\n";
-  Out << "    \"cached_qps\": " << CachedQps << ",\n";
-  Out << "    \"speedup_vs_uncached\": " << Speedup << ",\n";
-  Out << "    \"cache_hit_rate\": " << HitRate << ",\n";
-  Out << "    \"cache_enabled\": true\n";
-  Out << "  },\n";
-  Out << "  \"dnf_memo\": {\n";
-  Out << "    \"queries\": " << DnfQueries << ",\n";
-  Out << "    \"unmemoized_dnf_per_sec\": " << DnfUnmemoQps << ",\n";
-  Out << "    \"memoized_dnf_per_sec\": " << DnfMemoQps << ",\n";
-  Out << "    \"speedup_vs_unmemoized\": " << DnfSpeedup << ",\n";
-  Out << "    \"memo_hit_rate\": " << DnfHitRate << "\n";
-  Out << "  },\n";
   Out << "  \"parallel_scc\": {\n";
   Out << "    \"threads\": " << Threads << ",\n";
   Out << "    \"groups\": " << RP.GroupCount << ",\n";
@@ -425,14 +181,6 @@ int emitJson(const std::string &Path) {
   Out << "    \"deterministic\": " << (Deterministic ? "true" : "false")
       << "\n";
   Out << "  },\n";
-  Out << "  \"prefilter\": {\n";
-  Out << "    \"chain_queries\": " << Family.size() << ",\n";
-  Out << "    \"chain_omega_ms\": " << OmegaSec * 1000.0 << ",\n";
-  Out << "    \"chain_prefiltered_ms\": " << PrefilteredSec * 1000.0 << ",\n";
-  Out << "    \"chain_speedup_vs_omega\": " << PrefilterSpeedup << ",\n";
-  Out << "    \"prefilter_answer_rate\": " << AnswerRate << ",\n";
-  Out << "    \"fig11_prefilter_answer_rate\": " << FigAnswerRate << "\n";
-  Out << "  },\n";
   Out << "  \"lp\": {\n";
   Out << "    \"fig11_lp_solves\": " << FigR.Usage.LpSolves << ",\n";
   Out << "    \"fig11_lp_pivots\": " << FigR.Usage.LpPivots << ",\n";
@@ -440,15 +188,9 @@ int emitJson(const std::string &Path) {
   Out << "    \"fig11_batch_ms\": " << Secs(F0, F1) * 1000.0 << "\n";
   Out << "  }\n";
   Out << "}\n";
-  std::cout << "BENCH_solver.json: cached " << CachedQps << " q/s vs uncached "
-            << UncachedQps << " q/s (x" << Speedup << ", hit rate " << HitRate
-            << "); dnf memo " << DnfMemoQps << " dnf/s vs " << DnfUnmemoQps
-            << " dnf/s (x" << DnfSpeedup << ", hit rate " << DnfHitRate
-            << "); parallel x" << ParSpeedup << " on " << Threads
-            << " threads (deterministic: " << (Deterministic ? "yes" : "no")
-            << "); prefilter x" << PrefilterSpeedup
-            << " vs Omega on chains (answer rate " << AnswerRate
-            << "), fig11 answer rate " << FigAnswerRate << "; fig11 LP "
+  std::cout << "BENCH_solver.json: parallel x" << ParSpeedup << " on "
+            << Threads << " threads (deterministic: "
+            << (Deterministic ? "yes" : "no") << "); fig11 LP "
             << FigR.Usage.LpSolves << " solves, " << FigR.Usage.LpPivots
             << " pivots, " << FigR.Usage.LpOverflows << " overflows in "
             << Secs(F0, F1) * 1000.0 << " ms\n";

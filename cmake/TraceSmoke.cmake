@@ -38,7 +38,7 @@ if(NOT EXISTS ${TRACE_FILE})
   message(FATAL_ERROR "TraceSmoke: ${TRACE_FILE} was not written")
 endif()
 file(READ ${TRACE_FILE} TRACE_JSON)
-foreach(NEEDLE "\"traceEvents\"" "\"solveGroup\"" "\"interval\""
+foreach(NEEDLE "\"traceEvents\"" "\"solveGroup\"" "\"omegaSat\""
         "\"displayTimeUnit\"")
   string(FIND "${TRACE_JSON}" "${NEEDLE}" HIT)
   if(HIT EQUAL -1)

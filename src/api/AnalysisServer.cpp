@@ -258,11 +258,6 @@ void AnalysisServer::jobFinished(uint64_t ProgramsRan) {
       // some. With any other engine alive, stand down (append-only
       // mode) rather than free terms from under it.
       if (LiveEngine::count() == 1) {
-        // The process-wide default context is the one SolverContext a
-        // host process might use between requests; its caches hold
-        // interned pointers, so drop them before the sweep (they are
-        // caches — a refill is always sound).
-        SolverContext::defaultCtx().clearCache();
         LastReclaim = ArithIntern::global().reclaim();
         ++Reclaims;
       }
@@ -618,12 +613,8 @@ std::string AnalysisServer::statsJson(const std::string &Id) const {
       << "\"dropped\":" << S.LastReclaim.dropped()
       << ",\"bytes_before\":" << S.LastReclaim.BytesBefore
       << ",\"bytes_after\":" << S.LastReclaim.BytesAfter << "},\"intern\":{"
-      << "\"exprs\":" << S.InternExprs
-      << ",\"constraints\":" << S.InternConstraints
-      << ",\"formulas\":" << S.InternFormulas
-      << ",\"arena_bytes\":" << S.InternArenaBytes << "},\"ladder\":{"
-      << "\"interval_unsat\":" << S.Usage.IntervalUnsat
-      << ",\"interval_sat\":" << S.Usage.IntervalSat << "},\"cond_term\":{"
+      << "\"formulas\":" << S.InternFormulas
+      << ",\"arena_bytes\":" << S.InternArenaBytes << "},\"cond_term\":{"
       << "\"emitted\":" << S.CondTerm.Emitted
       << ",\"sound\":" << S.CondTerm.Sound
       << ",\"demoted\":" << S.CondTerm.Demoted
@@ -644,9 +635,6 @@ std::string AnalysisServer::metricsJson(const std::string &Id) const {
   R.setGauge("server.requests", static_cast<int64_t>(S.Requests));
   R.setGauge("server.errors", static_cast<int64_t>(S.Errors));
   R.setGauge("server.reclaims", static_cast<int64_t>(S.Reclaims));
-  R.setGauge("server.intern_exprs", static_cast<int64_t>(S.InternExprs));
-  R.setGauge("server.intern_constraints",
-             static_cast<int64_t>(S.InternConstraints));
   R.setGauge("server.intern_formulas",
              static_cast<int64_t>(S.InternFormulas));
   R.setGauge("server.intern_arena_bytes",
@@ -678,8 +666,6 @@ ServerStats AnalysisServer::statsLocked() const {
   S.StoreBytes = SS.Bytes;
   S.StoreRefused = SS.Refused;
   ArithIntern &I = ArithIntern::global();
-  S.InternExprs = I.exprCount();
-  S.InternConstraints = I.constraintCount();
   S.InternFormulas = I.formulaCount();
   S.InternArenaBytes = I.arenaBytes();
   return S;

@@ -105,6 +105,7 @@
 #define TNT_API_ANALYSISSERVER_H
 
 #include "api/BatchAnalyzer.h"
+#include "arith/Intern.h"
 #include "support/Json.h"
 #include "support/WorkStealingPool.h"
 
@@ -163,16 +164,13 @@ struct ServerStats {
   /// because perfbench/driver.cpp reads it; nothing else may use it.
   GlobalCacheStats Global;
   /// Cumulative per-request solver usage (sum of every handled
-  /// program's SolverUsage) — the interval-prefilter counters live
-  /// here.
+  /// program's SolverUsage).
   SolverStats Usage;
   /// Cumulative conditional-termination counters (zero unless the
   /// server's Program config enables --cond-term). Store-served groups
   /// contribute their producer-run counts, rehydrated from the entry's
   /// "ct" record, so warm and cold servers report the same numbers.
   CondTermStats CondTerm;
-  size_t InternExprs = 0;
-  size_t InternConstraints = 0;
   size_t InternFormulas = 0;
   size_t InternArenaBytes = 0;
 };

@@ -198,7 +198,6 @@ BatchResult BatchAnalyzer::run(const std::vector<BatchItem> &Items) {
         Row.Millis = Ms;
         Row.FromStore = Run.FromStore;
         Row.SatQueries = Run.Stats.SatQueries;
-        Row.IntervalAnswered = Run.Stats.IntervalUnsat + Run.Stats.IntervalSat;
         Row.DnfQueries = Run.Stats.DnfQueries;
       }
       St.Runs[G] = std::move(Run);
@@ -395,16 +394,13 @@ std::string BatchResult::profileTable(size_t TopN) const {
   std::string Out = "Slowest groups (top " + std::to_string(Rows.size()) +
                     " of " + std::to_string(Profile.size()) + "):\n";
   char Buf[256];
-  std::snprintf(Buf, sizeof(Buf), "%-24s %5s %10s %8s %8s %8s %6s\n",
-                "Program", "Grp", "Time(ms)", "SatQ", "Intv", "DnfQ",
-                "Store");
+  std::snprintf(Buf, sizeof(Buf), "%-24s %5s %10s %8s %8s %6s\n",
+                "Program", "Grp", "Time(ms)", "SatQ", "DnfQ", "Store");
   Out += Buf;
   for (const GroupProfile *Row : Rows) {
-    std::snprintf(Buf, sizeof(Buf),
-                  "%-24s %5zu %10.2f %8llu %8llu %8llu %6s\n",
+    std::snprintf(Buf, sizeof(Buf), "%-24s %5zu %10.2f %8llu %8llu %6s\n",
                   Row->Program.c_str(), Row->Group, Row->Millis,
                   static_cast<unsigned long long>(Row->SatQueries),
-                  static_cast<unsigned long long>(Row->IntervalAnswered),
                   static_cast<unsigned long long>(Row->DnfQueries),
                   Row->FromStore ? "hit" : "-");
     Out += Buf;

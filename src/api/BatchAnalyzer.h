@@ -25,9 +25,9 @@
 /// prepares under root block 0 and runs group G on block G + 1 —
 /// exactly the single-program schedule — so every id and spelling it
 /// mints is positional, a pure function of that program alone. Group
-/// results are joined in group order, and a group's solver cache is
-/// private and semantically transparent, so nothing observable
-/// depends on scheduling. Block overflow (an oversized program) falls
+/// results are joined in group order, and a group's solver context is
+/// private and caches nothing, so nothing observable depends on
+/// scheduling. Block overflow (an oversized program) falls
 /// back to the SESSION's id region, which is equally positional — the
 /// old shared-pool carve-out ("overflow tail loses byte-determinism")
 /// is retired; see tests/VarPoolOverflowTest.cpp. The remaining
@@ -163,7 +163,6 @@ struct GroupProfile {
   double Millis = 0;     ///< Group task wall-clock.
   bool FromStore = false;
   uint64_t SatQueries = 0;
-  uint64_t IntervalAnswered = 0; ///< IntervalUnsat + IntervalSat.
   uint64_t DnfQueries = 0;
 };
 

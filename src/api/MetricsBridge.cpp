@@ -20,18 +20,10 @@ void put(const std::string &Prefix, const char *Name, uint64_t V) {
 
 void tnt::bridgeSolverStats(const std::string &Prefix, const SolverStats &S) {
   put(Prefix, "sat_queries", S.SatQueries);
-  put(Prefix, "cache_hits", S.CacheHits);
-  put(Prefix, "cache_misses", S.CacheMisses);
-  put(Prefix, "cache_evictions", S.CacheEvictions);
   put(Prefix, "lp_solves", S.LpSolves);
   put(Prefix, "lp_pivots", S.LpPivots);
   put(Prefix, "lp_overflows", S.LpOverflows);
   put(Prefix, "dnf_queries", S.DnfQueries);
-  put(Prefix, "dnf_hits", S.DnfHits);
-  put(Prefix, "dnf_misses", S.DnfMisses);
-  put(Prefix, "dnf_evictions", S.DnfEvictions);
-  put(Prefix, "interval_unsat", S.IntervalUnsat);
-  put(Prefix, "interval_sat", S.IntervalSat);
   put(Prefix, "fuel_used", S.fuelUsed());
 }
 

@@ -426,8 +426,7 @@ bool Formula::eval(const std::map<VarId, int64_t> &Assign) const {
 
 namespace {
 
-Formula nnfOf(const Formula &F, bool Negate,
-              std::vector<std::pair<VarId, std::string>> *RenamedOut) {
+Formula nnfOf(const Formula &F, bool Negate) {
   const FormulaNode *N = F.node();
   switch (N->K) {
   case FormulaNode::Kind::True:
@@ -450,11 +449,11 @@ Formula nnfOf(const Formula &F, bool Negate,
     std::vector<Formula> Kids;
     Kids.reserve(N->Children.size());
     for (const Formula &C : N->Children)
-      Kids.push_back(nnfOf(C, Negate, RenamedOut));
+      Kids.push_back(nnfOf(C, Negate));
     return IsAnd ? Formula::conj(Kids) : Formula::disj(Kids);
   }
   case FormulaNode::Kind::Not:
-    return nnfOf(N->Children[0], !Negate, RenamedOut);
+    return nnfOf(N->Children[0], !Negate);
   case FormulaNode::Kind::Exists: {
     // A negated existential (a universal) is outside the NNF fragment.
     // Solver entry points eliminate negative existentials by exact
@@ -466,29 +465,18 @@ Formula nnfOf(const Formula &F, bool Negate,
     if (Negate)
       return Formula::neg(F);
     std::map<VarId, VarId> Renaming;
-    for (VarId B : N->Bound) {
-      std::string Base = varName(B);
-      VarId Fresh = freshVar(Base);
-      Renaming[B] = Fresh;
-      if (RenamedOut)
-        RenamedOut->emplace_back(Fresh, std::move(Base));
-    }
-    return nnfOf(N->Children[0].rename(Renaming), false, RenamedOut);
+    for (VarId B : N->Bound)
+      Renaming[B] = freshVar(varName(B));
+    return nnfOf(N->Children[0].rename(Renaming), false);
   }
   }
   return F;
 }
 
-} // namespace
-
-Formula
-Formula::toNNF(std::vector<std::pair<VarId, std::string>> *RenamedOut) const {
-  assert(isValid() && "toNNF on invalid formula");
-  return nnfOf(*this, false, RenamedOut);
-}
-
-std::optional<std::vector<ConstraintConj>>
-Formula::expandNNF(const Formula &Nnf, size_t MaxClauses) {
+/// DNF clause expansion of an already-NNF formula (as produced by
+/// nnfOf), capped at \p MaxClauses.
+std::optional<std::vector<ConstraintConj>> expandNNF(const Formula &Nnf,
+                                                     size_t MaxClauses) {
   // Recursive expansion with clause cap.
   struct Expander {
     size_t Cap;
@@ -548,20 +536,13 @@ Formula::expandNNF(const Formula &Nnf, size_t MaxClauses) {
         }
         return Out;
       }
-      case FormulaNode::Kind::Exists: {
-        // Rename bound variables to fresh free variables: sound for
-        // satisfiability and projection-style queries. (toNNF already
-        // eliminates positive existentials, so this only fires when a
-        // caller expands a hand-built NNF that still carries one.)
-        std::map<VarId, VarId> Renaming;
-        for (VarId B : Nd->Bound)
-          Renaming[B] = freshVar(varName(B));
-        return expand(Nd->Children[0].rename(Renaming));
-      }
+      case FormulaNode::Kind::Exists:
       case FormulaNode::Kind::Not:
-        // Residual negation: a negated existential toNNF could not push
-        // through (see nnfOf). Refuse to expand rather than produce an
-        // unsound DNF; callers treat nullopt conservatively.
+        // Residual negation: a negated existential nnfOf could not push
+        // through. (nnfOf renames every positive existential apart, so
+        // an Exists only ever arrives under a Not.) Refuse to expand
+        // rather than produce an unsound DNF; callers treat nullopt
+        // conservatively.
         Overflow = true;
         return {};
       }
@@ -574,6 +555,13 @@ Formula::expandNNF(const Formula &Nnf, size_t MaxClauses) {
   if (E.Overflow)
     return std::nullopt;
   return Out;
+}
+
+} // namespace
+
+Formula Formula::toNNF() const {
+  assert(isValid() && "toNNF on invalid formula");
+  return nnfOf(*this, false);
 }
 
 std::optional<std::vector<ConstraintConj>>

@@ -24,7 +24,6 @@
 #include <optional>
 #include <set>
 #include <string>
-#include <utility>
 #include <vector>
 
 namespace tnt {
@@ -57,8 +56,9 @@ struct FormulaNode {
 
 /// Shared handle to an immutable, interned formula node. A
 /// default-constructed Formula is invalid; use Formula::top() for
-/// "true". Copies are pointer copies; interned nodes live for the
-/// process lifetime.
+/// "true". Copies are pointer copies. Interned nodes live for the
+/// process lifetime, except in a server's epoch mode, where a node
+/// interned during an epoch dies with it (arith/Intern.h).
 class Formula {
 public:
   Formula() = default;
@@ -92,7 +92,7 @@ public:
   bool isBottom() const;
 
   /// The underlying interned node; non-null for valid formulas. Stable
-  /// for the process lifetime, so it can key memo tables.
+  /// for as long as the node lives (see the class comment).
   const FormulaNode *node() const { return Node; }
 
   /// Structural equality. Interning makes this a pointer comparison:
@@ -122,26 +122,14 @@ public:
   /// are renamed apart into fresh free variables (sound for
   /// satisfiability). \p MaxClauses caps blowup; on overflow — or when
   /// the formula contains a negated existential, which the DNF fragment
-  /// cannot express soundly — returns std::nullopt. Equivalent to
-  /// expandNNF(toNNF(), MaxClauses).
+  /// cannot express soundly — returns std::nullopt. Expands toNNF()
+  /// clause by clause.
   std::optional<std::vector<ConstraintConj>>
   toDNF(size_t MaxClauses = 4096) const;
 
   /// Negation normal form with Not eliminated (Ne atoms allowed) and
   /// positive existentials renamed apart into fresh free variables.
-  /// When \p RenamedOut is non-null, every fresh variable introduced
-  /// for a binder is appended as (fresh id, original binder spelling)
-  /// in introduction order — SolverContext's DNF memo uses the record
-  /// to re-freshen cached clause skeletons per retrieval.
-  Formula
-  toNNF(std::vector<std::pair<VarId, std::string>> *RenamedOut) const;
-  Formula toNNF() const { return toNNF(nullptr); }
-
-  /// DNF clause expansion of an already-NNF formula (as produced by
-  /// toNNF). The building block shared by toDNF and the memoized
-  /// SolverContext::toDNF.
-  static std::optional<std::vector<ConstraintConj>>
-  expandNNF(const Formula &Nnf, size_t MaxClauses);
+  Formula toNNF() const;
 
   std::string str() const;
 

@@ -9,23 +9,14 @@ using namespace tnt;
 
 namespace {
 
-/// Approximate payload bytes of one interned entry: the entry itself,
-/// its bookkeeping (arena unique_ptr + bucket-chain pointer + heap
-/// header), and the dynamic payload. Map nodes are costed at a flat 48
-/// bytes (key + value + three pointers + color on a typical libstdc++
-/// node). Deterministic — a function of the value's shape only — so it
-/// can serve as the soak tests' RSS proxy.
+/// Approximate payload bytes of one interned node: the node itself, its
+/// bookkeeping (arena unique_ptr + bucket-chain pointer + heap header),
+/// and the dynamic payload. Map nodes are costed at a flat 48 bytes
+/// (key + value + three pointers + color on a typical libstdc++ node).
+/// Deterministic — a function of the value's shape only — so it can
+/// serve as the soak tests' RSS proxy.
 constexpr size_t SlotOverhead = 3 * sizeof(void *);
 constexpr size_t MapNodeBytes = 48;
-
-size_t approxBytes(const LinExpr &E) {
-  return sizeof(LinExpr) + E.coeffs().size() * MapNodeBytes + SlotOverhead;
-}
-
-size_t approxBytes(const Constraint &C) {
-  return sizeof(Constraint) + C.expr().coeffs().size() * MapNodeBytes +
-         SlotOverhead;
-}
 
 size_t approxBytes(const FormulaNode &N) {
   return sizeof(FormulaNode) + N.Children.size() * sizeof(Formula) +
@@ -35,19 +26,23 @@ size_t approxBytes(const FormulaNode &N) {
 
 } // namespace
 
-template <typename T>
-const T *ArithIntern::Table<T>::intern(const T &V, bool Epochal) {
-  size_t H = V.hashValue();
-  std::vector<const T *> &Chain = Buckets[H];
-  for (const T *P : Chain)
-    if (*P == V)
+ArithIntern &ArithIntern::global() {
+  static ArithIntern I;
+  return I;
+}
+
+const FormulaNode *ArithIntern::formula(const FormulaNode &N) {
+  std::lock_guard<std::mutex> L(Mu);
+  std::vector<const FormulaNode *> &Chain = Buckets[N.hashValue()];
+  for (const FormulaNode *P : Chain)
+    if (*P == N)
       return P;
-  const T *P;
-  if (Epochal) {
-    Mortal.push_back(std::make_unique<T>(V));
+  const FormulaNode *P;
+  if (EpochsOn) {
+    Mortal.push_back(std::make_unique<FormulaNode>(N));
     P = Mortal.back().get();
   } else {
-    Permanent.push_back(V);
+    Permanent.push_back(N);
     P = &Permanent.back();
   }
   Chain.push_back(P);
@@ -55,75 +50,9 @@ const T *ArithIntern::Table<T>::intern(const T &V, bool Epochal) {
   return P;
 }
 
-namespace {
-
-/// Empties a table's mortal arena and scrubs its entries out of the
-/// bucket chains.
-template <typename Tbl> void sweepTable(Tbl &T, size_t &DroppedN) {
-  std::unordered_set<const void *> Dying;
-  for (auto &S : T.Mortal) {
-    Dying.insert(S.get());
-    T.Bytes -= approxBytes(*S);
-  }
-  DroppedN += Dying.size();
-  T.Mortal.clear();
-  if (Dying.empty())
-    return;
-  for (auto It = T.Buckets.begin(); It != T.Buckets.end();) {
-    auto &Chain = It->second;
-    Chain.erase(std::remove_if(
-                    Chain.begin(), Chain.end(),
-                    [&](const void *P) { return Dying.count(P) != 0; }),
-                Chain.end());
-    if (Chain.empty())
-      It = T.Buckets.erase(It);
-    else
-      ++It;
-  }
-}
-
-} // namespace
-
-ArithIntern &ArithIntern::global() {
-  static ArithIntern I;
-  return I;
-}
-
-const LinExpr *ArithIntern::expr(const LinExpr &E) {
-  std::lock_guard<std::mutex> L(Mu);
-  return Exprs.intern(E, EpochsOn);
-}
-
-const Constraint *ArithIntern::constraint(const Constraint &C) {
-  std::lock_guard<std::mutex> L(Mu);
-  return Constraints.intern(C, EpochsOn);
-}
-
-void ArithIntern::constraints(const ConstraintConj &Conj,
-                              std::vector<const Constraint *> &Out) {
-  std::lock_guard<std::mutex> L(Mu);
-  for (const Constraint &C : Conj)
-    Out.push_back(Constraints.intern(C, EpochsOn));
-}
-
-const FormulaNode *ArithIntern::formula(const FormulaNode &N) {
-  std::lock_guard<std::mutex> L(Mu);
-  return Formulas.intern(N, EpochsOn);
-}
-
 size_t ArithIntern::formulaCount() const {
   std::lock_guard<std::mutex> L(Mu);
-  return Formulas.size();
-}
-
-size_t ArithIntern::exprCount() const {
-  std::lock_guard<std::mutex> L(Mu);
-  return Exprs.size();
-}
-
-size_t ArithIntern::constraintCount() const {
-  std::lock_guard<std::mutex> L(Mu);
-  return Constraints.size();
+  return Permanent.size() + Mortal.size();
 }
 
 void ArithIntern::beginEpochs() {
@@ -156,32 +85,40 @@ ReclaimStats ArithIntern::reclaim() {
   if (!EpochsOn)
     return S;
   S.Generation = Gen;
-  S.BytesBefore = Exprs.Bytes + Constraints.Bytes + Formulas.Bytes;
-  sweepTable(Exprs, S.ExprsDropped);
-  sweepTable(Constraints, S.ConstraintsDropped);
-  sweepTable(Formulas, S.FormulasDropped);
-
-  S.BytesAfter = Exprs.Bytes + Constraints.Bytes + Formulas.Bytes;
+  S.BytesBefore = Bytes;
+  // Empty the mortal arena and scrub its nodes out of the bucket chains.
+  std::unordered_set<const FormulaNode *> Dying;
+  for (const std::unique_ptr<FormulaNode> &N : Mortal) {
+    Dying.insert(N.get());
+    Bytes -= approxBytes(*N);
+  }
+  S.FormulasDropped = Dying.size();
+  Mortal.clear();
+  if (!Dying.empty()) {
+    for (auto It = Buckets.begin(); It != Buckets.end();) {
+      std::vector<const FormulaNode *> &Chain = It->second;
+      Chain.erase(std::remove_if(Chain.begin(), Chain.end(),
+                                 [&](const FormulaNode *P) {
+                                   return Dying.count(P) != 0;
+                                 }),
+                  Chain.end());
+      if (Chain.empty())
+        It = Buckets.erase(It);
+      else
+        ++It;
+    }
+  }
+  S.BytesAfter = Bytes;
   ++Gen;
   return S;
 }
 
 size_t ArithIntern::arenaBytes() const {
   std::lock_guard<std::mutex> L(Mu);
-  return Exprs.Bytes + Constraints.Bytes + Formulas.Bytes;
+  return Bytes;
 }
 
 size_t ArithIntern::mortalCount() const {
   std::lock_guard<std::mutex> L(Mu);
-  return Exprs.Mortal.size() + Constraints.Mortal.size() +
-         Formulas.Mortal.size();
-}
-
-InternedConj tnt::internConj(const ConstraintConj &Conj) {
-  InternedConj Out;
-  Out.reserve(Conj.size());
-  ArithIntern::global().constraints(Conj, Out);
-  std::sort(Out.begin(), Out.end());
-  Out.erase(std::unique(Out.begin(), Out.end()), Out.end());
-  return Out;
+  return Mortal.size();
 }

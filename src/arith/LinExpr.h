@@ -6,10 +6,12 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Linear expressions sum(ci * vi) + c over interned variables with
-/// 64-bit integer coefficients: the `e` production of the specification
-/// language (Fig. 2) and the currency of the Omega solver, the Farkas
-/// encoder and ranking measures.
+/// Linear expressions sum(ci * vi) + c over pooled variables (VarIds,
+/// see arith/Var.h) with 64-bit integer coefficients: the `e`
+/// production of the specification language (Fig. 2) and the currency
+/// of the Omega solver, the Farkas encoder and ranking measures. A
+/// LinExpr is a plain value; of the arithmetic terms only formula nodes
+/// are hash-consed (arith/Intern.h).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -77,8 +79,8 @@ public:
   /// it its truth value) instead of wrapping.
   int64_t eval(const std::map<VarId, int64_t> &Assign) const;
 
-  /// Structural hash, consistent with operator== (used by the arith
-  /// intern table and the solver query cache).
+  /// Structural hash, consistent with operator== (feeds the structural
+  /// hash of atom formula nodes).
   size_t hashValue() const;
 
   std::string str() const;

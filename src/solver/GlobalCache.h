@@ -9,8 +9,8 @@
 /// What is left of the query-level global solver tier: two inert
 /// types. The tier is gone — whole group summaries are reused through
 /// the spec store (in-run dedup, the server's always-on store), and
-/// every query the tier used to answer is recomputed by the same
-/// SolverContext ladder with the same result. These names stay only
+/// every query the tier used to answer is recomputed by Omega through
+/// SolverContext with the same result. These names stay only
 /// because perfbench/driver.cpp spells them and only a benchmark
 /// change may edit that file; that change removes this header.
 /// Nothing else may use them.

@@ -276,24 +276,46 @@ Tri satRows(std::vector<Row> Rows, int &Budget) {
   }
 }
 
+/// Rows of a conjunction without Ne atoms (the entry points check).
 std::vector<Row> toRows(const ConstraintConj &Conj) {
   std::vector<Row> Rows;
   Rows.reserve(Conj.size());
-  for (const Constraint &C : Conj) {
-    assert(!C.isNe() && "Ne atoms must be split before the Omega test");
+  for (const Constraint &C : Conj)
     Rows.push_back({C.expr(), C.isEq()});
-  }
   return Rows;
+}
+
+bool hasNe(const ConstraintConj &Conj) {
+  return std::any_of(Conj.begin(), Conj.end(),
+                     [](const Constraint &C) { return C.isNe(); });
+}
+
+/// The projection of a conjunction holding a Ne atom: every constraint
+/// that mentions a variable of \p Vars is dropped. Implied by the input,
+/// so a sound over-approximation, and flagged inexact.
+Omega::Projection dropMentioning(const ConstraintConj &Conj,
+                                 const std::set<VarId> &Vars) {
+  Omega::Projection P;
+  P.Exact = false;
+  for (const Constraint &C : Conj)
+    if (std::none_of(Vars.begin(), Vars.end(),
+                     [&](VarId V) { return C.expr().mentions(V); }))
+      P.Conj.push_back(C);
+  return P;
 }
 
 } // namespace
 
 Tri Omega::isSatConj(const ConstraintConj &Conj) {
+  if (hasNe(Conj))
+    return Tri::Unknown;
   int Budget = 20000;
   return satRows(toRows(Conj), Budget);
 }
 
 Omega::Projection Omega::projectVar(const ConstraintConj &Conj, VarId V) {
+  if (hasNe(Conj))
+    return dropMentioning(Conj, {V});
   Projection P;
   std::vector<Row> Rows = toRows(Conj);
   if (normalizeRows(Rows) == NormResult::Unsat) {
@@ -359,6 +381,8 @@ Omega::Projection Omega::projectVar(const ConstraintConj &Conj, VarId V) {
 
 Omega::Projection Omega::projectVars(const ConstraintConj &Conj,
                                      const std::set<VarId> &Vars) {
+  if (hasNe(Conj))
+    return dropMentioning(Conj, Vars);
   Projection P;
   P.Conj = Conj;
   P.Exact = true;
@@ -371,6 +395,8 @@ Omega::Projection Omega::projectVars(const ConstraintConj &Conj,
 }
 
 ConstraintConj Omega::dropRedundant(const ConstraintConj &Conj) {
+  if (hasNe(Conj))
+    return Conj;
   ConstraintConj Kept = Conj;
   for (size_t I = 0; I < Kept.size();) {
     // Does the rest imply Kept[I]? Test rest && !Kept[I] for UNSAT.

@@ -33,10 +33,11 @@ enum class Tri { True, False, Unknown };
 /// deterministic.
 class Omega {
 public:
-  /// Is the conjunction satisfiable over the integers? Ne atoms are not
-  /// accepted here (the formula layer splits them); asserts if present.
-  /// Unknown is returned only when the work budget is exhausted, which
-  /// does not happen on the coefficient ranges our analyses produce.
+  /// Is the conjunction satisfiable over the integers? Ne atoms are
+  /// outside the procedure (DNF expansion splits them): a conjunction
+  /// holding one is answered Unknown, in every build. Otherwise Unknown
+  /// is returned only when the work budget is exhausted, which does not
+  /// happen on the coefficient ranges our analyses produce.
   static Tri isSatConj(const ConstraintConj &Conj);
 
   /// Result of projecting a variable out of a conjunction.
@@ -49,15 +50,19 @@ public:
   };
 
   /// Eliminates \p V by integer-aware Fourier-Motzkin (with exact
-  /// equality substitution when possible).
+  /// equality substitution when possible). On a conjunction holding a
+  /// Ne atom it drops every constraint that mentions \p V instead and
+  /// reports Exact = false.
   static Projection projectVar(const ConstraintConj &Conj, VarId V);
 
-  /// Eliminates every variable in \p Vars in sequence.
+  /// Eliminates every variable in \p Vars in sequence (with a Ne atom
+  /// present: drops every constraint mentioning one, Exact = false).
   static Projection projectVars(const ConstraintConj &Conj,
                                 const std::set<VarId> &Vars);
 
   /// Removes constraints implied by the rest of the conjunction.
   /// Quadratic in the number of constraints; used on small contexts.
+  /// Returns a conjunction holding a Ne atom unchanged.
   static ConstraintConj dropRedundant(const ConstraintConj &Conj);
 };
 

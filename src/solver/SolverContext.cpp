@@ -3,7 +3,6 @@
 #include "solver/SolverContext.h"
 
 #include "solver/Cancellation.h"
-#include "solver/Interval.h"
 #include "support/Trace.h"
 
 #include <algorithm>
@@ -17,9 +16,8 @@ namespace {
 /// cross-clause subsumption pass of simplify(); queries go straight to
 /// Omega (uncounted), matching the historical fuel accounting.
 Tri conjEntails(const ConstraintConj &A, const ConstraintConj &B) {
-  // On corpora where the interval prefilter answers every counted
-  // query, this is where the Omega wall-clock actually goes — worth a
-  // span of its own.
+  // Uncounted Omega runs, so a span of their own keeps them apart from
+  // the counted omegaSat queries.
   trace::Span EntailsSpan("entails", "solver");
   bool SawUnknown = false;
   for (const Constraint &C : B) {
@@ -87,9 +85,6 @@ Formula rewriteNegExists(SolverContext &SC, const Formula &F, bool Positive,
 
 } // namespace
 
-SolverContext::SolverContext(size_t CacheCapacity, size_t DnfMemoCapacity)
-    : Capacity(CacheCapacity), DnfCapacity(DnfMemoCapacity) {}
-
 SolverContext &SolverContext::defaultCtx() {
   static SolverContext Ctx;
   return Ctx;
@@ -99,86 +94,21 @@ bool SolverContext::cancelled() const {
   return Cancel != nullptr && Cancel->cancelled();
 }
 
-Tri SolverContext::computeSat(const ConstraintConj &Conj) {
-  // The interval prefilter answers instead of Omega when it can. Both
-  // its verdicts are exact (empty-box UNSAT, verified-witness SAT; see
-  // Interval.h), so the answer — and everything downstream of it — is
-  // the one Omega would give; only the engine differs. Callers count
-  // and charge the query first: an interval answer is a local
-  // computation and costs a query, exactly like the Omega run it
-  // replaces.
-  {
-    trace::Span IvSpan("interval", "solver");
-    IntervalOutcome IO = intervalPrefilter(Conj);
-    if (IO.Verdict != Tri::Unknown) {
-      std::lock_guard<std::mutex> L(Mu);
-      if (IO.Verdict == Tri::False)
-        ++Counters.IntervalUnsat;
-      else
-        ++Counters.IntervalSat;
-      return IO.Verdict;
-    }
-  }
-  trace::Span OmegaSpan("omegaSat", "solver");
-  return Omega::isSatConj(Conj);
-}
-
 Tri SolverContext::isSatConj(const ConstraintConj &Conj) {
-  if (Capacity == 0) {
-    // Cache disabled: the query still counts (fuel accounting), but it
-    // is not a cache miss — there is no cache to miss. CacheHits and
-    // CacheMisses stay zero, so stats readers report "disabled" rather
-    // than a misleading 0% hit rate.
-    {
-      std::lock_guard<std::mutex> L(Mu);
-      ++Counters.SatQueries;
-    }
-    if (Cancel != nullptr)
-      Cancel->charge();
-    return computeSat(Conj);
-  }
-
-  InternedConj Key = internConj(Conj);
   {
     std::lock_guard<std::mutex> L(Mu);
     ++Counters.SatQueries;
-    auto It = Cache.find(Key);
-    if (It != Cache.end()) {
-      ++Counters.CacheHits;
-      // Refresh LRU position.
-      Lru.splice(Lru.begin(), Lru, It->second);
-      Tri Val = It->second->Val;
-      // A hit is charged like a computation: cache-transparent fuel
-      // keeps budget cutoffs schedule-independent.
-      if (Cancel != nullptr)
-        Cancel->charge();
-      return Val;
-    }
-    ++Counters.CacheMisses;
   }
-
   if (Cancel != nullptr)
     Cancel->charge();
-  Tri R = computeSat(Conj);
-
-  std::lock_guard<std::mutex> L(Mu);
-  if (Cache.find(Key) == Cache.end()) {
-    Lru.push_front(CacheEntry{Key, R});
-    Cache.emplace(std::move(Key), Lru.begin());
-    if (Cache.size() > Capacity) {
-      Cache.erase(Lru.back().Key);
-      Lru.pop_back();
-      ++Counters.CacheEvictions;
-    }
-  }
-  return R;
+  trace::Span OmegaSpan("omegaSat", "solver");
+  return Omega::isSatConj(Conj);
 }
 
 std::optional<std::vector<ConstraintConj>>
 SolverContext::toDNF(const Formula &F, size_t MaxClauses) {
   assert(F.isValid() && "toDNF on invalid formula");
-  // Trivial nodes expand in constant time; keep them out of the memo so
-  // they neither churn the LRU nor inflate the hit rate.
+  // Trivial nodes expand in constant time: no count, no span.
   switch (F.node()->kind()) {
   case FormulaNode::Kind::True:
   case FormulaNode::Kind::False:
@@ -187,109 +117,12 @@ SolverContext::toDNF(const Formula &F, size_t MaxClauses) {
   default:
     break;
   }
-  if (DnfCapacity == 0) {
-    {
-      std::lock_guard<std::mutex> L(Mu);
-      ++Counters.DnfQueries;
-    }
-    return F.toDNF(MaxClauses);
-  }
-
-  const FormulaNode *Key = F.node();
-  std::shared_ptr<const DnfPayload> Hit;
-  bool HitOverflow = false;
   {
     std::lock_guard<std::mutex> L(Mu);
     ++Counters.DnfQueries;
-    auto It = DnfMemo.find(Key);
-    // An Overflow entry answers any retrieval with cap <= ComputedCap;
-    // a larger cap might succeed, so it must recompute (a miss). A
-    // stored skeleton answers every cap: success when it fits, else
-    // overflow. Only the refcount is copied under the lock.
-    if (It != DnfMemo.end() &&
-        !(It->second->Overflow && MaxClauses > It->second->ComputedCap)) {
-      ++Counters.DnfHits;
-      DnfLru.splice(DnfLru.begin(), DnfLru, It->second);
-      Hit = It->second->Payload;
-      HitOverflow = It->second->Overflow || Hit->Clauses.size() > MaxClauses;
-    } else {
-      ++Counters.DnfMisses;
-    }
   }
-
-  if (Hit) {
-    // Re-freshen the skeleton's existential witnesses: each retrieval
-    // gets its own fresh variables, exactly as a recomputation's toNNF
-    // would mint them (same bases, same order, same count — so under a
-    // VarPool scope the spellings match an unmemoized run byte for
-    // byte). The counter is consumed even when the answer is overflow,
-    // mirroring the unmemoized path where toNNF runs before the
-    // expansion gives up.
-    std::map<VarId, VarId> Renaming;
-    for (const auto &[Placeholder, Base] : Hit->Placeholders)
-      Renaming[Placeholder] = freshVar(Base);
-    if (HitOverflow)
-      return std::nullopt;
-    std::vector<ConstraintConj> Clauses = Hit->Clauses;
-    for (const auto &[CI, KI] : Hit->PlaceholderSites)
-      Clauses[CI][KI] = Clauses[CI][KI].rename(Renaming);
-    return Clauses;
-  }
-
-  // Miss: expand once, recording the fresh variables toNNF introduces
-  // so later retrievals can rename them apart again. The skeleton
-  // returned now already carries fresh placeholders, so it is served
-  // as-is.
-  std::vector<std::pair<VarId, std::string>> Renamed;
-  std::optional<std::vector<ConstraintConj>> Out;
-  {
-    trace::Span DnfSpan("dnfExpand", "solver");
-    Formula Nnf = F.toNNF(&Renamed);
-    Out = Formula::expandNNF(Nnf, MaxClauses);
-  }
-
-  // Build the whole entry (deep clause copy, placeholder-site scan)
-  // before taking the lock; under Mu only the map/list insert and the
-  // eviction run, so concurrent isSatConj lookups are not stalled.
-  DnfEntry E;
-  E.Key = Key;
-  E.ComputedCap = MaxClauses;
-  auto P = std::make_shared<DnfPayload>();
-  if (Out) {
-    P->Clauses = *Out;
-    if (!Renamed.empty())
-      for (uint32_t CI = 0; CI < P->Clauses.size(); ++CI)
-        for (uint32_t KI = 0; KI < P->Clauses[CI].size(); ++KI)
-          for (const auto &[Placeholder, Base] : Renamed)
-            if (P->Clauses[CI][KI].expr().mentions(Placeholder)) {
-              P->PlaceholderSites.emplace_back(CI, KI);
-              break;
-            }
-  } else {
-    E.Overflow = true;
-  }
-  // Placeholders are recorded even for overflow entries: a later hit
-  // must consume the fresh-variable counter like a recomputation would.
-  P->Placeholders = std::move(Renamed);
-  E.Payload = std::move(P);
-
-  {
-    std::lock_guard<std::mutex> L(Mu);
-    auto It = DnfMemo.find(Key);
-    if (It != DnfMemo.end()) {
-      // Either a racing fill or a stale overflow entry: replace it.
-      DnfLru.erase(It->second);
-      DnfMemo.erase(It);
-    }
-    DnfLru.push_front(std::move(E));
-    DnfMemo.emplace(Key, DnfLru.begin());
-    if (DnfMemo.size() > DnfCapacity) {
-      DnfMemo.erase(DnfLru.back().Key);
-      DnfLru.pop_back();
-      ++Counters.DnfEvictions;
-    }
-  }
-  return Out;
+  trace::Span DnfSpan("dnfExpand", "solver");
+  return F.toDNF(MaxClauses);
 }
 
 Tri SolverContext::isSat(const Formula &F) {
@@ -376,8 +209,8 @@ Formula SolverContext::simplify(const Formula &F) {
   std::optional<std::vector<ConstraintConj>> DNF = toDNF(G);
   if (!DNF)
     return F;
-  // Per-clause cleanup always runs (queries are cached); the quadratic
-  // cross-clause subsumption only below MaxClauses.
+  // Per-clause cleanup always runs; the quadratic cross-clause
+  // subsumption only below MaxClauses.
   constexpr size_t MaxClauses = 48;
   constexpr size_t MaxConjSize = 12;
   auto dedup = [](ConstraintConj Conj) {
@@ -431,24 +264,6 @@ SolverStats SolverContext::stats() const {
 void SolverContext::resetStats() {
   std::lock_guard<std::mutex> L(Mu);
   Counters = SolverStats();
-}
-
-void SolverContext::clearCache() {
-  std::lock_guard<std::mutex> L(Mu);
-  Cache.clear();
-  Lru.clear();
-  DnfMemo.clear();
-  DnfLru.clear();
-}
-
-size_t SolverContext::cacheSize() const {
-  std::lock_guard<std::mutex> L(Mu);
-  return Cache.size();
-}
-
-size_t SolverContext::dnfMemoSize() const {
-  std::lock_guard<std::mutex> L(Mu);
-  return DnfMemo.size();
 }
 
 void SolverContext::noteLpSolve(uint64_t Pivots) {

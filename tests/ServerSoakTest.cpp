@@ -44,7 +44,7 @@ TEST(ServerSoak, ThousandRequestsByteIdenticalAndBounded) {
   ASSERT_EQ(Items.size(), 25u);
 
   constexpr unsigned N = 1000;
-  std::vector<size_t> FormulaSamples, ConstraintSamples, ArenaSamples;
+  std::vector<size_t> FormulaSamples, ArenaSamples;
   for (unsigned I = 0; I < N; ++I) {
     // Cycled corpus program with a request-unique fresh-variable-heavy
     // helper: every request mints interned terms no other request
@@ -83,7 +83,6 @@ TEST(ServerSoak, ThousandRequestsByteIdenticalAndBounded) {
       // sample the interned-term counts and the RSS proxy.
       ArithIntern &In = ArithIntern::global();
       FormulaSamples.push_back(In.formulaCount());
-      ConstraintSamples.push_back(In.constraintCount());
       ArenaSamples.push_back(In.arenaBytes());
     }
   }
@@ -108,7 +107,6 @@ TEST(ServerSoak, ThousandRequestsByteIdenticalAndBounded) {
         << ::testing::PrintToString(Samples);
   };
   bounded(FormulaSamples, "interned formula count");
-  bounded(ConstraintSamples, "interned constraint count");
   bounded(ArenaSamples, "arena bytes");
 }
 

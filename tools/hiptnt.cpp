@@ -101,9 +101,11 @@ void printUsage(std::ostream &OS) {
         "                        termination precondition per scenario, "
         "add the Cond\n"
         "                        column to the batch table\n"
-        "  --threads <n>         worker threads for batch group "
-        "scheduling\n"
-        "  --stats               print solver/cache/store statistics\n"
+        "  --threads <n>         worker threads for group scheduling "
+        "(one program or a\n"
+        "                        batch)\n"
+        "  --stats               print group, solver, intern and store "
+        "statistics\n"
         "  --outcomes            print every program's rendered summary "
         "(batch)\n"
         "  --store <file>        persistent spec store file: load before, "
@@ -121,7 +123,7 @@ void printUsage(std::ostream &OS) {
         "  --trace-out <file>    write a Chrome trace-event JSON file "
         "(Perfetto-loadable)\n"
         "                        of the run: pipeline phases, solver "
-        "ladder levels, store\n"
+        "queries, store\n"
         "                        operations; works in every mode\n"
         "  --reclaim-every <n>   serve mode: reclaim per-request intern "
         "garbage every n\n"
@@ -136,14 +138,6 @@ void printUsage(std::ostream &OS) {
 int usage() {
   printUsage(std::cerr);
   return 2;
-}
-
-/// A disabled cache (and an enabled one never consulted) records no
-/// lookups; report "n/a" instead of a misleading 0% hit rate.
-std::string rate(uint64_t Hits, uint64_t Misses) {
-  uint64_t Lookups = Hits + Misses;
-  return Lookups ? std::to_string(double(Hits) / double(Lookups))
-                 : std::string("n/a");
 }
 
 /// Resolves a --batch target to items, plus the matching ground-truth
@@ -308,27 +302,19 @@ int runBatch(const std::string &Target, const AnalyzerConfig &Cli,
   if (ShowStats) {
     // Groups that ran inference vs. replayed an entry (stored, or
     // inserted earlier in this run — so also without --store), then the
-    // solver counters summed over every context (per-context LRU and
-    // DNF memo, LP, interval prefilter) and the intern-table footprint
-    // — the counters a soak regression shows up in first.
+    // solver counters summed over every context (sat queries, DNF
+    // expansions, LP) and the intern-table footprint — the counters a
+    // soak regression shows up in first.
     std::cout << "groups: inferred=" << R.StoreMisses
               << " replayed=" << R.StoreHits << "\n";
     const SolverStats &S = R.Usage;
-    std::cout << "local tier: sat_queries=" << S.SatQueries
-              << " hits=" << S.CacheHits << " misses=" << S.CacheMisses
-              << " hit_rate=" << rate(S.CacheHits, S.CacheMisses)
+    std::cout << "solver: sat_queries=" << S.SatQueries
+              << " dnf_queries=" << S.DnfQueries
               << " lp_solves=" << S.LpSolves
               << " lp_pivots=" << S.LpPivots
               << " lp_overflows=" << S.LpOverflows << "\n";
-    std::cout << "local dnf memo: queries=" << S.DnfQueries
-              << " hits=" << S.DnfHits << " misses=" << S.DnfMisses
-              << " hit_rate=" << rate(S.DnfHits, S.DnfMisses) << "\n";
-    std::cout << "ladder: interval_unsat=" << S.IntervalUnsat
-              << " interval_sat=" << S.IntervalSat << "\n";
     ArithIntern &I = ArithIntern::global();
-    std::cout << "intern: exprs=" << I.exprCount()
-              << " constraints=" << I.constraintCount()
-              << " formulas=" << I.formulaCount()
+    std::cout << "intern: formulas=" << I.formulaCount()
               << " arena_bytes=" << I.arenaBytes() << "\n";
   }
   unsigned StoreFailures = 0;
@@ -729,20 +715,10 @@ int main(int Argc, char **Argv) {
     std::cout << "solver stats: groups=" << R.GroupCount
               << " threads=" << Config.Threads
               << " sat_queries=" << S.SatQueries
-              << " cache_hits=" << S.CacheHits
-              << " cache_misses=" << S.CacheMisses
-              << " cache_evictions=" << S.CacheEvictions
+              << " dnf_queries=" << S.DnfQueries
               << " lp_solves=" << S.LpSolves
               << " lp_pivots=" << S.LpPivots
-              << " lp_overflows=" << S.LpOverflows
-              << " hit_rate=" << rate(S.CacheHits, S.CacheMisses)
-              << "\n";
-    std::cout << "dnf memo: queries=" << S.DnfQueries
-              << " hits=" << S.DnfHits << " misses=" << S.DnfMisses
-              << " evictions=" << S.DnfEvictions
-              << " hit_rate=" << rate(S.DnfHits, S.DnfMisses) << "\n";
-    std::cout << "ladder: interval_unsat=" << S.IntervalUnsat
-              << " interval_sat=" << S.IntervalSat << "\n";
+              << " lp_overflows=" << S.LpOverflows << "\n";
   }
   return Finish(0);
 }
