@@ -2,9 +2,81 @@
 
 #include "support/WorkStealingPool.h"
 
+#include <algorithm>
 #include <cassert>
+#include <exception>
+#include <memory>
 
 using namespace tnt;
+
+namespace {
+
+/// What one findFirst call shares with its helper tasks. Helpers hold it
+/// by shared_ptr, so it outlives the call; Try points into the caller's
+/// frame and is read only for an index claimed before Done was set.
+struct FirstSearch {
+  FirstSearch(const std::function<bool(size_t)> &Try, size_t N)
+      : Try(&Try), N(N), Found(N) {}
+
+  std::mutex Mu;
+  std::condition_variable HelpersIdle;
+  const std::function<bool(size_t)> *Try;
+  size_t N;
+  /// Next index to claim.
+  size_t Next = 0;
+  /// Lowest index whose Try returned true or threw so far; N while there
+  /// is none. The in-order loop stops there too.
+  size_t Found;
+  /// What Try(Found) threw, if it threw.
+  std::exception_ptr Thrown;
+  /// Helpers inside Try.
+  unsigned Running = 0;
+  /// The caller has ended the search.
+  bool Done = false;
+};
+
+/// Claims indices in increasing order and runs them until none may
+/// start: all are claimed, one returned true or threw, or the call
+/// returned. An exception is kept for the caller, never let out of a
+/// helper task.
+void runClaims(FirstSearch &S, bool Helper) {
+  std::unique_lock<std::mutex> L(S.Mu);
+  while (!S.Done && S.Next < S.N && S.Found == S.N) {
+    size_t I = S.Next++;
+    if (Helper)
+      ++S.Running;
+    L.unlock();
+    bool Hit = false;
+    std::exception_ptr Thrown;
+    try {
+      Hit = (*S.Try)(I);
+    } catch (...) {
+      Thrown = std::current_exception();
+    }
+    L.lock();
+    if ((Hit || Thrown) && I < S.Found) {
+      S.Found = I;
+      S.Thrown = Thrown;
+    }
+    if (Helper && --S.Running == 0)
+      S.HelpersIdle.notify_all();
+  }
+}
+
+/// Ends the search: no index starts from now on, and the caller waits
+/// for the helpers still inside Try — never for a helper task still
+/// queued. Returns the lowest true index, or rethrows when the lowest
+/// index the search stopped at threw.
+size_t finishSearch(FirstSearch &S) {
+  std::unique_lock<std::mutex> L(S.Mu);
+  S.Done = true;
+  S.HelpersIdle.wait(L, [&] { return S.Running == 0; });
+  if (S.Thrown)
+    std::rethrow_exception(S.Thrown);
+  return S.Found;
+}
+
+} // namespace
 
 thread_local WorkStealingPool *WorkStealingPool::SelfPool = nullptr;
 thread_local unsigned WorkStealingPool::SelfIdx = 0;
@@ -117,4 +189,24 @@ void WorkStealingPool::wait() {
   // spawn tree is done.
   std::unique_lock<std::mutex> L(IdleMu);
   QuiesceCV.wait(L, [&] { return InFlight.load() == 0; });
+}
+
+WorkStealingPool *WorkStealingPool::current() { return SelfPool; }
+
+size_t WorkStealingPool::findFirst(size_t N,
+                                   const std::function<bool(size_t)> &Try) {
+  size_t Helpers = 0;
+  if (SelfPool == this && N > 1)
+    Helpers = std::min<size_t>(Workers.size() - 1, N - 1);
+  if (Helpers == 0) {
+    size_t I = 0;
+    while (I < N && !Try(I))
+      ++I;
+    return I;
+  }
+  auto S = std::make_shared<FirstSearch>(Try, N);
+  for (size_t H = 0; H < Helpers; ++H)
+    submit([S] { runClaims(*S, /*Helper=*/true); });
+  runClaims(*S, /*Helper=*/false);
+  return finishSearch(*S);
 }

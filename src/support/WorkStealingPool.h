@@ -20,7 +20,24 @@
 /// release their dependents). wait() returns when every submitted task
 /// — including transitively spawned ones — has finished; the pool
 /// counts in-flight tasks, so the quiescence test is exact, not a
-/// queue-emptiness heuristic.
+/// queue-emptiness heuristic. wait() must not be called from a task:
+/// the calling task is itself in flight.
+///
+/// findFirst() is the one fork-join call: a task of a pool with more
+/// than one worker asks for the lowest index in [0, N) whose predicate
+/// holds, and idle workers help evaluate the candidates. It promises
+/// the answer an in-order loop gives, and:
+///  * indices start in increasing order, and none starts once a lower
+///    one has returned true (calls already running finish), so a
+///    search over equal-sized candidates wastes at most one per helper;
+///  * the caller claims indices itself and waits only for helpers that
+///    have started one, never for a queued helper task, so calls made
+///    from every worker at once cannot deadlock;
+///  * a helper task that runs after the call returned checks a done
+///    flag under the search's mutex and returns without touching the
+///    predicate or anything else of the caller's frame.
+/// Ranking synthesis uses it to solve a round's candidate LPs on idle
+/// workers (synth/Ranking.cpp).
 ///
 /// Determinism note: the pool makes NO ordering promises. Callers get
 /// determinism the same way the single-program scheduler does — task
@@ -60,8 +77,24 @@ public:
   void submit(Task T);
 
   /// Blocks until every submitted task (and everything those tasks
-  /// submitted) has finished. The pool is reusable afterwards.
+  /// submitted) has finished. The pool is reusable afterwards. Never
+  /// call it from a task.
   void wait();
+
+  /// Returns the lowest I in [0, N) for which \p Try(I) is true, or N
+  /// when there is none: the index the loop
+  /// `for (I = 0; I < N && !Try(I); ++I)` stops at. From a task of this
+  /// pool with more than one worker, up to threadCount() - 1 helper
+  /// tasks evaluate indices beside the caller (see the file comment for
+  /// what that promises), so \p Try must be safe to call concurrently
+  /// for distinct indices. From any other thread, and on a one-worker
+  /// pool, it is that loop on the caller. When the index that loop
+  /// stops at throws instead, the call rethrows it on the caller; a
+  /// helper never lets an exception out of its task.
+  size_t findFirst(size_t N, const std::function<bool(size_t)> &Try);
+
+  /// The pool the calling thread is a worker of, or null.
+  static WorkStealingPool *current();
 
   unsigned threadCount() const { return static_cast<unsigned>(Workers.size()); }
 

@@ -212,10 +212,7 @@ bool FarkasSystem::solve() {
   // A system the encoding could not state exactly is not solved.
   Simplex::Result R =
       EncodingOverflowed ? Simplex::Result::Overflow : LP.checkFeasible();
-  if (SC)
-    SC->noteLpSolve(EncodingOverflowed ? 0 : LP.pivots());
-  if (R == Simplex::Result::Infeasible)
-    return false;
+  SolvePivots = EncodingOverflowed ? 0 : LP.pivots();
   bool Ok = R == Simplex::Result::Feasible;
   if (Ok) {
     // Scale the parameter assignment to integers. Scaling the
@@ -234,11 +231,17 @@ bool FarkasSystem::solve() {
   // An encoding, LP or scaling that left 64 bits has no trustworthy
   // answer: reject the candidate, so the verdict can only fall back to
   // Unknown.
-  if (!Ok || Overflow.overflowed()) {
+  SolveOverflowed =
+      R != Simplex::Result::Infeasible && (!Ok || Overflow.overflowed());
+  if (SolveOverflowed)
     IntParams.clear();
-    if (SC)
-      SC->noteLpOverflow();
-    return false;
-  }
-  return true;
+  if (SC)
+    charge(*SC);
+  return Ok && !SolveOverflowed;
+}
+
+void FarkasSystem::charge(SolverContext &Ctx) const {
+  Ctx.noteLpSolve(SolvePivots);
+  if (SolveOverflowed)
+    Ctx.noteLpOverflow();
 }

@@ -70,6 +70,12 @@ class SolverContext;
 /// template parameters. Each system owns its Simplex instance; when
 /// constructed with a SolverContext, LP solves are attributed to that
 /// context's statistics.
+///
+/// Threads: build a system (the add* calls read variable names) on the
+/// thread that owns its variables. solve() touches only the system's
+/// own Simplex and the calling thread's overflow flag, so a system
+/// built without a context may be solved on any thread and charged to
+/// one afterwards (charge()).
 class FarkasSystem {
 public:
   explicit FarkasSystem(SolverContext *SC = nullptr) : SC(SC) {}
@@ -96,6 +102,11 @@ public:
   /// is rejected and the context's LpOverflows counts it.
   bool solve();
 
+  /// Charges the last solve() to \p Ctx as solve() charges the
+  /// system's own context: one LP solve with its pivots, plus an
+  /// overflow when the candidate was rejected for one.
+  void charge(SolverContext &Ctx) const;
+
   /// Integer parameter values (scaled by the common denominator of the
   /// LP solution, which preserves every encoded implication since they
   /// are positively homogeneous in the parameters up to the added
@@ -112,6 +123,10 @@ private:
   std::map<VarId, int64_t> IntParams;
   /// An add* call could not state a row exactly in 64 bits.
   bool EncodingOverflowed = false;
+  /// What the last solve() charges: its pivots and whether it was
+  /// rejected for an overflow.
+  uint64_t SolvePivots = 0;
+  bool SolveOverflowed = false;
 };
 
 } // namespace tnt

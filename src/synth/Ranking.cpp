@@ -2,9 +2,11 @@
 
 #include "synth/Ranking.h"
 
+#include "support/WorkStealingPool.h"
 #include "synth/Farkas.h"
 
 #include <cassert>
+#include <optional>
 
 using namespace tnt;
 
@@ -73,6 +75,68 @@ LinExpr substParallel(const LinExpr &E, const std::vector<VarId> &Params,
   return Out;
 }
 
+/// One candidate of a round: edge Strict strictly decreasing and every
+/// remaining edge non-increasing and bounded, over its own templates.
+struct Candidate {
+  std::vector<std::vector<VarId>> Tpls;
+  FarkasSystem FS;
+};
+
+/// Mints candidate \p Strict's templates and encodes its LP (owner
+/// thread only: both touch the variable pool). Its solves are charged
+/// to \p SC when that is set.
+Candidate buildCandidate(const std::vector<std::vector<VarId>> &PredParams,
+                         const std::vector<RankEdge> &Remaining,
+                         size_t Strict, SolverContext *SC) {
+  Candidate C{makeTemplates(PredParams), FarkasSystem(SC)};
+  for (size_t K = 0; K < Remaining.size(); ++K) {
+    const RankEdge &E = Remaining[K];
+    ParamLinExpr RS = srcRank(C.Tpls, PredParams, E);
+    ParamLinExpr RD = dstRank(C.Tpls, E);
+    // Bounded: rho => r_src >= 0.
+    C.FS.addImplication(E.Ctx, RS);
+    // Non-increase (or strict decrease for the chosen edge).
+    ParamLinExpr Diff = RS - RD;
+    if (K == Strict)
+      Diff = Diff - 1;
+    C.FS.addImplication(E.Ctx, Diff);
+  }
+  return C;
+}
+
+/// The round's first candidate whose LP is feasible, in edge order, or
+/// none. Candidate 0 is solved first on the calling thread. When it
+/// fails and the caller is a task of a pool with more than one worker,
+/// the rest are built here and solved through findFirst, and \p SC is
+/// charged for exactly the solves the in-order loop makes.
+std::optional<Candidate>
+pickCandidate(const std::vector<std::vector<VarId>> &PredParams,
+              const std::vector<RankEdge> &Remaining, SolverContext &SC) {
+  Candidate First = buildCandidate(PredParams, Remaining, 0, &SC);
+  if (First.FS.solve())
+    return First;
+  WorkStealingPool *Pool = WorkStealingPool::current();
+  if (Pool == nullptr || Pool->threadCount() < 2) {
+    for (size_t Strict = 1; Strict < Remaining.size(); ++Strict) {
+      Candidate C = buildCandidate(PredParams, Remaining, Strict, &SC);
+      if (C.FS.solve())
+        return C;
+    }
+    return std::nullopt;
+  }
+  std::vector<Candidate> Rest;
+  Rest.reserve(Remaining.size() - 1);
+  for (size_t Strict = 1; Strict < Remaining.size(); ++Strict)
+    Rest.push_back(buildCandidate(PredParams, Remaining, Strict, nullptr));
+  size_t Won = Pool->findFirst(
+      Rest.size(), [&Rest](size_t I) { return Rest[I].FS.solve(); });
+  for (size_t I = 0; I < Rest.size() && I <= Won; ++I)
+    Rest[I].FS.charge(SC);
+  if (Won == Rest.size())
+    return std::nullopt;
+  return std::move(Rest[Won]);
+}
+
 } // namespace
 
 RankResult
@@ -103,57 +167,36 @@ tnt::synthesizeRanking(const std::vector<std::vector<VarId>> &PredParams,
 
   std::vector<RankEdge> Remaining = Live;
   for (unsigned Round = 0; Round < MaxLex && !Remaining.empty(); ++Round) {
-    bool Progress = false;
     // Try to make some remaining edge strictly decreasing while every
     // remaining edge stays non-increasing and bounded.
-    for (size_t Strict = 0; Strict < Remaining.size() && !Progress;
-         ++Strict) {
-      std::vector<std::vector<VarId>> Tpls = makeTemplates(PredParams);
-      FarkasSystem FS(&SC);
-      for (size_t K = 0; K < Remaining.size(); ++K) {
-        const RankEdge &E = Remaining[K];
-        ParamLinExpr RS = srcRank(Tpls, PredParams, E);
-        ParamLinExpr RD = dstRank(Tpls, E);
-        // Bounded: rho => r_src >= 0.
-        FS.addImplication(E.Ctx, RS);
-        // Non-increase (or strict decrease for the chosen edge).
-        ParamLinExpr Diff = RS - RD;
-        if (K == Strict)
-          Diff = Diff - 1;
-        FS.addImplication(E.Ctx, Diff);
-      }
-      if (!FS.solve())
-        continue;
-
-      // Instantiate this component and drop every edge it strictly
-      // decreases (the chosen one by construction; possibly more).
-      const std::map<VarId, int64_t> &Sol = FS.params();
-      std::vector<LinExpr> Component;
-      for (size_t I = 0; I < PredParams.size(); ++I)
-        Component.push_back(measureOf(Tpls[I], PredParams[I], Sol));
-
-      std::vector<RankEdge> Next;
-      for (const RankEdge &E : Remaining) {
-        LinExpr RS = Component[E.Src];
-        // Destination measure over the actual arguments (simultaneous
-        // substitution: args may mention the canonical params).
-        LinExpr RD =
-            substParallel(Component[E.Dst], PredParams[E.Dst], E.DstArgs);
-        Formula Ctx = conjToFormula(E.Ctx);
-        Formula StrictDec =
-            Formula::cmp(RS - RD, CmpKind::Ge, LinExpr(1));
-        if (!SC.entails(Ctx, StrictDec))
-          Next.push_back(E);
-      }
-      assert(Next.size() < Remaining.size() &&
-             "chosen strict edge must be eliminated");
-      Remaining = std::move(Next);
-      for (size_t I = 0; I < PredParams.size(); ++I)
-        Out.Measures[I].push_back(Component[I]);
-      Progress = true;
-    }
-    if (!Progress)
+    std::optional<Candidate> Won = pickCandidate(PredParams, Remaining, SC);
+    if (!Won)
       break;
+
+    // Instantiate this component and drop every edge it strictly
+    // decreases (the chosen one by construction; possibly more).
+    const std::map<VarId, int64_t> &Sol = Won->FS.params();
+    std::vector<LinExpr> Component;
+    for (size_t I = 0; I < PredParams.size(); ++I)
+      Component.push_back(measureOf(Won->Tpls[I], PredParams[I], Sol));
+
+    std::vector<RankEdge> Next;
+    for (const RankEdge &E : Remaining) {
+      LinExpr RS = Component[E.Src];
+      // Destination measure over the actual arguments (simultaneous
+      // substitution: args may mention the canonical params).
+      LinExpr RD =
+          substParallel(Component[E.Dst], PredParams[E.Dst], E.DstArgs);
+      Formula Ctx = conjToFormula(E.Ctx);
+      Formula StrictDec = Formula::cmp(RS - RD, CmpKind::Ge, LinExpr(1));
+      if (!SC.entails(Ctx, StrictDec))
+        Next.push_back(E);
+    }
+    assert(Next.size() < Remaining.size() &&
+           "chosen strict edge must be eliminated");
+    Remaining = std::move(Next);
+    for (size_t I = 0; I < PredParams.size(); ++I)
+      Out.Measures[I].push_back(Component[I]);
   }
 
   Out.Success = Remaining.empty();

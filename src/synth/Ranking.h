@@ -16,6 +16,21 @@
 /// decreases at least one component. Over the integers this rules out
 /// infinite paths regardless of component order.
 ///
+/// Each round adds one component. Candidate k of a round makes the k-th
+/// remaining edge the strictly decreasing one, over templates of its
+/// own, and is one Farkas LP; the round takes the lowest k whose LP is
+/// feasible and drops every edge the new component strictly decreases.
+/// Candidate 0 is solved first on the calling thread. When it fails
+/// and the caller is a task of a WorkStealingPool with more than one
+/// worker, the other candidates are built on the caller and solved
+/// through WorkStealingPool::findFirst, which returns the same lowest
+/// k; the context is charged for exactly the solves the in-order loop
+/// makes, so results and LP counts do not depend on where the call
+/// ran. Only the number of templates minted does: the fan-out mints
+/// every candidate's, the in-order loop stops minting at the winner,
+/// so after a round won by neither the first nor the last candidate
+/// the group's later fresh ids differ between the two.
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef TNT_SYNTH_RANKING_H

@@ -4,10 +4,16 @@
 #include "support/ExtNat.h"
 #include "support/Json.h"
 #include "support/Rational.h"
+#include "support/WorkStealingPool.h"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <atomic>
+#include <chrono>
 #include <random>
+#include <stdexcept>
+#include <thread>
 
 using namespace tnt;
 
@@ -582,4 +588,245 @@ TEST(Diagnostics, SinkSeesFilteredStreamAtEmissionTime) {
   DE.warning({4, 4}, "quiet");
   EXPECT_EQ(Streamed.size(), 2u);
   EXPECT_EQ(DE.all().size(), 3u);
+}
+
+//===----------------------------------------------------------------------===//
+// WorkStealingPool
+//===----------------------------------------------------------------------===//
+
+namespace {
+
+/// Calls Pool.findFirst from inside one of Pool's tasks.
+size_t findFirstInTask(WorkStealingPool &Pool, size_t N,
+                       const std::function<bool(size_t)> &Try) {
+  size_t Got = N + 1;
+  Pool.submit([&] { Got = Pool.findFirst(N, Try); });
+  Pool.wait();
+  return Got;
+}
+
+bool contains(const std::vector<size_t> &Set, size_t I) {
+  return std::find(Set.begin(), Set.end(), I) != Set.end();
+}
+
+/// Occupies one worker of a pool until release(), so the helper task of
+/// a findFirst call made on the other worker of a 2-worker pool stays
+/// queued and runs only after the call returned.
+class HeldWorker {
+public:
+  explicit HeldWorker(WorkStealingPool &Pool) {
+    Pool.submit([this] {
+      Holding = true;
+      while (!Released)
+        std::this_thread::yield();
+    });
+    while (!Holding)
+      std::this_thread::yield();
+  }
+  void release() { Released = true; }
+
+private:
+  std::atomic<bool> Holding{false}, Released{false};
+};
+
+} // namespace
+
+TEST(WorkStealingPool, WaitCoversTasksSubmittedByTasks) {
+  WorkStealingPool Pool(3);
+  std::atomic<int> Ran{0};
+  // Each root spawns a binary tree three levels deep; the children are
+  // submitted after a pause, while wait() is already blocked.
+  std::function<void(int)> Node = [&](int Depth) {
+    std::this_thread::sleep_for(std::chrono::microseconds(200));
+    if (Depth > 0)
+      for (int K = 0; K < 2; ++K)
+        Pool.submit([&Node, Depth] { Node(Depth - 1); });
+    Ran.fetch_add(1);
+  };
+  for (int Root = 0; Root < 4; ++Root)
+    Pool.submit([&Node] { Node(3); });
+  Pool.wait();
+  EXPECT_EQ(Ran.load(), 4 * 15);
+  // The pool is reusable after wait().
+  Pool.submit([&Node] { Node(1); });
+  Pool.wait();
+  EXPECT_EQ(Ran.load(), 4 * 15 + 3);
+}
+
+TEST(WorkStealingPool, FindFirstReturnsLowestTrueIndex) {
+  const size_t N = 12;
+  const std::vector<std::vector<size_t>> TrueSets = {
+      {}, {0}, {5}, {N - 1}, {3, 4, 9}, {7, 2}};
+  for (unsigned Threads : {1u, 2u, 4u}) {
+    WorkStealingPool Pool(Threads);
+    for (const std::vector<size_t> &Set : TrueSets) {
+      size_t Lowest = Set.empty() ? N : *std::min_element(Set.begin(), Set.end());
+      auto Try = [&Set](size_t I) { return contains(Set, I); };
+      for (int Rep = 0; Rep < 20; ++Rep)
+        EXPECT_EQ(findFirstInTask(Pool, N, Try), Lowest)
+            << Threads << " workers, lowest " << Lowest;
+
+      // From a thread that is not a worker it is the in-order loop on
+      // the caller: indices 0..Lowest, each once, then stop.
+      std::vector<size_t> Called;
+      auto Record = [&](size_t I) {
+        Called.push_back(I);
+        return contains(Set, I);
+      };
+      EXPECT_EQ(Pool.findFirst(N, Record), Lowest);
+      std::vector<size_t> InOrder;
+      for (size_t I = 0; I < N && I <= Lowest; ++I)
+        InOrder.push_back(I);
+      EXPECT_EQ(Called, InOrder) << "lowest " << Lowest;
+      // So it is on a one-worker pool, from its own task.
+      if (Threads == 1) {
+        Called.clear();
+        EXPECT_EQ(findFirstInTask(Pool, N, Record), Lowest);
+        EXPECT_EQ(Called, InOrder) << "lowest " << Lowest;
+      }
+    }
+    EXPECT_EQ(findFirstInTask(Pool, 0, [](size_t) { return true; }), 0u);
+  }
+}
+
+TEST(WorkStealingPool, FindFirstStartsNoIndexAfterALowerOneReturnedTrue) {
+  // Every start and every finish takes the next number of one sequence.
+  // Indices below the lowest true one return at once, that one after
+  // 5 ms, every higher one after 50 ms: the claims of the higher ones
+  // all happen at the start, so the only way one can start after a true
+  // index finished is the search claiming past a found answer.
+  const size_t N = 24;
+  const std::vector<std::vector<size_t>> TrueSets = {
+      {0}, {6}, {6, 9}, {6, 7}, {N - 1}};
+  for (unsigned Threads : {2u, 4u}) {
+    WorkStealingPool Pool(Threads);
+    for (const std::vector<size_t> &Set : TrueSets) {
+      size_t Lowest = *std::min_element(Set.begin(), Set.end());
+      std::atomic<uint64_t> Seq{0};
+      std::vector<std::atomic<uint64_t>> Start(N), Finish(N);
+      auto Try = [&](size_t I) {
+        Start[I] = ++Seq;
+        if (I == Lowest)
+          std::this_thread::sleep_for(std::chrono::milliseconds(5));
+        else if (I > Lowest)
+          std::this_thread::sleep_for(std::chrono::milliseconds(50));
+        Finish[I] = ++Seq;
+        return contains(Set, I);
+      };
+      EXPECT_EQ(findFirstInTask(Pool, N, Try), Lowest);
+      for (size_t I = 0; I <= Lowest; ++I)
+        EXPECT_NE(Finish[I].load(), 0u) << "index " << I << " never ran";
+      for (size_t I : Set) {
+        if (Finish[I] == 0)
+          continue;
+        for (size_t J = I + 1; J < N; ++J)
+          if (Start[J] != 0)
+            EXPECT_LT(Start[J].load(), Finish[I].load())
+                << "index " << J << " started after " << I << " returned true ("
+                << Threads << " workers)";
+      }
+    }
+  }
+}
+
+TEST(WorkStealingPool, FindFirstFromEveryWorkerAtOnceCompletes) {
+  // 32 tasks on 2 workers, each making the call: every helper a task
+  // queues may sit behind other callers, and the callers must not wait
+  // for it. A deadlock here is caught by the test's ctest TIMEOUT.
+  WorkStealingPool Pool(2);
+  const size_t N = 16;
+  std::vector<size_t> Got(32, N + 1);
+  for (size_t T = 0; T < Got.size(); ++T)
+    Pool.submit([&Pool, &Got, T, N] {
+      size_t Want = T % (N + 1);
+      Got[T] = Pool.findFirst(N, [Want](size_t I) {
+        std::this_thread::sleep_for(std::chrono::microseconds(100));
+        return I == Want;
+      });
+    });
+  Pool.wait();
+  for (size_t T = 0; T < Got.size(); ++T)
+    EXPECT_EQ(Got[T], T % (N + 1)) << "task " << T;
+}
+
+TEST(WorkStealingPool, LateHelperTouchesNothingOfTheCallersFrame) {
+  // The call's helper task runs after the call returned. The predicate
+  // and its data live in a block of the calling task that has ended by
+  // then: ASan (stack-use-after-scope) and TSan report any access.
+  WorkStealingPool Pool(2);
+  HeldWorker Held(Pool);
+  size_t Got = 0;
+  Pool.submit([&] {
+    {
+      std::vector<int> Seen(8, 0);
+      std::function<bool(size_t)> Try = [&Seen](size_t I) {
+        ++Seen[I];
+        return I == 5;
+      };
+      Got = Pool.findFirst(Seen.size(), Try);
+      EXPECT_EQ(Seen, (std::vector<int>{1, 1, 1, 1, 1, 1, 0, 0}));
+    }
+    Held.release();
+  });
+  Pool.wait();
+  EXPECT_EQ(Got, 5u);
+}
+
+TEST(WorkStealingPool, FindFirstRethrowsAndItsLateHelperClaimsNothing) {
+  // The predicate throws on the caller with indices still unclaimed; the
+  // helper that runs after the call must see the search ended.
+  WorkStealingPool Pool(2);
+  HeldWorker Held(Pool);
+  Pool.submit([&] {
+    {
+      std::vector<int> Seen(8, 0);
+      std::function<bool(size_t)> Try = [&Seen](size_t I) -> bool {
+        ++Seen[I];
+        if (I == 2)
+          throw std::runtime_error("candidate 2 failed");
+        return false;
+      };
+      EXPECT_THROW(Pool.findFirst(Seen.size(), Try), std::runtime_error);
+      EXPECT_EQ(Seen, (std::vector<int>{1, 1, 1, 0, 0, 0, 0, 0}));
+    }
+    Held.release();
+  });
+  Pool.wait();
+}
+
+TEST(WorkStealingPool, FindFirstRethrowsWhatTheInOrderLoopMeetsFirst) {
+  // Every index from 5 on throws an exception naming itself, so helpers
+  // throw too. The call rethrows index 5's, the one the in-order loop
+  // meets first, or returns a lower true index when there is one.
+  const size_t N = 12, FirstThrow = 5;
+  for (unsigned Threads : {1u, 4u}) {
+    WorkStealingPool Pool(Threads);
+    for (size_t TrueAt : {size_t(3), N}) {
+      for (int Rep = 0; Rep < 10; ++Rep) {
+        size_t Got = N + 1;
+        std::string Threw;
+        Pool.submit([&] {
+          try {
+            Got = Pool.findFirst(N, [&](size_t I) -> bool {
+              std::this_thread::sleep_for(std::chrono::milliseconds(1));
+              if (I == TrueAt)
+                return true;
+              if (I >= FirstThrow)
+                throw std::runtime_error(std::to_string(I));
+              return false;
+            });
+          } catch (const std::runtime_error &E) {
+            Threw = E.what();
+          }
+        });
+        Pool.wait();
+        if (TrueAt < FirstThrow) {
+          EXPECT_EQ(Got, TrueAt) << Threads << " workers";
+          EXPECT_EQ(Threw, "") << Threads << " workers";
+        } else {
+          EXPECT_EQ(Threw, std::to_string(FirstThrow)) << Threads << " workers";
+        }
+      }
+    }
+  }
 }

@@ -1,11 +1,14 @@
 //===- tests/SynthTest.cpp - Farkas / ranking / abduction ------*- C++ -*-===//
 
 #include "solver/SolverContext.h"
+#include "support/WorkStealingPool.h"
 #include "synth/Abduction.h"
 #include "synth/Farkas.h"
 #include "synth/Ranking.h"
 
 #include <gtest/gtest.h>
+
+#include <functional>
 
 using namespace tnt;
 
@@ -303,6 +306,226 @@ TEST(Ranking, SelfLoopArgsOverParams) {
   E.DstArgs = {ex(X) - 1};
   RankResult R = synthesizeRanking({{X}}, {E});
   ASSERT_TRUE(R.Success);
+}
+
+//===----------------------------------------------------------------------===//
+// Ranking candidate fan-out
+//===----------------------------------------------------------------------===//
+
+namespace {
+
+/// A ranking problem, built afresh in whatever variable-pool view is
+/// active.
+struct RankProblem {
+  std::vector<std::vector<VarId>> PredParams;
+  std::vector<RankEdge> Edges;
+};
+using RankProblemBuilder = std::function<RankProblem()>;
+
+RankEdge rankEdge(size_t Src, size_t Dst, ConstraintConj Ctx,
+                  std::vector<LinExpr> DstArgs) {
+  RankEdge E;
+  E.Src = Src;
+  E.Dst = Dst;
+  E.Ctx = std::move(Ctx);
+  E.DstArgs = std::move(DstArgs);
+  return E;
+}
+
+/// The one SCC of the `gcd-like` loop that reaches a 10-candidate
+/// round: four predicates over (x, y), ten edges, and no candidate's LP
+/// feasible. The contexts are the batch pipeline's, atom for atom, with
+/// its fresh successor variables x!b1!0 and y!b1!1 spelled gx' and gy'.
+RankProblem gcdScc() {
+  LinExpr X = ex(mkVar("gx")), Y = ex(mkVar("gy"));
+  LinExpr XN = ex(mkVar("gx'")), YN = ex(mkVar("gy'"));
+  auto Le = [](const LinExpr &E) { return Constraint::leZero(E); };
+  auto Eq = [](const LinExpr &E) { return Constraint::eqZero(E); };
+  // Shared atoms of the x-step (x := x - y) and y-step (y := y - x)
+  // edges.
+  Constraint XStep = Eq(-X + Y + XN), XGtY = Le(-X + Y + 1),
+             XPos = Le(-X + 1), XNPos = Le(-XN + 1);
+  Constraint YStep = Eq(X - Y + YN), XLeY = Le(X - Y), XLtY = Le(X - Y + 1);
+  std::vector<LinExpr> XArgs = {XN, Y}, YArgs = {X, YN};
+  RankProblem P;
+  P.PredParams.assign(4, {});
+  for (std::vector<VarId> &Ps : P.PredParams)
+    Ps = {mkVar("gx"), mkVar("gy")};
+  P.Edges = {
+      rankEdge(0, 3,
+               {XStep, XGtY, XPos, XNPos, Le(-Y + XN + 1), Le(X * 2 - Y * 3),
+                Le(-Y * 2 + XN * 3 + 1), XGtY},
+               XArgs),
+      rankEdge(1, 0,
+               {XStep, XGtY, XPos, XNPos, Le(Y - XN + 1), Le(-X * 2 + Y * 3 + 1),
+                Le(-Y * 3 + XN * 2), XGtY},
+               XArgs),
+      rankEdge(1, 1,
+               {XStep, XGtY, XPos, XNPos, Le(Y - XN + 1), Le(-X * 2 + Y * 3 + 1),
+                XGtY, Le(Y * 3 - XN * 2 + 1)},
+               XArgs),
+      rankEdge(1, 2,
+               {XStep, XGtY, XPos, Le(Y * 2 - XN * 3), XNPos, Le(-Y + XN + 1),
+                Le(-X * 2 + Y * 3 + 1), XGtY},
+               XArgs),
+      rankEdge(1, 3,
+               {XStep, XGtY, XPos, XNPos, Le(-Y + XN + 1), Le(-X * 2 + Y * 3 + 1),
+                Le(-Y * 2 + XN * 3 + 1), XGtY},
+               XArgs),
+      rankEdge(2, 1,
+               {XLeY, Le(-X * 2 + YN * 3 + 1), YStep, Le(-X * 3 + Y * 2), XPos,
+                XLtY, Le(-X + YN + 1), XLtY},
+               YArgs),
+      rankEdge(3, 0,
+               {XLeY, Le(X * 2 - YN * 3), YStep, XPos, Le(X * 3 - Y * 2 + 1),
+                XLtY, Le(-X + YN + 1), XLtY},
+               YArgs),
+      rankEdge(3, 1,
+               {XLeY, Le(-X * 2 + YN * 3 + 1), YStep, XPos,
+                Le(X * 3 - Y * 2 + 1), XLtY, Le(-X + YN + 1), XLtY},
+               YArgs),
+      rankEdge(3, 2,
+               {XLeY, YStep, XPos, Le(-X * 3 + YN * 2), Le(X * 3 - Y * 2 + 1),
+                XLtY, Le(X - YN + 1), XLtY},
+               YArgs),
+      rankEdge(3, 3,
+               {XLeY, YStep, XPos, Le(X * 3 - Y * 2 + 1), XLtY, Le(X - YN + 1),
+                Le(X * 3 - YN * 2 + 1), XLtY},
+               YArgs),
+  };
+  return P;
+}
+
+/// Nested-loop edges over (i, j): inner steps j down under i' = i,
+/// outer steps i down and resets j to anything non-negative, and a
+/// second inner edge steps j by 2. The first round's candidate 0 (inner
+/// strict) fails, since the outer edge leaves j unbounded; candidate 1
+/// (outer strict) wins with a measure in i. The next round ranks the
+/// inner edges by j.
+RankEdge innerEdge(int64_t Step) {
+  LinExpr I = ex(mkVar("fi")), J = ex(mkVar("fj"));
+  LinExpr IP = ex(mkVar("fi'")), JP = ex(mkVar("fj'"));
+  return rankEdge(0, 0,
+                  {ge(I, LinExpr(0)), ge(J, LinExpr(Step)), eq(IP, I),
+                   eq(JP, J - Step)},
+                  {IP, JP});
+}
+RankEdge outerEdge() {
+  LinExpr I = ex(mkVar("fi"));
+  LinExpr IP = ex(mkVar("fi'")), JP = ex(mkVar("fj'"));
+  return rankEdge(0, 0, {ge(I, LinExpr(1)), eq(IP, I - 1), ge(JP, LinExpr(0))},
+                  {IP, JP});
+}
+std::vector<std::vector<VarId>> nestedParams() {
+  return {{mkVar("fi"), mkVar("fj")}};
+}
+
+/// Round 0: three candidates, the second wins.
+RankProblem secondOfThree() {
+  return {nestedParams(), {innerEdge(1), outerEdge(), innerEdge(2)}};
+}
+/// Round 0: two candidates, the last wins.
+RankProblem lastOfTwo() {
+  return {nestedParams(), {innerEdge(1), outerEdge()}};
+}
+/// Round 0: two candidates, candidate 0 wins (both edges count x down).
+RankProblem firstOfTwo() {
+  LinExpr X = ex(mkVar("fx")), XP = ex(mkVar("fx'"));
+  return {{{mkVar("fx")}},
+          {rankEdge(0, 0, {ge(X, LinExpr(1)), eq(XP, X - 1)}, {XP}),
+           rankEdge(0, 0, {ge(X, LinExpr(2)), eq(XP, X - 2)}, {XP})}};
+}
+
+struct RankRun {
+  bool Success = false;
+  std::string Measures;
+  uint64_t LpSolves = 0;
+  uint64_t LpPivots = 0;
+  /// Bindings the run's session holds afterwards.
+  size_t Bindings = 0;
+};
+
+/// Builds and ranks a problem in a fresh session and group block, on a
+/// task of a \p Workers-worker pool, or on the calling thread when
+/// \p Workers is 0.
+RankRun rankIn(const RankProblemBuilder &Build, unsigned Workers) {
+  VarPool::Session S;
+  RankRun Out;
+  auto Run = [&] {
+    VarPool::SessionScope Lease(S);
+    VarPool::Scope Block(VarPool::groupBlock(0));
+    RankProblem P = Build();
+    SolverContext SC;
+    RankResult R = synthesizeRanking(P.PredParams, P.Edges, 4, SC);
+    Out.Success = R.Success;
+    for (const std::vector<LinExpr> &M : R.Measures) {
+      for (const LinExpr &E : M)
+        Out.Measures += E.str() + "; ";
+      Out.Measures += "| ";
+    }
+    Out.LpSolves = SC.stats().LpSolves;
+    Out.LpPivots = SC.stats().LpPivots;
+  };
+  if (Workers == 0) {
+    Run();
+  } else {
+    WorkStealingPool Pool(Workers);
+    Pool.submit(Run);
+    Pool.wait();
+  }
+  Out.Bindings = S.size();
+  return Out;
+}
+
+/// Ranks \p Build outside any pool and on 2- and 4-worker pools: the
+/// result and the LP charge must not depend on where it ran. Returns
+/// the in-order run and the 4-worker one.
+std::pair<RankRun, RankRun> rankEverywhere(const RankProblemBuilder &Build) {
+  RankRun InOrder = rankIn(Build, 0);
+  RankRun Pooled;
+  for (unsigned Workers : {2u, 4u}) {
+    Pooled = rankIn(Build, Workers);
+    EXPECT_EQ(Pooled.Success, InOrder.Success) << Workers << " workers";
+    EXPECT_EQ(Pooled.Measures, InOrder.Measures) << Workers << " workers";
+    EXPECT_EQ(Pooled.LpSolves, InOrder.LpSolves) << Workers << " workers";
+    EXPECT_EQ(Pooled.LpPivots, InOrder.LpPivots) << Workers << " workers";
+  }
+  return {InOrder, Pooled};
+}
+
+} // namespace
+
+TEST(Ranking, FanOutMatchesInOrderWhenNoCandidateWins) {
+  auto [InOrder, Pooled] = rankEverywhere(gcdScc);
+  EXPECT_FALSE(InOrder.Success);
+  EXPECT_EQ(InOrder.LpSolves, 10u); // Every candidate of the one round.
+  // The round's pivots in a cold `hiptnt --batch @fig11`, too.
+  EXPECT_EQ(InOrder.LpPivots, 5358u);
+  // Every candidate's templates were minted either way.
+  EXPECT_EQ(Pooled.Bindings, InOrder.Bindings);
+}
+
+TEST(Ranking, FanOutMatchesInOrderWhenALaterCandidateWins) {
+  auto [InOrder, Pooled] = rankEverywhere(secondOfThree);
+  ASSERT_TRUE(InOrder.Success);
+  // Round 0 solves candidates 0 and 1, round 1 its candidate 0, however
+  // many LPs the helpers started.
+  EXPECT_EQ(InOrder.LpSolves, 3u);
+  // The fan-out mints candidate 2's template (one pred, three
+  // coefficients) although candidate 1 won.
+  EXPECT_EQ(Pooled.Bindings, InOrder.Bindings + 3);
+
+  auto [LastInOrder, LastPooled] = rankEverywhere(lastOfTwo);
+  ASSERT_TRUE(LastInOrder.Success);
+  EXPECT_EQ(LastInOrder.LpSolves, 3u);
+  EXPECT_EQ(LastPooled.Bindings, LastInOrder.Bindings);
+}
+
+TEST(Ranking, FanOutMatchesInOrderWhenCandidateZeroWins) {
+  auto [InOrder, Pooled] = rankEverywhere(firstOfTwo);
+  ASSERT_TRUE(InOrder.Success);
+  EXPECT_EQ(InOrder.LpSolves, 1u);
+  EXPECT_EQ(Pooled.Bindings, InOrder.Bindings);
 }
 
 //===----------------------------------------------------------------------===//
