@@ -170,6 +170,38 @@ VarId VarPool::fresh(const std::string &Base) {
   }
 }
 
+VarPool::FreshMark VarPool::freshMark() const {
+  if (ActiveScope == nullptr)
+    return {};
+  Session *S = ActiveSession;
+  std::lock_guard<std::mutex> L(S != nullptr ? S->Mu : Mu);
+  const std::map<uint32_t, uint32_t> &Next =
+      S != nullptr ? S->BlockNext : BlockNext;
+  auto It = Next.find(ActiveScope->Block);
+  return {ActiveScope->FreshCounter, It == Next.end() ? 0 : It->second};
+}
+
+void VarPool::rewindFresh(const FreshMark &M) {
+  if (ActiveScope == nullptr)
+    return;
+  ActiveScope->FreshCounter = M.Counter;
+  Session *S = ActiveSession;
+  std::lock_guard<std::mutex> L(S != nullptr ? S->Mu : Mu);
+  std::map<VarId, std::string> &Ns = S != nullptr ? S->Names : Names;
+  std::map<std::string, VarId> &Ix = S != nullptr ? S->Index : Index;
+  uint32_t &Next =
+      (S != nullptr ? S->BlockNext : BlockNext)[ActiveScope->Block];
+  // The block is the scope's alone, so this thread allocated every id
+  // past the mark.
+  VarId Start = blockStart(ActiveScope->Block);
+  for (auto It = Ns.lower_bound(Start + M.Next);
+       It != Ns.end() && It->first < Start + Next;) {
+    Ix.erase(It->second);
+    It = Ns.erase(It);
+  }
+  Next = M.Next;
+}
+
 const std::string &VarPool::name(VarId Id) const {
   if (Session *S = ActiveSession) {
     std::lock_guard<std::mutex> L(S->Mu);

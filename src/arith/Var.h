@@ -89,6 +89,26 @@ public:
   /// reusing the id of a previous run that produced the same spelling.
   VarId fresh(const std::string &Base);
 
+  /// A point in the active scope's fresh sequence (see rewindFresh()).
+  struct FreshMark {
+    uint64_t Counter = 0;
+    uint32_t Next = 0;
+  };
+
+  /// Where the active scope's fresh sequence stands now. Outside a
+  /// scope the mark is empty.
+  FreshMark freshMark() const;
+
+  /// Forgets every fresh() the active scope made since \p M: the
+  /// scope's counter and its block's next id return to \p M and the
+  /// bindings allocated since are dropped, so later fresh() calls mint
+  /// the ids and spellings they would have minted had those calls never
+  /// happened. For speculative work whose variables nobody keeps (the
+  /// ranking candidate fan-out). Ids that fell back to the global
+  /// region stay bound. Outside a scope it does nothing: unscoped fresh
+  /// ids are unique but not positional.
+  void rewindFresh(const FreshMark &M);
+
   /// The spelling of \p Id.
   const std::string &name(VarId Id) const;
 

@@ -191,13 +191,12 @@ void WorkStealingPool::wait() {
   QuiesceCV.wait(L, [&] { return InFlight.load() == 0; });
 }
 
-WorkStealingPool *WorkStealingPool::current() { return SelfPool; }
-
 size_t WorkStealingPool::findFirst(size_t N,
                                    const std::function<bool(size_t)> &Try) {
+  WorkStealingPool *Pool = SelfPool;
   size_t Helpers = 0;
-  if (SelfPool == this && N > 1)
-    Helpers = std::min<size_t>(Workers.size() - 1, N - 1);
+  if (Pool != nullptr && N > 1)
+    Helpers = std::min<size_t>(Pool->Workers.size() - 1, N - 1);
   if (Helpers == 0) {
     size_t I = 0;
     while (I < N && !Try(I))
@@ -206,7 +205,7 @@ size_t WorkStealingPool::findFirst(size_t N,
   }
   auto S = std::make_shared<FirstSearch>(Try, N);
   for (size_t H = 0; H < Helpers; ++H)
-    submit([S] { runClaims(*S, /*Helper=*/true); });
+    Pool->submit([S] { runClaims(*S, /*Helper=*/true); });
   runClaims(*S, /*Helper=*/false);
   return finishSearch(*S);
 }

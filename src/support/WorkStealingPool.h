@@ -25,8 +25,8 @@
 ///
 /// findFirst() is the one fork-join call: a task of a pool with more
 /// than one worker asks for the lowest index in [0, N) whose predicate
-/// holds, and idle workers help evaluate the candidates. It promises
-/// the answer an in-order loop gives, and:
+/// holds, and idle workers of its pool help evaluate the candidates.
+/// It promises the answer an in-order loop gives, and:
 ///  * indices start in increasing order, and none starts once a lower
 ///    one has returned true (calls already running finish), so a
 ///    search over equal-sized candidates wastes at most one per helper;
@@ -83,18 +83,15 @@ public:
 
   /// Returns the lowest I in [0, N) for which \p Try(I) is true, or N
   /// when there is none: the index the loop
-  /// `for (I = 0; I < N && !Try(I); ++I)` stops at. From a task of this
+  /// `for (I = 0; I < N && !Try(I); ++I)` stops at. From a task of a
   /// pool with more than one worker, up to threadCount() - 1 helper
-  /// tasks evaluate indices beside the caller (see the file comment for
-  /// what that promises), so \p Try must be safe to call concurrently
-  /// for distinct indices. From any other thread, and on a one-worker
-  /// pool, it is that loop on the caller. When the index that loop
-  /// stops at throws instead, the call rethrows it on the caller; a
-  /// helper never lets an exception out of its task.
-  size_t findFirst(size_t N, const std::function<bool(size_t)> &Try);
-
-  /// The pool the calling thread is a worker of, or null.
-  static WorkStealingPool *current();
+  /// tasks on that pool evaluate indices beside the caller (see the
+  /// file comment for what that promises), so \p Try must be safe to
+  /// call concurrently for distinct indices. From any other thread, and
+  /// on a one-worker pool, it is that loop on the caller. When the
+  /// index that loop stops at throws instead, the call rethrows it on
+  /// the caller; a helper never lets an exception out of its task.
+  static size_t findFirst(size_t N, const std::function<bool(size_t)> &Try);
 
   unsigned threadCount() const { return static_cast<unsigned>(Workers.size()); }
 

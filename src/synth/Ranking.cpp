@@ -105,31 +105,30 @@ Candidate buildCandidate(const std::vector<std::vector<VarId>> &PredParams,
 }
 
 /// The round's first candidate whose LP is feasible, in edge order, or
-/// none. Candidate 0 is solved first on the calling thread. When it
-/// fails and the caller is a task of a pool with more than one worker,
-/// the rest are built here and solved through findFirst, and \p SC is
-/// charged for exactly the solves the in-order loop makes.
+/// none. Candidate 0 is solved alone first. The rest are built here in
+/// candidate order and solved through findFirst, which runs them on
+/// idle workers when the caller is a task of a pool with more than one.
+/// The variables minted for candidates past the winner are then
+/// rewound and \p SC is charged for the solves the in-order loop makes,
+/// so the group's later fresh ids and its counters do not depend on
+/// where the round ran.
 std::optional<Candidate>
 pickCandidate(const std::vector<std::vector<VarId>> &PredParams,
               const std::vector<RankEdge> &Remaining, SolverContext &SC) {
   Candidate First = buildCandidate(PredParams, Remaining, 0, &SC);
   if (First.FS.solve())
     return First;
-  WorkStealingPool *Pool = WorkStealingPool::current();
-  if (Pool == nullptr || Pool->threadCount() < 2) {
-    for (size_t Strict = 1; Strict < Remaining.size(); ++Strict) {
-      Candidate C = buildCandidate(PredParams, Remaining, Strict, &SC);
-      if (C.FS.solve())
-        return C;
-    }
-    return std::nullopt;
-  }
   std::vector<Candidate> Rest;
+  std::vector<VarPool::FreshMark> Marks;
   Rest.reserve(Remaining.size() - 1);
-  for (size_t Strict = 1; Strict < Remaining.size(); ++Strict)
+  for (size_t Strict = 1; Strict < Remaining.size(); ++Strict) {
+    Marks.push_back(VarPool::get().freshMark());
     Rest.push_back(buildCandidate(PredParams, Remaining, Strict, nullptr));
-  size_t Won = Pool->findFirst(
+  }
+  size_t Won = WorkStealingPool::findFirst(
       Rest.size(), [&Rest](size_t I) { return Rest[I].FS.solve(); });
+  if (Won + 1 < Rest.size())
+    VarPool::get().rewindFresh(Marks[Won + 1]);
   for (size_t I = 0; I < Rest.size() && I <= Won; ++I)
     Rest[I].FS.charge(SC);
   if (Won == Rest.size())

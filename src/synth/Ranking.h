@@ -20,16 +20,14 @@
 /// remaining edge the strictly decreasing one, over templates of its
 /// own, and is one Farkas LP; the round takes the lowest k whose LP is
 /// feasible and drops every edge the new component strictly decreases.
-/// Candidate 0 is solved first on the calling thread. When it fails
-/// and the caller is a task of a WorkStealingPool with more than one
-/// worker, the other candidates are built on the caller and solved
-/// through WorkStealingPool::findFirst, which returns the same lowest
-/// k; the context is charged for exactly the solves the in-order loop
-/// makes, so results and LP counts do not depend on where the call
-/// ran. Only the number of templates minted does: the fan-out mints
-/// every candidate's, the in-order loop stops minting at the winner,
-/// so after a round won by neither the first nor the last candidate
-/// the group's later fresh ids differ between the two.
+/// Candidate 0 is solved first, alone. The other candidates are built
+/// on the calling thread in candidate order and solved through
+/// WorkStealingPool::findFirst, which returns the same lowest k and, on
+/// a task of a pool with more than one worker, solves them on idle
+/// workers. The templates minted for candidates past k are then rewound
+/// (VarPool::rewindFresh) and the context is charged for exactly the
+/// solves the in-order loop makes, so results, LP counts and every
+/// later fresh id do not depend on where the call ran.
 ///
 //===----------------------------------------------------------------------===//
 

@@ -44,6 +44,48 @@ TEST(VarPool, FreshNeverCollides) {
   EXPECT_NE(varName(A).find('!'), std::string::npos);
 }
 
+TEST(VarPool, RewindFreshUndoesSpeculativeMints) {
+  // A scope that mints speculatively and rewinds goes on exactly as one
+  // that never minted: the same ids, spellings and bindings after.
+  using Alloc = std::pair<VarId, std::string>;
+  auto runLease = [](bool Speculate, size_t &Bindings) {
+    VarPool::Session Lease;
+    VarPool::SessionScope Active(Lease);
+    VarPool::Scope Block(5);
+    VarPool &P = VarPool::get();
+    std::vector<Alloc> Out;
+    VarId A = freshVar("rw_a");
+    Out.emplace_back(A, P.name(A));
+    if (Speculate) {
+      VarPool::FreshMark M = P.freshMark();
+      freshVar("rw_spec");
+      freshVar("rw_spec");
+      P.rewindFresh(M);
+    }
+    VarId B = freshVar("rw_b");
+    Out.emplace_back(B, P.name(B));
+    Bindings = Lease.size();
+    return Out;
+  };
+  size_t Plain = 0, Rewound = 0;
+  EXPECT_EQ(runLease(false, Plain), runLease(true, Rewound));
+  EXPECT_EQ(Plain, Rewound);
+
+  // In the shared pool the rewound bindings are gone and their ids
+  // are minted again.
+  VarPool &P = VarPool::get();
+  VarPool::Scope Block(901);
+  const size_t Before = P.size();
+  VarPool::FreshMark M = P.freshMark();
+  VarId Spec = freshVar("rw_spec");
+  EXPECT_EQ(P.size(), Before + 1);
+  P.rewindFresh(M);
+  EXPECT_EQ(P.size(), Before);
+  VarId C = freshVar("rw_c");
+  EXPECT_EQ(C, Spec);
+  EXPECT_EQ(P.name(C), "rw_c!b901!0");
+}
+
 //===----------------------------------------------------------------------===//
 // LinExpr
 //===----------------------------------------------------------------------===//

@@ -164,6 +164,71 @@ TEST(Determinism, BatchSecondRunByteIdentical) {
   EXPECT_EQ(First.Usage.SatQueries, Second.Usage.SatQueries);
 }
 
+/// Loops whose ranking synthesis has a round won by a middle candidate:
+/// the nested loop's three-candidate round by candidate 1 (the outer
+/// step, once the inner one fails), and f's six-candidate round by
+/// candidate 1. On a pool of more than one worker such a round solves
+/// its candidates on helper workers, which mints every candidate's
+/// templates before the winner is known.
+const char *NestedLoopSource = R"(
+void main() { int i; int j; i = nondet_int(); j = nondet_int();
+  while (i >= 0) {
+    if (j > 0) j = j - 1;
+    else { i = i - 1; j = nondet_int(); if (j < 0) j = 0; }
+  }
+}
+)";
+const char *NestedRecursionSource = R"(
+void f(int i, int j)
+{
+  if (i < 0) return;
+  else if (j >= 1) f(i, j - 1);
+  else if (nondet_bool()) { int k; k = nondet_int(); if (k >= 0) f(i - 1, k); else f(i - 1, 0); }
+  else f(i, j - 2);
+}
+void main() { f(nondet_int(), nondet_int()); }
+)";
+
+TEST(Determinism, BatchRankingMiddleWinnerIdenticalAcrossThreads) {
+  // Beyond equal outcomes and counters, each program's session must
+  // hold the same bindings at every thread count: the templates minted
+  // for candidates past the winner are rewound, so the group's later
+  // fresh ids are those of the in-order loop.
+  std::vector<BatchItem> Items(2);
+  Items[0].Name = "nested-loop";
+  Items[0].Source = NestedLoopSource;
+  Items[1].Name = "nested-recursion";
+  Items[1].Source = NestedRecursionSource;
+  struct Run {
+    std::string Outcomes;
+    uint64_t SatQueries, LpSolves, LpPivots;
+    std::vector<size_t> Bindings;
+  };
+  auto run = [&Items](unsigned Threads) {
+    BatchOptions Opt;
+    Opt.Threads = Threads;
+    BatchAnalyzer BA(Opt);
+    BatchResult R = BA.run(Items);
+    Run Out{R.renderOutcomes(), R.Usage.SatQueries, R.Usage.LpSolves,
+            R.Usage.LpPivots, {}};
+    for (const BatchProgramResult &P : R.Programs)
+      Out.Bindings.push_back(P.Session->size());
+    return Out;
+  };
+  Run Base = run(1);
+  EXPECT_NE(Base.Outcomes.find("== nested-loop [] entry 'main': Y"),
+            std::string::npos)
+      << Base.Outcomes;
+  for (unsigned Threads : {2u, 4u, 8u}) {
+    Run R = run(Threads);
+    EXPECT_EQ(Base.Outcomes, R.Outcomes) << "threads=" << Threads;
+    EXPECT_EQ(Base.SatQueries, R.SatQueries) << "threads=" << Threads;
+    EXPECT_EQ(Base.LpSolves, R.LpSolves) << "threads=" << Threads;
+    EXPECT_EQ(Base.LpPivots, R.LpPivots) << "threads=" << Threads;
+    EXPECT_EQ(Base.Bindings, R.Bindings) << "threads=" << Threads;
+  }
+}
+
 TEST(Determinism, MonolithicModeUnaffectedByThreads) {
   AnalyzerConfig C1, C4;
   C1.Modular = C4.Modular = false;

@@ -11,7 +11,10 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <condition_variable>
+#include <mutex>
 #include <random>
+#include <set>
 #include <stdexcept>
 #include <thread>
 
@@ -596,11 +599,11 @@ TEST(Diagnostics, SinkSeesFilteredStreamAtEmissionTime) {
 
 namespace {
 
-/// Calls Pool.findFirst from inside one of Pool's tasks.
+/// Calls findFirst from inside one of Pool's tasks.
 size_t findFirstInTask(WorkStealingPool &Pool, size_t N,
                        const std::function<bool(size_t)> &Try) {
   size_t Got = N + 1;
-  Pool.submit([&] { Got = Pool.findFirst(N, Try); });
+  Pool.submit([&] { Got = WorkStealingPool::findFirst(N, Try); });
   Pool.wait();
   return Got;
 }
@@ -673,7 +676,7 @@ TEST(WorkStealingPool, FindFirstReturnsLowestTrueIndex) {
         Called.push_back(I);
         return contains(Set, I);
       };
-      EXPECT_EQ(Pool.findFirst(N, Record), Lowest);
+      EXPECT_EQ(WorkStealingPool::findFirst(N, Record), Lowest);
       std::vector<size_t> InOrder;
       for (size_t I = 0; I < N && I <= Lowest; ++I)
         InOrder.push_back(I);
@@ -691,10 +694,13 @@ TEST(WorkStealingPool, FindFirstReturnsLowestTrueIndex) {
 
 TEST(WorkStealingPool, FindFirstStartsNoIndexAfterALowerOneReturnedTrue) {
   // Every start and every finish takes the next number of one sequence.
-  // Indices below the lowest true one return at once, that one after
-  // 5 ms, every higher one after 50 ms: the claims of the higher ones
-  // all happen at the start, so the only way one can start after a true
-  // index finished is the search claiming past a found answer.
+  // Each thread's first index waits until every thread of the call (the
+  // caller and its helpers) has made its first claim, so no first claim
+  // can come after any index finished, however late a helper task
+  // starts. Then indices below the lowest true one return at once, that
+  // one after 5 ms, every higher one after 50 ms: the only way an index
+  // can start after a true one finished is the search claiming past a
+  // found answer.
   const size_t N = 24;
   const std::vector<std::vector<size_t>> TrueSets = {
       {0}, {6}, {6, 9}, {6, 7}, {N - 1}};
@@ -704,8 +710,18 @@ TEST(WorkStealingPool, FindFirstStartsNoIndexAfterALowerOneReturnedTrue) {
       size_t Lowest = *std::min_element(Set.begin(), Set.end());
       std::atomic<uint64_t> Seq{0};
       std::vector<std::atomic<uint64_t>> Start(N), Finish(N);
+      std::mutex InMu;
+      std::condition_variable AllIn;
+      std::set<std::thread::id> In;
       auto Try = [&](size_t I) {
         Start[I] = ++Seq;
+        {
+          std::unique_lock<std::mutex> L(InMu);
+          if (In.insert(std::this_thread::get_id()).second) {
+            AllIn.notify_all();
+            AllIn.wait(L, [&] { return In.size() == Threads; });
+          }
+        }
         if (I == Lowest)
           std::this_thread::sleep_for(std::chrono::milliseconds(5));
         else if (I > Lowest)
@@ -737,9 +753,9 @@ TEST(WorkStealingPool, FindFirstFromEveryWorkerAtOnceCompletes) {
   const size_t N = 16;
   std::vector<size_t> Got(32, N + 1);
   for (size_t T = 0; T < Got.size(); ++T)
-    Pool.submit([&Pool, &Got, T, N] {
+    Pool.submit([&Got, T, N] {
       size_t Want = T % (N + 1);
-      Got[T] = Pool.findFirst(N, [Want](size_t I) {
+      Got[T] = WorkStealingPool::findFirst(N, [Want](size_t I) {
         std::this_thread::sleep_for(std::chrono::microseconds(100));
         return I == Want;
       });
@@ -763,7 +779,7 @@ TEST(WorkStealingPool, LateHelperTouchesNothingOfTheCallersFrame) {
         ++Seen[I];
         return I == 5;
       };
-      Got = Pool.findFirst(Seen.size(), Try);
+      Got = WorkStealingPool::findFirst(Seen.size(), Try);
       EXPECT_EQ(Seen, (std::vector<int>{1, 1, 1, 1, 1, 1, 0, 0}));
     }
     Held.release();
@@ -786,7 +802,8 @@ TEST(WorkStealingPool, FindFirstRethrowsAndItsLateHelperClaimsNothing) {
           throw std::runtime_error("candidate 2 failed");
         return false;
       };
-      EXPECT_THROW(Pool.findFirst(Seen.size(), Try), std::runtime_error);
+      EXPECT_THROW(WorkStealingPool::findFirst(Seen.size(), Try),
+                   std::runtime_error);
       EXPECT_EQ(Seen, (std::vector<int>{1, 1, 1, 0, 0, 0, 0, 0}));
     }
     Held.release();
@@ -807,7 +824,7 @@ TEST(WorkStealingPool, FindFirstRethrowsWhatTheInOrderLoopMeetsFirst) {
         std::string Threw;
         Pool.submit([&] {
           try {
-            Got = Pool.findFirst(N, [&](size_t I) -> bool {
+            Got = WorkStealingPool::findFirst(N, [&](size_t I) -> bool {
               std::this_thread::sleep_for(std::chrono::milliseconds(1));
               if (I == TrueAt)
                 return true;

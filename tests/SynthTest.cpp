@@ -443,6 +443,8 @@ struct RankRun {
   uint64_t LpPivots = 0;
   /// Bindings the run's session holds afterwards.
   size_t Bindings = 0;
+  /// Spelling and id of the group's next fresh variable.
+  std::string NextFresh;
 };
 
 /// Builds and ranks a problem in a fresh session and group block, on a
@@ -465,6 +467,8 @@ RankRun rankIn(const RankProblemBuilder &Build, unsigned Workers) {
     }
     Out.LpSolves = SC.stats().LpSolves;
     Out.LpPivots = SC.stats().LpPivots;
+    VarId Next = freshVar("probe");
+    Out.NextFresh = varName(Next) + " = " + std::to_string(Next);
   };
   if (Workers == 0) {
     Run();
@@ -478,8 +482,8 @@ RankRun rankIn(const RankProblemBuilder &Build, unsigned Workers) {
 }
 
 /// Ranks \p Build outside any pool and on 2- and 4-worker pools: the
-/// result and the LP charge must not depend on where it ran. Returns
-/// the in-order run and the 4-worker one.
+/// result, the LP charge and the variables minted must not depend on
+/// where it ran. Returns the in-order run and the 4-worker one.
 std::pair<RankRun, RankRun> rankEverywhere(const RankProblemBuilder &Build) {
   RankRun InOrder = rankIn(Build, 0);
   RankRun Pooled;
@@ -489,6 +493,8 @@ std::pair<RankRun, RankRun> rankEverywhere(const RankProblemBuilder &Build) {
     EXPECT_EQ(Pooled.Measures, InOrder.Measures) << Workers << " workers";
     EXPECT_EQ(Pooled.LpSolves, InOrder.LpSolves) << Workers << " workers";
     EXPECT_EQ(Pooled.LpPivots, InOrder.LpPivots) << Workers << " workers";
+    EXPECT_EQ(Pooled.Bindings, InOrder.Bindings) << Workers << " workers";
+    EXPECT_EQ(Pooled.NextFresh, InOrder.NextFresh) << Workers << " workers";
   }
   return {InOrder, Pooled};
 }
@@ -501,8 +507,9 @@ TEST(Ranking, FanOutMatchesInOrderWhenNoCandidateWins) {
   EXPECT_EQ(InOrder.LpSolves, 10u); // Every candidate of the one round.
   // The round's pivots in a cold `hiptnt --batch @fig11`, too.
   EXPECT_EQ(InOrder.LpPivots, 5358u);
-  // Every candidate's templates were minted either way.
-  EXPECT_EQ(Pooled.Bindings, InOrder.Bindings);
+  // Every candidate's templates stay minted: four predicates of three
+  // coefficients for each of the ten candidates.
+  EXPECT_EQ(Pooled.Bindings, 4 + 10 * 4 * 3 + 1u);
 }
 
 TEST(Ranking, FanOutMatchesInOrderWhenALaterCandidateWins) {
@@ -511,21 +518,22 @@ TEST(Ranking, FanOutMatchesInOrderWhenALaterCandidateWins) {
   // Round 0 solves candidates 0 and 1, round 1 its candidate 0, however
   // many LPs the helpers started.
   EXPECT_EQ(InOrder.LpSolves, 3u);
-  // The fan-out mints candidate 2's template (one pred, three
-  // coefficients) although candidate 1 won.
-  EXPECT_EQ(Pooled.Bindings, InOrder.Bindings + 3);
+  // Candidate 2's template (one pred, three coefficients) was minted
+  // for the fan-out and rewound: round 1's template and the probe take
+  // the ids it had.
+  EXPECT_EQ(Pooled.Bindings, 4 + 3 * 3 + 1u);
+  EXPECT_EQ(Pooled.NextFresh,
+            "probe!b1!9 = " + std::to_string(VarPool::blockStart(1) + 13));
 
   auto [LastInOrder, LastPooled] = rankEverywhere(lastOfTwo);
   ASSERT_TRUE(LastInOrder.Success);
   EXPECT_EQ(LastInOrder.LpSolves, 3u);
-  EXPECT_EQ(LastPooled.Bindings, LastInOrder.Bindings);
 }
 
 TEST(Ranking, FanOutMatchesInOrderWhenCandidateZeroWins) {
   auto [InOrder, Pooled] = rankEverywhere(firstOfTwo);
   ASSERT_TRUE(InOrder.Success);
   EXPECT_EQ(InOrder.LpSolves, 1u);
-  EXPECT_EQ(Pooled.Bindings, InOrder.Bindings);
 }
 
 //===----------------------------------------------------------------------===//
